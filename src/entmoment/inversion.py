@@ -14,7 +14,9 @@ polynomial is centered.  The engine here therefore
 3. selects a multiplicity structure by weighted least squares against the
    moments: candidate partitions of the sorted roots are refined with a
    multiplicity-constrained Gauss-Newton pass and the coarsest structure
-   whose residual sits at the propagated rounding floor wins.
+   whose residual sits at the propagated rounding floor wins.  The search
+   is exhaustive; a batched numpy screen per cluster count drops hopeless
+   partitions before the survivors are rebuilt and refined in order.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
 to the raw projected roots with flags, never an exception.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -39,6 +42,9 @@ _ACCEPT_FACTOR = 8.0
 
 #: below this relative spread all values are reported as their mean
 _DEGENERATE_SPREAD = 1e-8
+
+#: splits screened per numpy batch; bounds the memory of long spectra
+_SCREEN_BATCH = 1 << 14
 
 COMPLEX_ROOTS_FLAG = "complex-roots"
 
@@ -131,14 +137,26 @@ def _gauss_newton(z0, mult, targets, weights, iters: int = 12):
     return best, best_res
 
 
-def _compositions(n: int, parts: int):
-    """All splits of n sorted items into `parts` contiguous groups."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
+def _screened_splits(y, targets, weights, n_clusters: int):
+    """Group edges of the splits of the sorted y into n_clusters contiguous
+    groups, sizes in lexicographic order, that a batched screen keeps.  Its
+    prefix-sum means and running products give each split's residual up to
+    rounding, which twice the per-split cut covers; NaN rows are kept."""
+    n = len(y)
+    rows = comb(n - 1, n_clusters - 1)
+    prefix = np.concatenate([[0.0], np.cumsum(y)])
+    cuts = chain.from_iterable(combinations(range(1, n), n_clusters - 1))
+    for start in range(0, rows, _SCREEN_BATCH):
+        size = min(_SCREEN_BATCH, rows - start)
+        inner = np.fromiter(cuts, np.intp, size * (n_clusters - 1)).reshape(size, n_clusters - 1)
+        bounds = np.hstack([np.zeros((size, 1), np.intp), inner, np.full((size, 1), n)])
+        sizes = np.diff(bounds)
+        z = (prefix[bounds[:, 1:]] - prefix[bounds[:, :-1]]) / sizes
+        term, screen = sizes * z, 0.0
+        for m in range(n):
+            screen = np.maximum(screen, np.abs(term.sum(axis=1) - targets[m]) / weights[m])
+            term = term * z
+        yield from bounds[~(screen > 2e6)]
 
 
 def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRecovery:
@@ -148,7 +166,8 @@ def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRe
     ----------
     power_sums : sequence of float or Fraction
         The n power sums of the n sought values.  Fractions are treated as
-        exact; floats carry a rounding-floor allowance.
+        exact; floats carry a rounding-floor allowance.  Empty, non-finite or
+        float64-overflowing input raises ValueError.
     imag_guard : float
         Imaginary residual (in original units) above which the fall-through
         raw roots are flagged as complex.
@@ -163,10 +182,16 @@ def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRe
     n = len(psums)
     if n == 0:
         raise ValueError("need at least one power sum")
-    if n == 1:
-        return SpectrumRecovery(np.array([float(psums[0])]), ())
-
-    center, scale, coeffs, targets, noise = _centered_setup(psums)
+    for i, x in enumerate(psums):
+        # compared rather than converted: a huge int is finite, if unusable
+        if not isinstance(x, Fraction) and not abs(x) < math.inf:
+            raise ValueError(f"power sum at index {i} is not finite: {x!r}")
+    try:
+        if n == 1:
+            return SpectrumRecovery(np.array([float(psums[0])]), ())
+        center, scale, coeffs, targets, noise = _centered_setup(psums)
+    except OverflowError as exc:
+        raise ValueError(f"power sums overflow float64: {exc}") from exc
     if coeffs is None:
         return SpectrumRecovery(np.full(n, center), ())
 
@@ -177,11 +202,10 @@ def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRe
 
     for n_clusters in range(1, n + 1):
         candidates = []
-        for sizes in _compositions(n, n_clusters):
-            bounds = np.cumsum((0,) + sizes)
-            mult = np.array(sizes, dtype=float)
+        for bounds in _screened_splits(y, targets, weights, n_clusters):
+            mult = np.diff(bounds).astype(float)
             z0 = np.array([y[bounds[i]:bounds[i + 1]].mean() for i in range(n_clusters)])
-            # cheap screen: skip structures hopelessly far from the moments
+            # per-split screen: skip structures hopelessly far from the moments
             init = np.max(np.abs(_power_sums(z0, mult, n) - targets) / weights)
             if init > 1e6:
                 continue

@@ -8,6 +8,9 @@ shift operator and its defining trace identity
 are the workhorses: they let multi-copy expectation values collapse to
 products of the small single-copy matrices, so nothing of dimension
 ``local_dim**n`` ever needs to be built on the fast path.
+
+The exact power traces of ideal mode hold every binary64 entry as a Python
+int times one common power of two and take the powers on those ints.
 """
 
 from __future__ import annotations
@@ -176,38 +179,33 @@ def cyclic_shift_matrix(n: int, local_dim: int, cap: int = SHIFT_DIM_CAP) -> np.
     return v
 
 
-def _exact_parts(m: np.ndarray):
-    """Entrywise exact rationals of a float matrix, symmetrized so the
-    result is exactly Hermitian: re[i][j] = re[j][i], im[i][j] = -im[j][i]."""
-    d = m.shape[0]
-    re = [[Fraction(0)] * d for _ in range(d)]
-    im = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            a = (Fraction(m[i, j].real) + Fraction(m[j, i].real)) / 2
-            b = (Fraction(m[i, j].imag) - Fraction(m[j, i].imag)) / 2
-            re[i][j] = re[j][i] = a
-            im[i][j] = b
-            im[j][i] = -b
-    return re, im
+def _scaled_integer_parts(m: np.ndarray):
+    """((re, im), e): Python-int matrices with the exactly symmetrized m equal
+    to (re + 1j*im) * 2**e; one spare low bit keeps (x + y)/2 integral."""
+    mant, expo = np.frexp(np.stack([m.real, m.imag]))
+    mant = (mant * 2.0**53).astype(np.int64)  # exact: |mant| < 1
+    expo = np.where(mant != 0, expo - 53, 0)  # so e <= 0 and no shift is negative
+    e = int(expo.min())
+    re, im = mant.astype(object) << (expo - e).astype(object)
+    return (re + re.T, im - im.T), e - 1
 
 
-def _exact_matmul(a, b):
-    are, aim = a
-    bre, bim = b
-    d = len(are)
-    cre = [[Fraction(0)] * d for _ in range(d)]
-    cim = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for k in range(d):
-            x, y = are[i][k], aim[i][k]
-            if not x and not y:
-                continue
-            rr, ri = bre[k], bim[k]
-            for j in range(d):
-                cre[i][j] += x * rr[j] - y * ri[j]
-                cim[i][j] += x * ri[j] + y * rr[j]
-    return cre, cim
+def _int_matmul(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar @ br - ai @ bi, ar @ bi + ai @ br
+
+
+def _scaled_power_traces(p, e: int, n_max: int) -> list[Fraction]:
+    """Re Tr((p * 2**e)^n), n = 1..n_max, from the powers of p up to
+    ceil(n_max/2): Tr(P^a P^b) = sum(P^a * (P^b).T) with a + b = n."""
+    powers = [p]
+    for _ in range(1, (n_max + 1) // 2):
+        powers.append(_int_matmul(powers[-1], p))
+    traces = [np.trace(p[0])]
+    for n in range(2, n_max + 1):
+        (ar, ai), (br, bi) = powers[(n + 1) // 2 - 1], powers[n // 2 - 1]
+        traces.append((ar * br.T).sum() - (ai * bi.T).sum())
+    return [Fraction(int(t)) * Fraction(2) ** (n * e) for n, t in enumerate(traces, 1)]
 
 
 def exact_power_traces(m, n_max: int) -> list[Fraction]:
@@ -215,18 +213,12 @@ def exact_power_traces(m, n_max: int) -> list[Fraction]:
 
     Entries of ``m`` are binary floats, hence exact rationals; the traces
     returned are the mathematically exact power traces of the (exactly
-    symmetrized) stored matrix.  Needed where float64 accumulation would
-    bury the signal carried by the high-order traces of a tightly
-    clustered spectrum.
+    symmetrized) stored matrix, computed on scaled integers.  Needed where
+    float64 accumulation would bury the signal carried by the high-order
+    traces of a tightly clustered spectrum.
     """
-    a = _exact_parts(require_hermitian(m))
-    d = len(a[0])
-    p = (([row[:] for row in a[0]]), ([row[:] for row in a[1]]))
-    traces = [sum(p[0][i][i] for i in range(d))]
-    for _ in range(2, n_max + 1):
-        p = _exact_matmul(p, a)
-        traces.append(sum(p[0][i][i] for i in range(d)))
-    return traces
+    p, e = _scaled_integer_parts(require_hermitian(m))
+    return _scaled_power_traces(p, e, n_max)
 
 
 def exact_product_power_traces(a, b, n_max: int) -> list[Fraction]:
@@ -237,13 +229,6 @@ def exact_product_power_traces(a, b, n_max: int) -> list[Fraction]:
     This is the noise-free limit of the moment ladder: the product of the
     state with its spin flip is not Hermitian, but its power traces are.
     """
-    ea = _exact_parts(require_hermitian(a))
-    eb = _exact_parts(require_hermitian(b))
-    ab = _exact_matmul(ea, eb)
-    d = len(ab[0])
-    p = (([row[:] for row in ab[0]]), ([row[:] for row in ab[1]]))
-    traces = [sum(p[0][i][i] for i in range(d))]
-    for _ in range(2, n_max + 1):
-        p = _exact_matmul(p, ab)
-        traces.append(sum(p[0][i][i] for i in range(d)))
-    return traces
+    pa, ea = _scaled_integer_parts(require_hermitian(a))
+    pb, eb = _scaled_integer_parts(require_hermitian(b))
+    return _scaled_power_traces(_int_matmul(pa, pb), ea + eb, n_max)

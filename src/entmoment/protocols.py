@@ -187,27 +187,18 @@ class SpectrumEstimate:
     flags: tuple[str, ...]
 
 
-def spectrum_power_sums(state: DensityMatrix, exact: bool = True) -> list:
+def spectrum_power_sums(state: DensityMatrix) -> list[Fraction]:
     """Power sums Tr(sigma^n), n = 1..D, of the SPA channel output.
 
-    With ``exact=True`` the traces are computed in exact rational
-    arithmetic.  The channel compresses the whole PT spectrum into a window
-    of width ~1/(d^3+1) around d/(d^3+1); for d = 3 the configuration
-    signal in the high-order sums then sits below the float64 rounding
-    floor of the low-order ones, so exactness is what makes the ideal-mode
-    inversion well posed.  Sampled estimation replaces these values with
-    binomial means anyway.
+    The traces are computed in exact rational arithmetic.  The channel
+    compresses the whole PT spectrum into a window of width ~1/(d^3+1)
+    around d/(d^3+1); for d = 3 the configuration signal in the high-order
+    sums then sits below the float64 rounding floor of the low-order ones,
+    so exactness is what makes the ideal-mode inversion well posed.  Sampled
+    estimation replaces these values with binomial means anyway.
     """
     sigma = apply_spa_pt(state)
-    dim = sigma.dim
-    if exact:
-        return exact_power_traces(sigma.matrix, dim)
-    p = []
-    power = np.eye(dim, dtype=complex)
-    for _ in range(dim):
-        power = power @ sigma.matrix
-        p.append(float(np.trace(power).real))
-    return p
+    return exact_power_traces(sigma.matrix, sigma.dim)
 
 
 def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
@@ -236,12 +227,12 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
     )
 
 
-def spectrum_protocol(state: DensityMatrix, exact: bool = True) -> SpectrumEstimate:
+def spectrum_protocol(state: DensityMatrix) -> SpectrumEstimate:
     """Negativity measures of a d (x) d state from channel moments alone."""
     da, db = state.dims
     if da != db:
         raise ValueError(f"spectrum protocol needs equal local dimensions, got {state.dims}")
-    return spectrum_from_channel_moments(spectrum_power_sums(state, exact=exact), da)
+    return spectrum_from_channel_moments(spectrum_power_sums(state), da)
 
 
 @dataclass(frozen=True)

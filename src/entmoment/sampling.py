@@ -199,7 +199,7 @@ def run_spectrum_protocol(
     d = state.dims[0]
     config = {"protocol": "spectrum", "d": d, "shots": shots, "seed": seed, "mode": mode}
     if mode == "ideal":
-        estimate = spectrum_protocol(state, exact=True)
+        estimate = spectrum_protocol(state)
         return SpectrumRun(samples=None, estimate=estimate, flags=estimate.flags, config=config)
     sigma = apply_spa_pt(state)
     lam = herm_eigenvalues(sigma.matrix)

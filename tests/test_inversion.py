@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entmoment.inversion import spectrum_from_power_sums
+from entmoment import inversion, protocols, sampling, states
+from entmoment.inversion import SpectrumRecovery, spectrum_from_power_sums
 from entmoment.states import rng_stream
 
 
@@ -98,3 +99,150 @@ def test_mildly_noisy_moments_still_real():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         spectrum_from_power_sums([])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("psums, index", [([1.0, 0.5, 0.3, 0.2], 0), ([1.0, 0.5, 0.3, 0.2], 2), ([1.0], 0)])
+def test_non_finite_moments_rejected_with_index(bad, psums, index):
+    psums = list(psums)
+    psums[index] = bad
+    with pytest.raises(ValueError, match=f"index {index} is not finite"):
+        spectrum_from_power_sums(psums)
+
+
+@pytest.mark.parametrize("psums", [[1.0, 1e300, 1e300], [1.0, 0.5, 1e308, 1e308],
+                                   [1.0, 10**400], [10**400]])
+def test_moments_overflowing_the_chain_rejected(psums):
+    with pytest.raises(ValueError, match="overflow"):
+        spectrum_from_power_sums(psums)
+
+
+# Reference: the per-composition search the batched screen replaced.  It
+# shares the exact set-up and the Gauss-Newton pass with the library and
+# additionally returns every screen value it computed.
+
+def reference_compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(1, n - parts + 2):
+        for rest in reference_compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_weights(y, noise):
+    n = len(y)
+    ymax = max(1.0, float(np.max(np.abs(y))))
+    return inversion._ACCEPT_FACTOR * (
+        noise + inversion._FLOAT_NOISE_FACTOR * inversion._EPS * n * ymax ** np.arange(1, n + 1))
+
+
+def reference_split(y, targets, weights, sizes):
+    """(start values, multiplicities, screen value) of one contiguous split."""
+    bounds = np.cumsum((0,) + sizes)
+    mult = np.array(sizes, dtype=float)
+    z0 = np.array([y[bounds[i]:bounds[i + 1]].mean() for i in range(len(sizes))])
+    return z0, mult, np.max(np.abs(inversion._power_sums(z0, mult, len(y)) - targets) / weights)
+
+
+def reference_spectrum_from_power_sums(psums):
+    psums = list(psums)
+    n = len(psums)
+    center, scale, coeffs, targets, noise = inversion._centered_setup(psums)
+    if coeffs is None:
+        return SpectrumRecovery(np.full(n, center), ()), []
+    raw = np.roots(coeffs)
+    y = np.sort(raw.real)
+    weights = reference_weights(y, noise)
+    screens = []
+    for n_clusters in range(1, n + 1):
+        candidates = []
+        for sizes in reference_compositions(n, n_clusters):
+            z0, mult, init = reference_split(y, targets, weights, sizes)
+            screens.append(init)
+            if init > 1e6:
+                continue
+            z, res = inversion._gauss_newton(z0, mult, targets, weights)
+            if res <= 1.0:
+                candidates.append((res, z, mult))
+        if candidates:
+            res, z, mult = min(candidates, key=lambda t: t[0])
+            values = np.repeat(z, mult.astype(int))
+            return SpectrumRecovery(np.sort(center + scale * values)[::-1], ()), screens
+    flags = []
+    if scale * float(np.max(np.abs(raw.imag))) > 1e-6:
+        flags.append(inversion.COMPLEX_ROOTS_FLAG)
+    return SpectrumRecovery(np.sort(center + scale * y)[::-1], tuple(flags)), screens
+
+
+def assert_matches_reference(psums):
+    expected, screens = reference_spectrum_from_power_sums(psums)
+    got = spectrum_from_power_sums(psums)
+    assert got.flags == expected.flags
+    assert got.values.tobytes() == expected.values.tobytes()
+    return screens
+
+
+def werner_qudit(d, p):
+    """p P_anti / dim_anti + (1-p) P_sym / dim_sym on d (x) d."""
+    swap = np.eye(d * d)[[(i % d) * d + i // d for i in range(d * d)]]
+    anti, sym = (np.eye(d * d) - swap) / 2, (np.eye(d * d) + swap) / 2
+    m = p * anti / (d * (d - 1) / 2) + (1 - p) * sym / (d * (d + 1) / 2)
+    return states.DensityMatrix(m, (d, d))
+
+
+def channel_family_states(d):
+    rng = rng_stream(403, d)
+    bell = states.bell_state() if d == 2 else states.isotropic_state(d, 1.0)
+    werner = states.werner_state(0.7) if d == 2 else werner_qudit(d, 0.7)
+    return {"bell": bell, "werner": werner, "isotropic": states.isotropic_state(d, 0.4),
+            "product-pure": states.product_pure_state((d, d), rng)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_screen_matches_reference_on_channel_moments(d):
+    for state in channel_family_states(d).values():
+        assert_matches_reference(protocols.spectrum_power_sums(state))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_batched_screen_matches_reference_on_random_mixed(d):
+    state = states.random_mixed_state((d, d), rng_stream(404, d))
+    assert_matches_reference(protocols.spectrum_power_sums(state))
+
+
+def test_batched_screen_matches_reference_on_sampled_moments():
+    rng = rng_stream(405, 0)
+    for shots in (10**2, 10**4, 10**6):
+        for seed in range(4):
+            state = states.random_mixed_state((3, 3), rng)
+            run = sampling.run_spectrum_protocol(state, shots=shots, seed=seed, mode="sampled")
+            assert_matches_reference([1.0] + [2.0 * r.estimate - 1.0 for r in run.samples])
+
+
+def test_batched_screen_keeps_splits_near_the_cut():
+    # values 0.80202 (x3) and 0.80320 (x2): the winning structure starts from
+    # splits that screen between 2e5 and 7e5, inside 10x of the 1e6 cut
+    psums = [4.012458942155872, 3.2199670234968156, 2.5839997776964756,
+             2.073641832195769, 1.6640839982948734]
+    screens = assert_matches_reference(psums)
+    assert any(1e5 <= v <= 1e6 for v in screens)
+    assert spectrum_from_power_sums(psums).flags == ()
+
+
+@pytest.mark.parametrize("batch", [5, inversion._SCREEN_BATCH])
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_screen_keeps_reference_order_and_every_split_under_the_cut(seed, batch, monkeypatch):
+    monkeypatch.setattr(inversion, "_SCREEN_BATCH", batch)
+    psums = protocols.spectrum_power_sums(states.random_mixed_state((3, 3), rng_stream(406, seed)))
+    _, _, coeffs, targets, noise = inversion._centered_setup(psums)
+    y = np.sort(np.roots(coeffs).real)
+    weights = reference_weights(y, noise)
+    n = len(y)
+    for parts in range(1, n + 1):
+        every = [tuple(np.diff(b)) for b in inversion._screened_splits(y, targets, np.full(n, np.inf), parts)]
+        assert every == list(reference_compositions(n, parts))
+        kept = {tuple(np.diff(b)) for b in inversion._screened_splits(y, targets, weights, parts)}
+        per_split = {s: reference_split(y, targets, weights, s)[2] for s in every}
+        assert {s for s, v in per_split.items() if v <= 1e6} <= kept
+        assert all(per_split[s] <= 2.001e6 for s in kept)

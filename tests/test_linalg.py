@@ -1,10 +1,15 @@
 """mat-core primitives against independent small-case oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from entmoment import linalg
-from entmoment.states import rng_stream
+from entmoment import linalg, measures, spa
+from entmoment.states import make_state, rng_stream
 
 SY = np.array([[0, -1j], [1j, 0]])
 
@@ -293,3 +298,135 @@ def test_exact_power_traces_match_float_for_well_conditioned():
     for n in range(1, 5):
         power = power @ m
         assert abs(float(exact[n - 1]) - np.trace(power).real) < 1e-10
+
+
+# Reference route: entrywise Fractions, exactly symmetrized, multiplied out
+# entry by entry.  The library computes the same exact values on scaled
+# Python ints; the two must agree Fraction for Fraction.
+
+def fraction_parts(m):
+    m = np.asarray(m, dtype=complex)
+    d = m.shape[0]
+    re = [[Fraction(0)] * d for _ in range(d)]
+    im = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            a = (Fraction(m[i, j].real) + Fraction(m[j, i].real)) / 2
+            b = (Fraction(m[i, j].imag) - Fraction(m[j, i].imag)) / 2
+            re[i][j] = re[j][i] = a
+            im[i][j] = b
+            im[j][i] = -b
+    return re, im
+
+
+def fraction_matmul(a, b):
+    (are, aim), (bre, bim) = a, b
+    d = len(are)
+    cre = [[Fraction(0)] * d for _ in range(d)]
+    cim = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for k in range(d):
+            x, y = are[i][k], aim[i][k]
+            if not x and not y:
+                continue
+            for j in range(d):
+                cre[i][j] += x * bre[k][j] - y * bim[k][j]
+                cim[i][j] += x * bim[k][j] + y * bre[k][j]
+    return cre, cim
+
+
+def fraction_power_traces(p, n_max):
+    d = len(p[0])
+    power, traces = p, []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            power = fraction_matmul(power, p)
+        traces.append(sum(power[0][i][i] for i in range(d)))
+    return traces
+
+
+def assert_traces_match_reference(m, n_max):
+    got = linalg.exact_power_traces(m, n_max)
+    assert all(type(t) is Fraction for t in got)
+    assert got == fraction_power_traces(fraction_parts(m), n_max)
+
+
+def family_states(d):
+    rng = rng_stream(12, d)
+    families = ("bell", "werner", "isotropic", "product-pure", "random-pure", "random-mixed")
+    return [make_state(f, (d, d), p=0.7, rng=rng) for f in families if d == 2 or f not in ("bell", "werner")]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exact_power_traces_match_reference_for_every_family(d):
+    for state in family_states(d):
+        sigma = spa.apply_spa_pt(state).matrix
+        assert_traces_match_reference(sigma, sigma.shape[0])
+        if d == 2:
+            assert_traces_match_reference(state.matrix, 4)
+
+
+def test_exact_product_power_traces_match_reference():
+    for state in family_states(2):
+        flipped = measures.spin_flip(state)
+        expected = fraction_power_traces(
+            fraction_matmul(fraction_parts(state.matrix), fraction_parts(flipped)), 4)
+        assert linalg.exact_product_power_traces(state.matrix, flipped, 4) == expected
+
+
+def test_exact_power_traces_zero_matrix():
+    assert linalg.exact_power_traces(np.zeros((3, 3)), 3) == [Fraction(0)] * 3
+    assert linalg.exact_product_power_traces(np.zeros((3, 3)), np.eye(3), 2) == [Fraction(0)] * 2
+
+
+def test_exact_power_traces_entries_spanning_1e300():
+    rng = rng_stream(13, 0)
+    upper = np.triu_indices(4)
+    scales = 10.0 ** np.linspace(0, -300, len(upper[0]))
+    m = np.zeros((4, 4), dtype=complex)
+    m[upper] = scales * (rng.standard_normal(len(scales)) + 1j * rng.standard_normal(len(scales)))
+    m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    assert_traces_match_reference(m, 4)
+
+
+def test_exact_power_traces_subnormals_and_negative_zero():
+    tiny = 5e-324
+    m = np.array([
+        [1.0, -0.0 + 3 * tiny * 1j, 2.5e-310],
+        [-0.0 - 3 * tiny * 1j, -0.0, tiny - 1e-320j],
+        [2.5e-310, tiny + 1e-320j, -tiny],
+    ])
+    assert_traces_match_reference(m, 3)
+    assert linalg.exact_product_power_traces(m, m, 2) == fraction_power_traces(
+        fraction_matmul(fraction_parts(m), fraction_parts(m)), 2)
+
+
+def test_exact_power_traces_symmetrize_near_hermitian_input():
+    rng = rng_stream(14, 0)
+    h = random_hermitian(4, rng)
+    m = h + 1e-10 * random_complex(4, rng)
+    assert 0 < linalg.hermiticity_defect(m) <= linalg.HERMITICITY_TOL
+    assert_traces_match_reference(m, 4)
+    b = h + 1e-10 * random_complex(4, rng)
+    expected = fraction_power_traces(fraction_matmul(fraction_parts(m), fraction_parts(b)), 4)
+    assert linalg.exact_product_power_traces(m, b, 4) == expected
+
+
+_ENTRIES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_traces_property_random_small_hermitian(data):
+    dim = data.draw(st.integers(1, 4))
+    n_max = data.draw(st.integers(1, 5))
+    mats = []
+    for _ in range(2):
+        re = data.draw(arrays(float, (dim, dim), elements=_ENTRIES))
+        im = data.draw(arrays(float, (dim, dim), elements=_ENTRIES))
+        m = re + 1j * im
+        mats.append((m + m.conj().T) / 2)
+    a, b = mats
+    assert_traces_match_reference(a, n_max)
+    expected = fraction_power_traces(fraction_matmul(fraction_parts(a), fraction_parts(b)), n_max)
+    assert linalg.exact_product_power_traces(a, b, n_max) == expected
