@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .inversion import SpectrumRecovery, spectrum_from_power_sums
+from .inversion import spectrum_from_power_sums
 from .linalg import (
     cyclic_trace,
     exact_power_traces,
@@ -150,6 +150,15 @@ class InversionResult:
     flags: tuple[str, ...]
 
 
+def _clamped_inversion(psums) -> tuple[np.ndarray, list[str]]:
+    """Inverted values clamped at zero, flagged beyond NEGATIVE_ROOT_GUARD."""
+    rec = spectrum_from_power_sums(psums)
+    flags = list(rec.flags)
+    if float(rec.values.min()) < -NEGATIVE_ROOT_GUARD:
+        flags.append(NEGATIVE_ROOTS_FLAG)
+    return np.clip(rec.values, 0.0, None), flags
+
+
 def newton_invert(moments) -> InversionResult:
     """Eigenvalue estimates from four power sums, sorted descending.
 
@@ -161,12 +170,7 @@ def newton_invert(moments) -> InversionResult:
     p = moments.p if isinstance(moments, MomentVector) else tuple(moments)
     if len(p) != 4:
         raise ValueError("expected four moments")
-    rec = spectrum_from_power_sums(p)
-    flags = list(rec.flags)
-    lam = rec.values
-    if float(lam.min()) < -NEGATIVE_ROOT_GUARD:
-        flags.append(NEGATIVE_ROOTS_FLAG)
-    lam = np.clip(lam, 0.0, None)
+    lam, flags = _clamped_inversion(p)
     if isinstance(moments, MomentVector):
         flags.extend(f for f in moments.flags if f not in flags)
     return InversionResult(tuple(float(x) for x in lam), tuple(flags))
@@ -213,12 +217,7 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
     psums = list(psums)
     if not isinstance(psums[0], Fraction):
         psums[0] = 1.0
-    rec: SpectrumRecovery = spectrum_from_power_sums(psums)
-    flags = list(rec.flags)
-    lam = rec.values
-    if float(lam.min()) < -NEGATIVE_ROOT_GUARD:
-        flags.append(NEGATIVE_ROOTS_FLAG)
-    lam = np.clip(lam, 0.0, None)
+    lam, flags = _clamped_inversion(psums)
     pt = np.array([inverse_affine(x, d) for x in lam])
     return SpectrumEstimate(
         report=report_from_pt_eigenvalues(pt),

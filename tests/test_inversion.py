@@ -1,9 +1,14 @@
 """Power-sum spectrum recovery: round trips, degeneracies, noisy input."""
 
+import math
 from fractions import Fraction
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmoment import inversion, protocols, sampling, states
 from entmoment.inversion import SpectrumRecovery, spectrum_from_power_sums
@@ -246,3 +251,220 @@ def test_batched_screen_keeps_reference_order_and_every_split_under_the_cut(seed
         per_split = {s: reference_split(y, targets, weights, s)[2] for s in every}
         assert {s for s, v in per_split.items() if v <= 1e6} <= kept
         assert all(per_split[s] <= 2.001e6 for s in kept)
+
+
+# Reference: the Fraction chain that the graded-integer _centered_setup
+# replaced, as it stood.
+
+def reference_centered_setup(psums):
+    n = len(psums)
+    exact_input = all(isinstance(x, Fraction) for x in psums)
+    p = [Fraction(n)] + [x if isinstance(x, Fraction) else Fraction(float(x)) for x in psums]
+    c = p[1] / n
+    cf = float(c)
+
+    q = []
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(0, m + 1):
+            acc += comb(m, j) * p[j] * (-c) ** (m - j)
+        q.append(acc)
+
+    q2 = float(q[1]) if n >= 2 else 0.0
+    if q2 <= 0.0 or math.sqrt(q2 / n) < inversion._DEGENERATE_SPREAD * max(1.0, abs(cf)):
+        return cf, 0.0, None, None, None
+    scale = Fraction(2) ** round(0.5 * math.log2(q2 / n))
+    sf = float(scale)
+
+    qs = np.array([float(q[m - 1] / scale**m) for m in range(1, n + 1)])
+
+    noise = np.empty(n)
+    for m in range(1, n + 1):
+        propagated = 0.0
+        if not exact_input:
+            for j in range(0, m + 1):
+                propagated += comb(m, j) * abs(float(p[j])) * abs(cf) ** (m - j)
+            propagated *= inversion._FLOAT_NOISE_FACTOR * inversion._EPS / sf**m
+        noise[m - 1] = propagated + inversion._FLOAT_NOISE_FACTOR * inversion._EPS * max(1.0, abs(qs[m - 1]))
+
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += (-1) ** (i - 1) * e[k - i] * (q[i - 1] / scale**i)
+        e.append(acc / k)
+    coeffs = [float((-1) ** k * e[k]) for k in range(n + 1)]
+    return cf, sf, coeffs, qs, noise
+
+
+def setup_bits(setup, psums):
+    """The five set-up outputs as bytes (None stays None), or the overflow."""
+    try:
+        out = setup(psums)
+    except OverflowError:
+        return "overflow"
+    return [None if v is None else np.asarray(v, dtype=float).tobytes() for v in out]
+
+
+def assert_setup_matches_reference(psums):
+    expected = setup_bits(reference_centered_setup, psums)
+    assert setup_bits(inversion._centered_setup, psums) == expected
+    return expected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_integer_chain_matches_fraction_chain_on_channel_moments(d):
+    family = channel_family_states(d)
+    family["random-mixed"] = states.random_mixed_state((d, d), rng_stream(407, d))
+    for state in family.values():
+        assert assert_setup_matches_reference(protocols.spectrum_power_sums(state))[2] is not None
+
+
+def test_integer_chain_matches_fraction_chain_on_ladder_fractions():
+    rng = rng_stream(408, 0)
+    for state in (states.bell_state(), states.werner_state(0.7), states.random_mixed_state((2, 2), rng),
+                  states.product_pure_state((2, 2), rng)):
+        assert_setup_matches_reference(protocols.exact_moment_fractions(state))
+
+
+def test_integer_chain_matches_fraction_chain_on_sampled_moments():
+    rng = rng_stream(409, 0)
+    for shots in (10**2, 10**4, 10**6):
+        for seed in range(3):
+            run = sampling.run_spectrum_protocol(states.random_mixed_state((3, 3), rng), shots=shots, seed=seed)
+            assert_setup_matches_reference([1.0] + [2.0 * r.estimate - 1.0 for r in run.samples])
+            ladder = sampling.run_concurrence_protocol(states.random_mixed_state((2, 2), rng), shots, seed)
+            assert_setup_matches_reference(list(ladder.moments.p))
+
+
+@pytest.mark.parametrize("psums", [
+    [Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(1, 9)],
+    [Fraction(3, 5), Fraction(1, 3), Fraction(2, 7), Fraction(5, 21), Fraction(1, 6)],
+    [Fraction(1), 0.3, Fraction(2, 7), 0.125],
+    [Fraction(1, 3), Fraction(1, 3)],
+])
+def test_integer_chain_matches_fraction_chain_on_non_dyadic_fractions(psums):
+    assert assert_setup_matches_reference(psums)[2] is not None
+
+
+def test_integer_chain_matches_fraction_chain_on_negative_centers():
+    lam = [-0.7, -0.2, -0.05, 0.1]
+    assert_setup_matches_reference(power_sums_of(lam, 4))
+    assert_setup_matches_reference([sum(Fraction(x) ** m for x in lam) for m in range(1, 5)])
+    assert_setup_matches_reference(power_sums_of([-3.0, -2.5, -2.5, -1e-3, -40.0], 5))
+
+
+@pytest.mark.parametrize("psums", [
+    [0.7], [Fraction(2, 3)], power_sums_of([0.0625] * 4, 4), [4 * Fraction(1, 4) ** m for m in range(1, 5)],
+    [1, -5, 3, 0.5], [1.0, 0.0, 0.0], [Fraction(1), Fraction(-1, 3), Fraction(1, 7)], [0.0, 0.0, 0.0, 0.0],
+])
+def test_integer_chain_matches_fraction_chain_on_degenerate_returns(psums):
+    assert assert_setup_matches_reference(psums)[2] is None
+
+
+moment_floats = st.one_of(st.floats(-4, 4), st.floats(allow_nan=False, allow_infinity=False))
+moment_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.lists(moment_floats, min_size=1, max_size=9),
+                 st.lists(moment_fractions, min_size=1, max_size=9),
+                 st.lists(st.one_of(moment_floats, moment_fractions), min_size=1, max_size=9)))
+def test_integer_chain_matches_fraction_chain_property(psums):
+    assert_setup_matches_reference(psums)
+
+
+# Reference: the screen before its split tables were cached and failed rows
+# dropped early, as it stood.
+
+def reference_screened_splits(y, targets, weights, n_clusters):
+    n = len(y)
+    rows = comb(n - 1, n_clusters - 1)
+    prefix = np.concatenate([[0.0], np.cumsum(y)])
+    cuts = chain.from_iterable(combinations(range(1, n), n_clusters - 1))
+    for start in range(0, rows, inversion._SCREEN_BATCH):
+        size = min(inversion._SCREEN_BATCH, rows - start)
+        inner = np.fromiter(cuts, np.intp, size * (n_clusters - 1)).reshape(size, n_clusters - 1)
+        bounds = np.hstack([np.zeros((size, 1), np.intp), inner, np.full((size, 1), n)])
+        sizes = np.diff(bounds)
+        z = (prefix[bounds[:, 1:]] - prefix[bounds[:, :-1]]) / sizes
+        term, screen = sizes * z, 0.0
+        for m in range(n):
+            screen = np.maximum(screen, np.abs(term.sum(axis=1) - targets[m]) / weights[m])
+            term = term * z
+        yield from bounds[~(screen > 2e6)]
+
+
+def screen_inputs(psums):
+    """(sorted roots, targets, weights) as spectrum_from_power_sums screens them."""
+    _, _, coeffs, targets, noise = inversion._centered_setup(psums)
+    y = np.sort(np.roots(coeffs).real)
+    return y, targets, reference_weights(y, noise)
+
+
+def assert_screen_matches_reference(y, targets, weights):
+    """Survivors equal, in order, for every cluster count; returns them."""
+    kept = []
+    with np.errstate(all="ignore"):
+        for parts in range(1, len(y) + 1):
+            got = [tuple(b) for b in inversion._screened_splits(y, targets, weights, parts)]
+            assert got == [tuple(b) for b in reference_screened_splits(y, targets, weights, parts)]
+            kept += got
+    return kept
+
+
+def test_early_drop_keeps_reference_survivors():
+    rng = rng_stream(410, 0)
+    cases = [protocols.spectrum_power_sums(states.random_mixed_state((d, d), rng)) for d in (2, 3, 4)]
+    for shots in (10**2, 10**4, 10**6):
+        run = sampling.run_spectrum_protocol(states.random_mixed_state((3, 3), rng), shots=shots, seed=shots)
+        cases.append([1.0] + [2.0 * r.estimate - 1.0 for r in run.samples])
+    for psums in cases:
+        assert_screen_matches_reference(*screen_inputs(psums))
+
+
+def test_early_drop_keeps_rows_nan_from_the_start():
+    # a NaN in y spreads through the prefix sums into every row
+    y = np.array([0.1, 0.2, np.nan, 0.4, 0.5])
+    kept = assert_screen_matches_reference(y, np.full(5, 0.3), np.ones(5))
+    assert len(kept) == 2**4
+
+
+def test_early_drop_keeps_rows_turning_nan_at_a_zero_weight():
+    # every row fails the first moment by 5e9, and the one-cluster row's exact
+    # second moment meets a zero weight there: 0/0, kept by the maximum
+    y = np.array([0.0, 1.0, 2.0, 4.0])
+    kept = assert_screen_matches_reference(y, np.array([7.5, 12.25, 1.0, 1.0]), np.array([1e-10, 0.0, 1.0, 1.0]))
+    assert (0, 4) in kept
+
+
+def test_early_drop_keeps_rows_whose_powers_overflow_late():
+    # every row fails the first moment by 1e7; rows that split -1e40 from
+    # 1e40 reach -inf + inf only at the ninth power, and are kept as NaN
+    y = np.array([-1e40] + [0.0] * 7 + [1e40])
+    kept = assert_screen_matches_reference(y, np.array([1.0] + [0.0] * 8), np.array([1e-7] + [1.0] * 8))
+    assert (0, 1, 9) in kept
+
+
+def test_split_tables_cached_read_only_up_to_one_batch(monkeypatch):
+    monkeypatch.setattr(inversion, "_SPLIT_TABLES", {})
+    for d in (2, 3, 4):
+        spectrum_from_power_sums(protocols.spectrum_power_sums(states.random_mixed_state((d, d), rng_stream(411, d))))
+    assert {k for n, k in inversion._SPLIT_TABLES if n == 16} == set(range(1, 17))
+    for (n, parts), (bounds, sizes) in inversion._SPLIT_TABLES.items():
+        assert len(bounds) == comb(n - 1, parts - 1) <= inversion._SCREEN_BATCH
+        assert not bounds.flags.writeable and not sizes.flags.writeable
+        assert [tuple(np.diff(b)) for b in bounds] == list(reference_compositions(n, parts))
+        assert np.array_equal(sizes, np.diff(bounds))
+        with pytest.raises(ValueError):
+            bounds[0, 0] = 1
+
+
+def test_split_tables_stream_uncached_past_one_batch(monkeypatch):
+    monkeypatch.setattr(inversion, "_SCREEN_BATCH", 5)
+    monkeypatch.setattr(inversion, "_SPLIT_TABLES", {})
+    inputs = screen_inputs(protocols.spectrum_power_sums(states.random_mixed_state((3, 3), rng_stream(412, 0))))
+    first = assert_screen_matches_reference(*inputs)
+    assert set(inversion._SPLIT_TABLES) == {(9, 1), (9, 9)}
+    assert assert_screen_matches_reference(*inputs) == first
+    assert all(len(b) <= 5 for b, _ in inversion._SPLIT_TABLES.values())
