@@ -234,50 +234,32 @@ def cmd_compare(args) -> int:
     if not shots_list or min(shots_list) < 1:
         raise ValueError("compare needs positive shot counts")
 
-    moments_ledger = protocols.resource_ledger("concurrence-moments")
-    tomo_ledger = protocols.resource_ledger("tomography", 2)
+    methods = (
+        ("moments", sampling.run_concurrence_protocol, protocols.resource_ledger("concurrence-moments"), ""),
+        ("tomography", sampling.run_tomography_baseline, protocols.resource_ledger("tomography", 2),
+         protocols.QUOTED_TOMOGRAPHY_R),
+    )
     rows = []
     for shots in shots_list:
-        err_c, err_ef = [], []
-        for rep in range(args.reps):
-            run = sampling.run_concurrence_protocol(
-                state, shots=shots, seed=args.seed + rep, mode="sampled"
+        for method, run_fn, ledger, quoted in methods:
+            err_c, err_ef = [], []
+            for rep in range(args.reps):
+                run = run_fn(state, shots=shots, seed=args.seed + rep, mode="sampled")
+                err_c.append(abs(run.breakdown.concurrence - exact.concurrence))
+                err_ef.append(abs(run.breakdown.ef - exact.ef))
+            rows.append(
+                {
+                    "method": method,
+                    "shots": shots,
+                    "median_abs_error_c": float(np.median(err_c)),
+                    "median_abs_error_ef": float(np.median(err_ef)),
+                    "copies_consumed": shots * ledger.r_c,
+                    "r_p": ledger.r_p,
+                    "r_c": ledger.r_c,
+                    "r": ledger.r,
+                    "r_quoted": quoted,
+                }
             )
-            err_c.append(abs(run.breakdown.concurrence - exact.concurrence))
-            err_ef.append(abs(run.breakdown.ef - exact.ef))
-        rows.append(
-            {
-                "method": "moments",
-                "shots": shots,
-                "median_abs_error_c": float(np.median(err_c)),
-                "median_abs_error_ef": float(np.median(err_ef)),
-                "copies_consumed": shots * moments_ledger.r_c,
-                "r_p": moments_ledger.r_p,
-                "r_c": moments_ledger.r_c,
-                "r": moments_ledger.r,
-                "r_quoted": "",
-            }
-        )
-        err_c, err_ef = [], []
-        for rep in range(args.reps):
-            run = sampling.run_tomography_baseline(
-                state, shots=shots, seed=args.seed + rep, mode="sampled"
-            )
-            err_c.append(abs(run.breakdown.concurrence - exact.concurrence))
-            err_ef.append(abs(run.breakdown.ef - exact.ef))
-        rows.append(
-            {
-                "method": "tomography",
-                "shots": shots,
-                "median_abs_error_c": float(np.median(err_c)),
-                "median_abs_error_ef": float(np.median(err_ef)),
-                "copies_consumed": shots * tomo_ledger.r_c,
-                "r_p": tomo_ledger.r_p,
-                "r_c": tomo_ledger.r_c,
-                "r": tomo_ledger.r,
-                "r_quoted": protocols.QUOTED_TOMOGRAPHY_R,
-            }
-        )
 
     fieldnames = [
         "method", "shots", "median_abs_error_c", "median_abs_error_ef",

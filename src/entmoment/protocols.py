@@ -22,12 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .inversion import spectrum_from_power_sums
-from .linalg import (
-    cyclic_trace,
-    exact_power_traces,
-    exact_product_power_traces,
-    herm_eigenvalues,
-)
+from .linalg import exact_power_traces, exact_product_power_traces, herm_eigenvalues
 from .measures import (
     ConcurrenceBreakdown,
     GammaReport,
@@ -38,7 +33,7 @@ from .measures import (
     report_from_pt_eigenvalues,
     spin_flip,
 )
-from .spa import GroupChannelOutput, apply_spa_pt, group_channel_output, inverse_affine
+from .spa import GroupChannelOutput, apply_spa_pt, group_channel_outputs, inverse_affine, ladder_power_sums
 from .states import DensityMatrix
 
 #: d_k^3 + 1 for the four copy groups; the factor by which shot noise on the
@@ -107,9 +102,7 @@ def moment_observable_spec(k: int) -> MomentObservableSpec:
 
 def exact_moments(state: DensityMatrix) -> MomentVector:
     """p_k = Tr((rho rho~)^k) for k = 1..4 via the cyclic product trace."""
-    rho = state.matrix
-    rho_tilde = spin_flip(state)
-    p = tuple(cyclic_trace([rho, rho_tilde] * k).real for k in (1, 2, 3, 4))
+    p = ladder_power_sums(state)
     return MomentVector(p=p, provenance="ideal", flags=_order_flags(p))
 
 
@@ -140,7 +133,7 @@ def moment_from_channel(output: GroupChannelOutput, spec: MomentObservableSpec |
 
 def channel_moments(state: DensityMatrix) -> MomentVector:
     """All four moments through the (implicit) group channel route."""
-    p = tuple(moment_from_channel(group_channel_output(state, k)) for k in (1, 2, 3, 4))
+    p = tuple(moment_from_channel(out) for out in group_channel_outputs(state))
     return MomentVector(p=p, provenance="spa-ideal", flags=_order_flags(p))
 
 

@@ -11,6 +11,10 @@ parameter is computed through the implicit channel representation and the
 outcome counts are drawn from the corresponding binomial.  Everything is
 reproducible from (state, config, seed); independent estimates use
 independent seed streams.
+
+Every binary run goes through one draw helper, which rejects shot counts
+that are not whole numbers of at least 1.  A ladder run reads its four p+
+off one product chain; tomography loops over a Pauli table built once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_eigenvalues, tensor
+from .linalg import herm_eigenvalues
 from .measures import ConcurrenceBreakdown, concurrence_breakdown
 from .protocols import (
     MomentVector,
@@ -32,15 +36,10 @@ from .protocols import (
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import apply_spa_pt, group_channel_output
+from .spa import GroupChannelOutput, apply_spa_pt, group_channel_output, group_channel_outputs
 from .states import DensityMatrix, rng_stream
 
 MODES = ("ideal", "sampled")
-
-
-def _clamp01(p: float) -> float:
-    """Guard Bernoulli parameters against float dust outside [0, 1]."""
-    return min(max(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,31 @@ class MomentSample:
     ancillas_consumed: int  # one readout ancilla per shot
 
 
+def _shot_count(shots) -> int:
+    if not 1 <= shots < math.inf or shots != int(shots):
+        raise ValueError(f"shots must be a whole number of at least 1, got {shots!r}")
+    return int(shots)
+
+
+def _binary_run(p_plus: float, shots, rng: np.random.Generator) -> tuple[ShotRecord, float]:
+    """One binomial run of ``shots`` outcomes: its record and the +-1 mean.
+
+    p+ is clamped into [0, 1] against float dust before the draw.
+    """
+    _shot_count(shots)
+    p_plus = min(max(p_plus, 0.0), 1.0)
+    successes = int(rng.binomial(shots, p_plus))
+    record = ShotRecord(shots=shots, successes=successes, target_mean=p_plus)
+    return record, 2.0 * record.estimate - 1.0
+
+
+def _success_probability(output: GroupChannelOutput) -> float:
+    return (1.0 + output.shift_trace()) / 2.0
+
+
 def moment_success_probability(state: DensityMatrix, k: int) -> float:
     """Exact p+ for group k via the implicit channel output."""
-    return (1.0 + group_channel_output(state, k).shift_trace()) / 2.0
+    return _success_probability(group_channel_output(state, k))
 
 
 def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
@@ -86,20 +107,13 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
     return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / shots)
 
 
-def sample_moment_povm(
-    state: DensityMatrix, k: int, shots: int, rng: np.random.Generator
-) -> MomentSample:
-    """Draw one binomial run for group k and push it through the estimate chain."""
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
-    spec = moment_observable_spec(k)
-    p_plus = moment_success_probability(state, k)
-    successes = int(rng.binomial(shots, _clamp01(p_plus)))
-    record = ShotRecord(shots=shots, successes=successes, target_mean=p_plus)
-    shift_hat = 2.0 * record.estimate - 1.0
+def _moment_sample(output: GroupChannelOutput, shots: int, rng: np.random.Generator) -> MomentSample:
+    spec = moment_observable_spec(output.k)
+    p_plus = _success_probability(output)
+    record, shift_hat = _binary_run(p_plus, shots, rng)
     moment_hat = spec.amplification * shift_hat - spec.offset
     return MomentSample(
-        k=k,
+        k=output.k,
         record=record,
         p_plus=p_plus,
         shift_trace_estimate=shift_hat,
@@ -107,6 +121,11 @@ def sample_moment_povm(
         copies_consumed=shots * spec.copies,
         ancillas_consumed=shots,
     )
+
+
+def sample_moment_povm(state: DensityMatrix, k: int, shots: int, rng: np.random.Generator) -> MomentSample:
+    """Draw one binomial run for group k and push it through the estimate chain."""
+    return _moment_sample(group_channel_output(state, k), shots, rng)
 
 
 @dataclass(frozen=True)
@@ -138,13 +157,14 @@ def run_concurrence_protocol(
     noise off); sampled mode draws each moment from its binomial with an
     independent stream derived from the master seed by stream id = k.
     ``shots`` is uniform per moment by default; a 4-sequence allocates
-    each group its own budget.
+    each group its own budget.  The four p+ come from one product chain.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    per_group = [int(shots)] * 4 if np.isscalar(shots) else [int(s) for s in shots]
-    if len(per_group) != 4:
+    counts = [shots] * 4 if np.isscalar(shots) else list(shots)
+    if len(counts) != 4:
         raise ValueError("shots must be a single count or one count per group")
+    per_group = [_shot_count(n) if mode == "sampled" else int(n) for n in counts]
     config = {"protocol": "concurrence-moments", "shots": per_group, "seed": seed, "mode": mode}
     if mode == "ideal":
         # noise-free limit: the expectation values themselves, held exactly
@@ -157,8 +177,8 @@ def run_concurrence_protocol(
         flags = tuple(flags) + moments.flags
     else:
         samples = tuple(
-            sample_moment_povm(state, k, per_group[k - 1], rng_stream(seed, stream=k))
-            for k in (1, 2, 3, 4)
+            _moment_sample(out, per_group[out.k - 1], rng_stream(seed, stream=out.k))
+            for out in group_channel_outputs(state)
         )
         p = tuple(s.moment_estimate for s in samples)
         moments = MomentVector(p=p, provenance="spa-sampled", flags=_order_flags(p))
@@ -203,16 +223,12 @@ def run_spectrum_protocol(
         return SpectrumRun(samples=None, estimate=estimate, flags=estimate.flags, config=config)
     sigma = apply_spa_pt(state)
     lam = herm_eigenvalues(sigma.matrix)
-    dim = sigma.dim
-    records = []
-    psums = [1.0]
-    for n in range(2, dim + 1):
-        p_plus = _clamp01((1.0 + float(np.sum(lam**n))) / 2.0)
-        rng = rng_stream(seed, stream=n)
-        successes = int(rng.binomial(shots, p_plus))
-        record = ShotRecord(shots=shots, successes=successes, target_mean=p_plus)
+    records, psums = [], [1.0]
+    for n in range(2, sigma.dim + 1):
+        p_plus = (1.0 + float(np.sum(lam**n))) / 2.0
+        record, psum = _binary_run(p_plus, shots, rng_stream(seed, stream=n))
         records.append(record)
-        psums.append(2.0 * record.estimate - 1.0)
+        psums.append(psum)
     estimate = spectrum_from_channel_moments(psums, d)
     return SpectrumRun(samples=tuple(records), estimate=estimate, flags=estimate.flags, config=config)
 
@@ -226,16 +242,15 @@ _PAULI = {
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
+#: the 15 non-identity two-qubit Pauli products, II excluded, built once
+_PAULI_LABELS = tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]
+_PAULI_OPS = np.array([np.kron(_PAULI[a], _PAULI[b]) for a, b in _PAULI_LABELS])
+_PAULI_OPS.setflags(write=False)
+
 
 def pauli_pairs() -> list[tuple[str, np.ndarray]]:
-    """The 15 non-identity two-qubit Pauli products, II excluded."""
-    out = []
-    for a in "IXYZ":
-        for b in "IXYZ":
-            if a == b == "I":
-                continue
-            out.append((a + b, tensor(_PAULI[a], _PAULI[b])))
-    return out
+    """The 15 non-identity two-qubit Pauli products, II excluded (read-only)."""
+    return list(zip(_PAULI_LABELS, _PAULI_OPS))
 
 
 @dataclass(frozen=True)
@@ -277,10 +292,7 @@ def run_tomography_baseline(
     for idx, (label, op) in enumerate(pauli_pairs()):
         value = float(np.trace(rho @ op).real)
         if mode == "sampled":
-            p_plus = _clamp01((1.0 + value) / 2.0)
-            rng = rng_stream(seed, stream=idx)
-            successes = int(rng.binomial(shots, p_plus))
-            value = 2.0 * (successes / shots) - 1.0
+            _, value = _binary_run((1.0 + value) / 2.0, shots, rng_stream(seed, stream=idx))
         expectations[label] = value
         rebuilt = rebuilt + value * op
     rebuilt /= 4.0

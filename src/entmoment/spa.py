@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import cyclic_trace, partial_transpose
+from .linalg import partial_transpose
 from .measures import spin_flip
 from .states import DensityMatrix
 
@@ -52,7 +52,6 @@ class SpaChannel:
     dims: tuple[int, int]
     noise_weight: float
     shrink: float
-    map_tag: str = "partial-transpose-b"
 
     @classmethod
     def partial_transpose_channel(cls, d: int) -> "SpaChannel":
@@ -60,8 +59,6 @@ class SpaChannel:
         return cls(dims=(d, d), noise_weight=1.0 - s, shrink=s)
 
     def apply(self, state: DensityMatrix) -> DensityMatrix:
-        if self.map_tag != "partial-transpose-b":
-            raise ValueError(f"no apply rule for map {self.map_tag!r}")
         if state.dims != self.dims:
             raise ValueError(f"channel expects dims {self.dims}, state has {state.dims}")
         dim = state.dim
@@ -141,6 +138,21 @@ def spa_threshold_by_choi(
     return lo
 
 
+def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]:
+    """p_k = Re Tr((rho rho~)^k), k = 1..4, along one chain P_k = (P_{k-1} rho) rho~.
+
+    That is the product ``cyclic_trace([rho, rho~] * k)`` forms, so each p_k equals it bit for bit.
+    """
+    rho, rho_tilde = state.matrix, spin_flip(state)
+    prod = rho @ rho_tilde
+    sums = [complex(np.trace(prod)).real]
+    for _ in range(3):
+        prod = prod @ rho @ rho_tilde
+        sums.append(complex(np.trace(prod)).real)
+    return tuple(sums)
+
+
+@dataclass(frozen=True)
 class GroupChannelOutput:
     """Implicit value object for the k-th group channel output.
 
@@ -150,28 +162,19 @@ class GroupChannelOutput:
 
     a matrix of dimension 16^k that is never materialized here (k = 4 would
     need ~68 GiB).  Every quantity the estimation pipeline consumes reduces
-    through the shift-operator identity to traces of products of the two
-    4 x 4 matrices rho and rho~.
+    through the shift-operator identity to p_k, the trace of a product of
+    the two 4 x 4 matrices rho and rho~ read off :func:`ladder_power_sums`.
     """
 
-    def __init__(self, state: DensityMatrix, k: int):
-        if state.dims != (2, 2):
-            raise ValueError("group channels are defined on two-qubit input")
-        if not 1 <= k <= 4:
-            raise ValueError(f"group index must be 1..4, got {k}")
-        self.rho = state.matrix
-        self.rho_tilde = spin_flip(state)
-        self.k = k
-        self.d = 4**k
-        self.copies = 2 * k
-        self.shrink = 1.0 / (self.d**3 + 1.0)
+    k: int
+    p_k: float
 
     def trace(self) -> float:
         return 1.0
 
     def power_sum(self) -> float:
         """p_k = Tr((rho rho~)^k), the moment the group encodes."""
-        return cyclic_trace([self.rho, self.rho_tilde] * self.k).real
+        return self.p_k
 
     def shift_trace(self) -> float:
         """Re Tr(V_(2k) rho_k) without touching the 16^k space.
@@ -179,8 +182,16 @@ class GroupChannelOutput:
         The identity block contributes Tr(V) = 4 (constant basis strings of
         one four-level factor), the signal block contributes p_k.
         """
-        return (4.0 * self.d + self.power_sum()) / (self.d**3 + 1.0)
+        d = 4**self.k
+        return (4.0 * d + self.p_k) / (d**3 + 1.0)
+
+
+def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...]:
+    """The four group channel outputs of a two-qubit state, k = 1..4."""
+    return tuple(GroupChannelOutput(k, p) for k, p in enumerate(ladder_power_sums(state), 1))
 
 
 def group_channel_output(state: DensityMatrix, k: int) -> GroupChannelOutput:
-    return GroupChannelOutput(state, k)
+    if not 1 <= k <= 4:
+        raise ValueError(f"group index must be 1..4, got {k}")
+    return group_channel_outputs(state)[k - 1]

@@ -1,0 +1,32 @@
+"""Known defects of the multiplicity search, pinned as strict expected failures.
+
+Each case fails today. The search keeps "the coarsest structure whose
+residual is at the floor" and so can merge two distinct eigenvalues into
+an unflagged multiple root. Once the inversion stops doing that, these
+cases pass, ``strict=True`` turns that into a failure, and the marker has
+to go.
+"""
+
+import numpy as np
+import pytest
+
+from entmoment import protocols, spa, states
+from entmoment.cli import main
+
+#: the README's accuracy statement for ideal-mode spectrum values
+IDEAL_TOL = 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="d = 4 ideal inversion merges two eigenvalues without a flag")
+@pytest.mark.parametrize("seed", [1, 32])
+def test_ideal_d4_random_pure_channel_values_match_eigvalsh(seed):
+    state = states.random_pure_state((4, 4), states.rng_stream(seed, 0))
+    est = protocols.spectrum_protocol(state)
+    ref = np.linalg.eigvalsh(spa.apply_spa_pt(state).matrix)
+    assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= IDEAL_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="selftest inversion round trip misses its 1e-8 bound")
+@pytest.mark.parametrize("seed", [935174343, 191741831])
+def test_selftest_seed_passes(seed, capsys):
+    assert main(["selftest", "--seed", str(seed)]) == 0

@@ -219,3 +219,42 @@ def test_tomography_rejects_non_two_qubit():
 def test_invalid_mode_rejected():
     with pytest.raises(ValueError):
         sampling.run_concurrence_protocol(states.bell_state(), mode="noisy")
+
+
+# ---------------------------------------------------------------- shot counts
+
+BAD_SHOTS = [0, -5, 2.5, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("shots", BAD_SHOTS)
+def test_concurrence_protocol_rejects_bad_shots(shots):
+    with pytest.raises(ValueError, match="whole number of at least 1"):
+        sampling.run_concurrence_protocol(states.werner_state(0.8), shots=shots, seed=3)
+
+
+@pytest.mark.parametrize("shots", BAD_SHOTS)
+def test_spectrum_protocol_rejects_bad_shots(shots):
+    with pytest.raises(ValueError, match="whole number of at least 1"):
+        sampling.run_spectrum_protocol(states.werner_state(0.8), shots=shots, seed=3)
+
+
+@pytest.mark.parametrize("shots", BAD_SHOTS)
+def test_tomography_baseline_rejects_bad_shots(shots):
+    with pytest.raises(ValueError, match="whole number of at least 1"):
+        sampling.run_tomography_baseline(states.werner_state(0.8), shots=shots, seed=3)
+
+
+def test_integral_float_shots_match_int_shots():
+    st = states.werner_state(0.8)
+    a, b = (sampling.run_concurrence_protocol(st, shots=n, seed=3) for n in (1e6, 10**6))
+    assert a.moments == b.moments and a.breakdown == b.breakdown
+    a, b = (sampling.run_spectrum_protocol(st, shots=n, seed=3) for n in (1e6, 10**6))
+    assert a.estimate == b.estimate
+    a, b = (sampling.run_tomography_baseline(st, shots=n, seed=3) for n in (1e6, 10**6))
+    assert a.expectations == b.expectations and a.breakdown == b.breakdown
+
+
+def test_ideal_mode_ignores_shot_count():
+    st = states.werner_state(0.8)
+    assert sampling.run_concurrence_protocol(st, shots=0, mode="ideal").samples is None
+    assert sampling.run_spectrum_protocol(st, shots=0, mode="ideal").samples is None
