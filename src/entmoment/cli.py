@@ -39,7 +39,7 @@ def _add_state_args(p: argparse.ArgumentParser):
 
 
 def _add_run_args(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=("exact", "ideal", "sampled"), default="ideal")
+    p.add_argument("--mode", choices=("ideal", "sampled"), default="ideal")
     p.add_argument("--shots", type=str, default="100000", help="shots per observable (compare: comma list)")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--out", type=Path, default=None)
@@ -117,24 +117,21 @@ def _shots_single(args) -> int:
         shots = int(args.shots)
     except ValueError as exc:
         raise ValueError(f"--shots must be a single integer here, got {args.shots!r}") from exc
-    if args.mode == "sampled" and shots < 1:
-        raise ValueError("sampled mode needs shots >= 1")
     return shots
 
 
 def cmd_protocol(args) -> int:
     state = _load_state(args)
-    mode = "ideal" if args.mode == "exact" else args.mode
     shots = _shots_single(args)
     flags: tuple[str, ...] = ()
     results: dict = {}
 
     if args.pipeline == "concurrence":
-        run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=mode)
+        run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
         exact = measures.concurrence_breakdown(state)
         flags = run.flags
         results = {
-            "mode": mode,
+            "mode": args.mode,
             "moments": list(run.moments.p),
             "lambdas": list(run.breakdown.lambdas),
             "concurrence": run.breakdown.concurrence,
@@ -163,16 +160,16 @@ def cmd_protocol(args) -> int:
             "offsets are 4*d_k, fixed by the ladder identity mean(M_k) = p_k; "
             "the d_k^3 variant is listed for reference only"
         )
-        print(f"concurrence protocol ({mode}): C = {run.breakdown.concurrence:.6f}  "
+        print(f"concurrence protocol ({args.mode}): C = {run.breakdown.concurrence:.6f}  "
               f"E_f = {run.breakdown.ef:.6f}")
         print(f"exact reference            : C = {exact.concurrence:.6f}  E_f = {exact.ef:.6f}")
 
     elif args.pipeline == "negativity":
-        run = sampling.run_spectrum_protocol(state, shots=shots, seed=args.seed, mode=mode)
+        run = sampling.run_spectrum_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
         exact = measures.negativity_report(state)
         flags = run.flags
         results = {
-            "mode": mode,
+            "mode": args.mode,
             "pt_eigenvalues": list(run.estimate.report.pt_eigenvalues),
             "ec": run.estimate.report.ec,
             "negativity": run.estimate.report.negativity,
@@ -185,7 +182,7 @@ def cmd_protocol(args) -> int:
             results["p_plus_per_order"] = {
                 str(n): rec.target_mean for n, rec in enumerate(run.samples, start=2)
             }
-        print(f"negativity protocol ({mode}): E_c = {run.estimate.report.ec:.6f}  "
+        print(f"negativity protocol ({args.mode}): E_c = {run.estimate.report.ec:.6f}  "
               f"(exact {exact.ec:.6f})")
 
     elif args.pipeline == "two-stage":
@@ -211,7 +208,7 @@ def cmd_protocol(args) -> int:
 
     report = {
         "command": f"protocol {args.pipeline}",
-        "config": {**_state_config(args), "mode": mode, "shots": shots},
+        "config": {**_state_config(args), "mode": args.mode, "shots": shots},
         "results": results,
         "versions": _versions(),
     }

@@ -12,12 +12,10 @@ polynomial is centered.  The engine here therefore
    exact binary rationals; callers with exactly known moments pass Fractions),
 2. roots the standardized polynomial via the companion matrix,
 3. selects a multiplicity structure by weighted least squares against the
-   moments: candidate partitions of the sorted roots are refined with a
-   multiplicity-constrained Gauss-Newton pass and the coarsest structure
-   whose residual sits at the propagated rounding floor wins.  The search
-   is exhaustive; a batched numpy screen per cluster count (split tables of
-   one batch cached, 4.7 MB for 16 values) drops hopeless partitions, most
-   within two moments, before the survivors are rebuilt and refined in order.
+   moments: for each cluster count, coarsest first, the sorted roots are
+   split at their widest gaps (single linkage), that one partition is
+   refined with a multiplicity-constrained Gauss-Newton pass, and the first
+   structure whose residual sits at the propagated rounding floor wins.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
 to the raw projected roots with flags, never an exception.
@@ -28,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
 from math import comb, factorial, perm
 
 import numpy as np
@@ -43,11 +40,6 @@ _ACCEPT_FACTOR = 8.0
 
 #: below this relative spread all values are reported as their mean
 _DEGENERATE_SPREAD = 1e-8
-
-#: splits screened per numpy batch; bounds the memory of long spectra
-_SCREEN_BATCH = 1 << 14
-#: (n, n_clusters) -> read-only _split_batches batch, for counts of one batch
-_SPLIT_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 COMPLEX_ROOTS_FLAG = "complex-roots"
 
@@ -141,48 +133,6 @@ def _gauss_newton(z0, mult, targets, weights, iters: int = 12):
     return best, best_res
 
 
-def _split_batches(n: int, n_clusters: int):
-    """Batches of (group edges, float sizes) of the splits of n values into n_clusters
-    contiguous groups, lexicographic; a lone batch is cached read-only."""
-    rows = comb(n - 1, n_clusters - 1)
-    if rows <= _SCREEN_BATCH and (n, n_clusters) in _SPLIT_TABLES:
-        yield _SPLIT_TABLES[n, n_clusters]
-        return
-    cuts = chain.from_iterable(combinations(range(1, n), n_clusters - 1))
-    for start in range(0, rows, _SCREEN_BATCH):
-        size = min(_SCREEN_BATCH, rows - start)
-        inner = np.fromiter(cuts, np.intp, size * (n_clusters - 1)).reshape(size, n_clusters - 1)
-        bounds = np.hstack([np.zeros((size, 1), np.intp), inner, np.full((size, 1), n)])
-        sizes = np.diff(bounds).astype(float)
-        if rows <= _SCREEN_BATCH:
-            bounds.flags.writeable = sizes.flags.writeable = False
-            _SPLIT_TABLES[n, n_clusters] = bounds, sizes
-        yield bounds, sizes
-
-
-def _screened_splits(y, targets, weights, n_clusters: int):
-    """Group edges of the splits of the sorted y into n_clusters contiguous
-    groups, sizes in lexicographic order, that a batched screen keeps.  Its
-    prefix-sum means and running products give each split's residual up to
-    rounding, which twice the per-split cut covers; NaN rows are kept, so
-    failed rows leave early only while overflow and 0/0 are ruled out."""
-    n = len(y)
-    prefix = np.concatenate([[0.0], np.cumsum(y)])
-    early = np.all(weights > 0) and np.all(np.abs(targets) < 1e300) and np.max(np.abs(y)) < 1e290 ** (1 / n) / 2
-    for bounds, sizes in _split_batches(n, n_clusters):
-        z = (prefix[bounds[:, 1:]] - prefix[bounds[:, :-1]]) / sizes
-        term, screen = sizes * z, 0.0
-        for m in range(n):
-            screen = np.maximum(screen, np.abs(term.sum(axis=1) - targets[m]) / weights[m])
-            keep = ~(screen > 2e6)
-            if early and 2 * np.count_nonzero(keep) <= len(keep):  # filtering pays from half
-                bounds, z, term, screen = bounds[keep], z[keep], term[keep], screen[keep]
-                if not len(screen):
-                    break
-            term = term * z
-        yield from bounds[~(screen > 2e6)]
-
-
 def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRecovery:
     """Invert p_m = sum_i x_i^m, m = 1..n, for the n real values x_i.
 
@@ -224,20 +174,17 @@ def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRe
     ymax = max(1.0, float(np.max(np.abs(y))))
     weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
+    # single linkage: n_clusters groups split the sorted roots at their widest gaps
+    widest = np.argsort(-np.diff(y), kind="stable") + 1
     for n_clusters in range(1, n + 1):
-        candidates = []
-        for bounds in _screened_splits(y, targets, weights, n_clusters):
-            mult = np.diff(bounds).astype(float)
-            z0 = np.array([y[bounds[i]:bounds[i + 1]].mean() for i in range(n_clusters)])
-            # per-split screen: skip structures hopelessly far from the moments
-            init = np.max(np.abs(_power_sums(z0, mult, n) - targets) / weights)
-            if init > 1e6:
-                continue
-            z, res = _gauss_newton(z0, mult, targets, weights)
-            if res <= 1.0:
-                candidates.append((res, z, mult))
-        if candidates:
-            res, z, mult = min(candidates, key=lambda t: t[0])
+        bounds = np.concatenate([[0], np.sort(widest[: n_clusters - 1]), [n]])
+        mult = np.diff(bounds).astype(float)
+        z0 = np.array([y[bounds[i]:bounds[i + 1]].mean() for i in range(n_clusters)])
+        # skip structures hopelessly far from the moments
+        if np.max(np.abs(_power_sums(z0, mult, n) - targets) / weights) > 1e6:
+            continue
+        z, res = _gauss_newton(z0, mult, targets, weights)
+        if res <= 1.0:
             values = np.repeat(z, mult.astype(int))
             return SpectrumRecovery(np.sort(center + scale * values)[::-1], ())
 

@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -122,7 +121,7 @@ def test_moments_overflowing_the_chain_rejected(psums):
         spectrum_from_power_sums(psums)
 
 
-# Reference: the per-composition search the batched screen replaced.  It
+# Reference: the exhaustive per-composition search the gap split replaced.  It
 # shares the exact set-up and the Gauss-Newton pass with the library and
 # additionally returns every screen value it computed.
 
@@ -205,18 +204,22 @@ def channel_family_states(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_batched_screen_matches_reference_on_channel_moments(d):
+def test_gap_split_matches_reference_on_channel_moments(d):
     for state in channel_family_states(d).values():
         assert_matches_reference(protocols.spectrum_power_sums(state))
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_batched_screen_matches_reference_on_random_mixed(d):
-    state = states.random_mixed_state((d, d), rng_stream(404, d))
-    assert_matches_reference(protocols.spectrum_power_sums(state))
+def test_gap_split_matches_reference_on_random_mixed(d):
+    cases = [states.random_mixed_state((d, d), rng_stream(404, d))]
+    if d == 4:
+        # a random-pure state whose winning structure merges two eigenvalues
+        cases.append(states.random_pure_state((4, 4), rng_stream(32, 0)))
+    for state in cases:
+        assert_matches_reference(protocols.spectrum_power_sums(state))
 
 
-def test_batched_screen_matches_reference_on_sampled_moments():
+def test_gap_split_matches_reference_on_sampled_moments():
     rng = rng_stream(405, 0)
     for shots in (10**2, 10**4, 10**6):
         for seed in range(4):
@@ -233,24 +236,6 @@ def test_batched_screen_keeps_splits_near_the_cut():
     screens = assert_matches_reference(psums)
     assert any(1e5 <= v <= 1e6 for v in screens)
     assert spectrum_from_power_sums(psums).flags == ()
-
-
-@pytest.mark.parametrize("batch", [5, inversion._SCREEN_BATCH])
-@pytest.mark.parametrize("seed", range(3))
-def test_batched_screen_keeps_reference_order_and_every_split_under_the_cut(seed, batch, monkeypatch):
-    monkeypatch.setattr(inversion, "_SCREEN_BATCH", batch)
-    psums = protocols.spectrum_power_sums(states.random_mixed_state((3, 3), rng_stream(406, seed)))
-    _, _, coeffs, targets, noise = inversion._centered_setup(psums)
-    y = np.sort(np.roots(coeffs).real)
-    weights = reference_weights(y, noise)
-    n = len(y)
-    for parts in range(1, n + 1):
-        every = [tuple(np.diff(b)) for b in inversion._screened_splits(y, targets, np.full(n, np.inf), parts)]
-        assert every == list(reference_compositions(n, parts))
-        kept = {tuple(np.diff(b)) for b in inversion._screened_splits(y, targets, weights, parts)}
-        per_split = {s: reference_split(y, targets, weights, s)[2] for s in every}
-        assert {s for s, v in per_split.items() if v <= 1e6} <= kept
-        assert all(per_split[s] <= 2.001e6 for s in kept)
 
 
 # Reference: the Fraction chain that the graded-integer _centered_setup
@@ -372,99 +357,3 @@ moment_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6
                  st.lists(st.one_of(moment_floats, moment_fractions), min_size=1, max_size=9)))
 def test_integer_chain_matches_fraction_chain_property(psums):
     assert_setup_matches_reference(psums)
-
-
-# Reference: the screen before its split tables were cached and failed rows
-# dropped early, as it stood.
-
-def reference_screened_splits(y, targets, weights, n_clusters):
-    n = len(y)
-    rows = comb(n - 1, n_clusters - 1)
-    prefix = np.concatenate([[0.0], np.cumsum(y)])
-    cuts = chain.from_iterable(combinations(range(1, n), n_clusters - 1))
-    for start in range(0, rows, inversion._SCREEN_BATCH):
-        size = min(inversion._SCREEN_BATCH, rows - start)
-        inner = np.fromiter(cuts, np.intp, size * (n_clusters - 1)).reshape(size, n_clusters - 1)
-        bounds = np.hstack([np.zeros((size, 1), np.intp), inner, np.full((size, 1), n)])
-        sizes = np.diff(bounds)
-        z = (prefix[bounds[:, 1:]] - prefix[bounds[:, :-1]]) / sizes
-        term, screen = sizes * z, 0.0
-        for m in range(n):
-            screen = np.maximum(screen, np.abs(term.sum(axis=1) - targets[m]) / weights[m])
-            term = term * z
-        yield from bounds[~(screen > 2e6)]
-
-
-def screen_inputs(psums):
-    """(sorted roots, targets, weights) as spectrum_from_power_sums screens them."""
-    _, _, coeffs, targets, noise = inversion._centered_setup(psums)
-    y = np.sort(np.roots(coeffs).real)
-    return y, targets, reference_weights(y, noise)
-
-
-def assert_screen_matches_reference(y, targets, weights):
-    """Survivors equal, in order, for every cluster count; returns them."""
-    kept = []
-    with np.errstate(all="ignore"):
-        for parts in range(1, len(y) + 1):
-            got = [tuple(b) for b in inversion._screened_splits(y, targets, weights, parts)]
-            assert got == [tuple(b) for b in reference_screened_splits(y, targets, weights, parts)]
-            kept += got
-    return kept
-
-
-def test_early_drop_keeps_reference_survivors():
-    rng = rng_stream(410, 0)
-    cases = [protocols.spectrum_power_sums(states.random_mixed_state((d, d), rng)) for d in (2, 3, 4)]
-    for shots in (10**2, 10**4, 10**6):
-        run = sampling.run_spectrum_protocol(states.random_mixed_state((3, 3), rng), shots=shots, seed=shots)
-        cases.append([1.0] + [2.0 * r.estimate - 1.0 for r in run.samples])
-    for psums in cases:
-        assert_screen_matches_reference(*screen_inputs(psums))
-
-
-def test_early_drop_keeps_rows_nan_from_the_start():
-    # a NaN in y spreads through the prefix sums into every row
-    y = np.array([0.1, 0.2, np.nan, 0.4, 0.5])
-    kept = assert_screen_matches_reference(y, np.full(5, 0.3), np.ones(5))
-    assert len(kept) == 2**4
-
-
-def test_early_drop_keeps_rows_turning_nan_at_a_zero_weight():
-    # every row fails the first moment by 5e9, and the one-cluster row's exact
-    # second moment meets a zero weight there: 0/0, kept by the maximum
-    y = np.array([0.0, 1.0, 2.0, 4.0])
-    kept = assert_screen_matches_reference(y, np.array([7.5, 12.25, 1.0, 1.0]), np.array([1e-10, 0.0, 1.0, 1.0]))
-    assert (0, 4) in kept
-
-
-def test_early_drop_keeps_rows_whose_powers_overflow_late():
-    # every row fails the first moment by 1e7; rows that split -1e40 from
-    # 1e40 reach -inf + inf only at the ninth power, and are kept as NaN
-    y = np.array([-1e40] + [0.0] * 7 + [1e40])
-    kept = assert_screen_matches_reference(y, np.array([1.0] + [0.0] * 8), np.array([1e-7] + [1.0] * 8))
-    assert (0, 1, 9) in kept
-
-
-def test_split_tables_cached_read_only_up_to_one_batch(monkeypatch):
-    monkeypatch.setattr(inversion, "_SPLIT_TABLES", {})
-    for d in (2, 3, 4):
-        spectrum_from_power_sums(protocols.spectrum_power_sums(states.random_mixed_state((d, d), rng_stream(411, d))))
-    assert {k for n, k in inversion._SPLIT_TABLES if n == 16} == set(range(1, 17))
-    for (n, parts), (bounds, sizes) in inversion._SPLIT_TABLES.items():
-        assert len(bounds) == comb(n - 1, parts - 1) <= inversion._SCREEN_BATCH
-        assert not bounds.flags.writeable and not sizes.flags.writeable
-        assert [tuple(np.diff(b)) for b in bounds] == list(reference_compositions(n, parts))
-        assert np.array_equal(sizes, np.diff(bounds))
-        with pytest.raises(ValueError):
-            bounds[0, 0] = 1
-
-
-def test_split_tables_stream_uncached_past_one_batch(monkeypatch):
-    monkeypatch.setattr(inversion, "_SCREEN_BATCH", 5)
-    monkeypatch.setattr(inversion, "_SPLIT_TABLES", {})
-    inputs = screen_inputs(protocols.spectrum_power_sums(states.random_mixed_state((3, 3), rng_stream(412, 0))))
-    first = assert_screen_matches_reference(*inputs)
-    assert set(inversion._SPLIT_TABLES) == {(9, 1), (9, 9)}
-    assert assert_screen_matches_reference(*inputs) == first
-    assert all(len(b) <= 5 for b, _ in inversion._SPLIT_TABLES.values())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from entmoment import measures, protocols, states
+from entmoment import measures, protocols, spa, states
 
 
 def eigen_moments(state):
@@ -209,6 +209,19 @@ def test_spectrum_protocol_qutrit():
         np.testing.assert_allclose(
             est.report.pt_eigenvalues, exact.pt_eigenvalues, atol=1e-6
         )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: states.random_mixed_state((5, 5), states.rng_stream(0, 0)),
+    lambda: states.product_pure_state((5, 5), states.rng_stream(0, 0)),
+    lambda: states.random_pure_state((5, 5), states.rng_stream(0, 0)),
+    lambda: states.isotropic_state(5, 0.5),
+], ids=["random-mixed", "product-pure", "random-pure", "isotropic-0.5"])
+def test_spectrum_protocol_d5_channel_values_match_eigvalsh(make):
+    st = make()
+    est = protocols.spectrum_protocol(st)
+    ref = np.linalg.eigvalsh(spa.apply_spa_pt(st).matrix)
+    assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= 1e-10
 
 
 def test_spectrum_protocol_rejects_rectangular():
