@@ -69,7 +69,6 @@ from .sampling import (
 )
 from .spa import (
     GroupChannelOutput,
-    SpaChannel,
     affine_map,
     apply_spa_pt,
     group_channel_output,

@@ -13,11 +13,12 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, measures, protocols, sampling, selftest, states
+from . import __version__, measures, protocols, sampling, selftest, spa, states
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,12 +39,10 @@ def _add_state_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_run_args(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=("ideal", "sampled"), default="ideal")
+def _add_run_args(p: argparse.ArgumentParser, modes: tuple[str, ...]):
+    p.add_argument("--mode", choices=modes, default=modes[0])
     p.add_argument("--shots", type=str, default="100000", help="shots per observable (compare: comma list)")
-    p.add_argument("--reps", type=int, default=1)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
 
 
 def _load_state(args) -> states.DensityMatrix:
@@ -81,10 +80,7 @@ def cmd_exact(args) -> int:
     verdict = measures.ppt_verdict(state)
     results = {
         "dims": list(state.dims),
-        "pt_eigenvalues": list(neg.pt_eigenvalues),
-        "trace_norm_pt": neg.trace_norm_pt,
-        "negativity": neg.negativity,
-        "ec": neg.ec,
+        **asdict(neg),
         "ppt_verdict": verdict.verdict,
         "min_pt_eigenvalue": verdict.min_pt_eigenvalue,
     }
@@ -93,13 +89,7 @@ def cmd_exact(args) -> int:
     print(f"E_c      : {neg.ec:.6f}   negativity: {neg.negativity:.6f}")
     if state.dims == (2, 2):
         br = measures.concurrence_breakdown(state)
-        results.update(
-            {
-                "lambdas": list(br.lambdas),
-                "concurrence": br.concurrence,
-                "ef": br.ef,
-            }
-        )
+        results.update(asdict(br))
         print(f"C        : {br.concurrence:.6f}   E_f: {br.ef:.6f}")
         print("lambdas  : " + "  ".join(f"{x:.6f}" for x in br.lambdas))
     report = {
@@ -121,10 +111,11 @@ def _shots_single(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    if args.pipeline == "two-stage" and args.mode == "sampled":
+        raise ValueError("protocol two-stage draws no shots; it runs in ideal mode only")
     state = _load_state(args)
     shots = _shots_single(args)
-    flags: tuple[str, ...] = ()
-    results: dict = {}
+    config = {**_state_config(args), "mode": args.mode, "shots": shots}
 
     if args.pipeline == "concurrence":
         run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
@@ -133,27 +124,25 @@ def cmd_protocol(args) -> int:
         results = {
             "mode": args.mode,
             "moments": list(run.moments.p),
-            "lambdas": list(run.breakdown.lambdas),
-            "concurrence": run.breakdown.concurrence,
-            "ef": run.breakdown.ef,
+            **asdict(run.breakdown),
             "exact_concurrence": exact.concurrence,
             "exact_ef": exact.ef,
             "flags": list(flags),
             "copies_consumed": run.copies_consumed,
             "groups": [],
         }
-        for k in (1, 2, 3, 4):
-            spec = protocols.moment_observable_spec(k)
+        for out in spa.group_channel_outputs(state):
+            spec = protocols.moment_observable_spec(out.k)
             group = {
-                "k": k,
+                "k": out.k,
                 "copies": spec.copies,
                 "amplification": spec.amplification,
                 "offset_applied": spec.offset,
                 "offset_d_cubed_variant": spec.d_cubed_offset,
-                "p_plus": sampling.moment_success_probability(state, k),
+                "p_plus": sampling._success_probability(out),
             }
             if run.samples is not None:
-                s = run.samples[k - 1]
+                s = run.samples[out.k - 1]
                 group.update({"successes": s.record.successes, "shots": s.record.shots})
             results["groups"].append(group)
         results["offset_note"] = (
@@ -176,7 +165,7 @@ def cmd_protocol(args) -> int:
             "exact_ec": exact.ec,
             "exact_negativity": exact.negativity,
             "flags": list(flags),
-            "shrink_factor": 1.0 / (state.dims[0] ** 3 + 1),
+            "shrink_factor": spa.spa_shrink(state.dims[0]),
         }
         if run.samples is not None:
             results["p_plus_per_order"] = {
@@ -187,6 +176,7 @@ def cmd_protocol(args) -> int:
 
     elif args.pipeline == "two-stage":
         res = protocols.two_stage_protocol(state)
+        config = _state_config(args)
         flags = res.stage_two.flags if res.stage_two is not None else ()
         results = {
             "verdict": res.verdict,
@@ -208,7 +198,7 @@ def cmd_protocol(args) -> int:
 
     report = {
         "command": f"protocol {args.pipeline}",
-        "config": {**_state_config(args), "mode": args.mode, "shots": shots},
+        "config": config,
         "results": results,
         "versions": _versions(),
     }
@@ -241,7 +231,7 @@ def cmd_compare(args) -> int:
         for method, run_fn, ledger, quoted in methods:
             err_c, err_ef = [], []
             for rep in range(args.reps):
-                run = run_fn(state, shots=shots, seed=args.seed + rep, mode="sampled")
+                run = run_fn(state, shots=shots, seed=args.seed + rep, mode=args.mode)
                 err_c.append(abs(run.breakdown.concurrence - exact.concurrence))
                 err_ef.append(abs(run.breakdown.ef - exact.ef))
             rows.append(
@@ -287,17 +277,16 @@ def cmd_resources(args) -> int:
     print(f"{'protocol':<22}{'r_p':>6}{'r_c':>7}{'r':>9}  quoted")
     for name, rp, rc, r, q in rows:
         print(f"{name:<22}{rp:>6}{rc:>7}{r:>9}  {q}")
-    if args.out is not None:
-        report = {
-            "command": "resources",
-            "config": {"d": d},
-            "results": [
-                {"protocol": n, "r_p": rp, "r_c": rc, "r": r, "r_quoted": q or None}
-                for n, rp, rc, r, q in rows
-            ],
-            "versions": _versions(),
-        }
-        _emit(report, args.out)
+    report = {
+        "command": "resources",
+        "config": {"d": d},
+        "results": [
+            {"protocol": n, "r_p": rp, "r_c": rc, "r": r, "r_quoted": q or None}
+            for n, rp, rc, r, q in rows
+        ],
+        "versions": _versions(),
+    }
+    _emit(report, args.out)
     return 0
 
 
@@ -316,9 +305,7 @@ def cmd_selftest(args) -> int:
         "results": report,
         "versions": _versions(),
     }
-    if args.out is not None:
-        args.out.write_text(json.dumps(full, indent=2, sort_keys=True) + "\n")
-        print(f"report written to {args.out}")
+    _emit(full, args.out)
     return 0 if report["passed"] else 2
 
 
@@ -334,12 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="run an estimation pipeline")
     p.add_argument("pipeline", choices=("concurrence", "negativity", "two-stage"))
     _add_state_args(p)
-    _add_run_args(p)
+    _add_run_args(p, ("ideal", "sampled"))
+    p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
     p.set_defaults(fn=cmd_protocol)
 
     p = sub.add_parser("compare", help="moments vs tomography error sweep (CSV)")
     _add_state_args(p)
-    _add_run_args(p)
+    _add_run_args(p, ("sampled",))
+    p.add_argument("--reps", type=int, default=1)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("resources", help="resource ledgers for dimension d")

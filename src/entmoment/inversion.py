@@ -41,6 +41,9 @@ _ACCEPT_FACTOR = 8.0
 #: below this relative spread all values are reported as their mean
 _DEGENERATE_SPREAD = 1e-8
 
+#: imaginary residual (original units) above which raw roots are flagged complex
+_IMAG_GUARD = 1e-6
+
 COMPLEX_ROOTS_FLAG = "complex-roots"
 
 
@@ -133,7 +136,7 @@ def _gauss_newton(z0, mult, targets, weights, iters: int = 12):
     return best, best_res
 
 
-def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRecovery:
+def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     """Invert p_m = sum_i x_i^m, m = 1..n, for the n real values x_i.
 
     Parameters
@@ -142,9 +145,6 @@ def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRe
         The n power sums of the n sought values.  Fractions are treated as
         exact; floats carry a rounding-floor allowance.  Empty, non-finite or
         float64-overflowing input raises ValueError.
-    imag_guard : float
-        Imaginary residual (in original units) above which the fall-through
-        raw roots are flagged as complex.
 
     Returns
     -------
@@ -189,6 +189,6 @@ def spectrum_from_power_sums(power_sums, imag_guard: float = 1e-6) -> SpectrumRe
             return SpectrumRecovery(np.sort(center + scale * values)[::-1], ())
 
     flags = []
-    if scale * float(np.max(np.abs(raw.imag))) > imag_guard:
+    if scale * float(np.max(np.abs(raw.imag))) > _IMAG_GUARD:
         flags.append(COMPLEX_ROOTS_FLAG)
     return SpectrumRecovery(np.sort(center + scale * y)[::-1], tuple(flags))

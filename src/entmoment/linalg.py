@@ -44,11 +44,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
     return a
 
 
@@ -159,7 +159,7 @@ def cyclic_trace(factors) -> complex:
     return complex(np.trace(prod))
 
 
-def cyclic_shift_matrix(n: int, local_dim: int, cap: int = SHIFT_DIM_CAP) -> np.ndarray:
+def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:
     """Explicit cyclic shift operator V_(n) on n factors of size local_dim.
 
     Basis action: |j1 j2 ... jn> -> |j2 ... jn j1>.  This direction is the
@@ -169,8 +169,8 @@ def cyclic_shift_matrix(n: int, local_dim: int, cap: int = SHIFT_DIM_CAP) -> np.
     if n < 1 or local_dim < 1:
         raise ValueError("n and local_dim must be positive")
     dim = local_dim**n
-    if dim > cap:
-        raise ValueError(f"shift operator dimension {dim} exceeds cap {cap}")
+    if dim > SHIFT_DIM_CAP:
+        raise ValueError(f"shift operator dimension {dim} exceeds cap {SHIFT_DIM_CAP}")
     block = local_dim ** (n - 1)
     src = np.arange(dim)
     dest = (src % block) * local_dim + src // block

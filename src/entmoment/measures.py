@@ -177,12 +177,12 @@ def gamma_matrix(state: DensityMatrix) -> np.ndarray:
     return SPIN_FLIP @ ta @ SPIN_FLIP @ tb
 
 
-def gamma_concurrence_report(state: DensityMatrix, imag_guard: float = GAMMA_IMAG_GUARD) -> GammaReport:
+def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:
     """Concurrence estimate from the smallest-real-part gamma eigenvalue.
 
     gamma is a product of Hermitian matrices and need not be Hermitian, so
     the spectrum is taken with a general eigensolver and the eigenvalue of
-    smallest real part is used; an imaginary residual above ``imag_guard``
+    smallest real part is used; an imaginary residual above GAMMA_IMAG_GUARD
     is flagged.  The relation min eig = C^2/4 holds for entangled states;
     on separable input the estimate is not meaningful and the caller is
     expected to have established entanglement first.
@@ -192,7 +192,7 @@ def gamma_concurrence_report(state: DensityMatrix, imag_guard: float = GAMMA_IMA
     idx = int(np.argmin(spec.real))
     lam_min = spec[idx]
     flags: list[str] = []
-    if abs(lam_min.imag) > imag_guard:
+    if abs(lam_min.imag) > GAMMA_IMAG_GUARD:
         flags.append("gamma-imaginary-residual")
     ratio = 4.0 * float(lam_min.real) / GAMMA_PROPORTIONALITY
     c_hat = math.sqrt(max(0.0, ratio))

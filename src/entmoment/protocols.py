@@ -58,7 +58,6 @@ class MomentVector:
     """Power sums p_k of the rho rho~ spectrum for k = 1..4."""
 
     p: tuple[float, float, float, float]
-    provenance: str  # "ideal" | "spa-ideal" | "spa-sampled"
     flags: tuple[str, ...] = ()
 
 
@@ -103,7 +102,7 @@ def moment_observable_spec(k: int) -> MomentObservableSpec:
 def exact_moments(state: DensityMatrix) -> MomentVector:
     """p_k = Tr((rho rho~)^k) for k = 1..4 via the cyclic product trace."""
     p = ladder_power_sums(state)
-    return MomentVector(p=p, provenance="ideal", flags=_order_flags(p))
+    return MomentVector(p=p, flags=_order_flags(p))
 
 
 def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
@@ -134,7 +133,7 @@ def moment_from_channel(output: GroupChannelOutput, spec: MomentObservableSpec |
 def channel_moments(state: DensityMatrix) -> MomentVector:
     """All four moments through the (implicit) group channel route."""
     p = tuple(moment_from_channel(out) for out in group_channel_outputs(state))
-    return MomentVector(p=p, provenance="spa-ideal", flags=_order_flags(p))
+    return MomentVector(p=p, flags=_order_flags(p))
 
 
 @dataclass(frozen=True)

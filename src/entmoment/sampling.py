@@ -62,7 +62,6 @@ class MomentSample:
     k: int
     record: ShotRecord
     p_plus: float
-    shift_trace_estimate: float
     moment_estimate: float
     copies_consumed: int  # protocol copies: shots * 2k
     ancillas_consumed: int  # one readout ancilla per shot
@@ -116,7 +115,6 @@ def _moment_sample(output: GroupChannelOutput, shots: int, rng: np.random.Genera
         k=output.k,
         record=record,
         p_plus=p_plus,
-        shift_trace_estimate=shift_hat,
         moment_estimate=moment_hat,
         copies_consumed=shots * spec.copies,
         ancillas_consumed=shots,
@@ -130,13 +128,12 @@ def sample_moment_povm(state: DensityMatrix, k: int, shots: int, rng: np.random.
 
 @dataclass(frozen=True)
 class EstimatorRun:
-    """Full provenance of one concurrence-protocol run."""
+    """One run of the concurrence pipeline."""
 
     samples: tuple[MomentSample, ...] | None  # None in ideal mode
     moments: MomentVector
     breakdown: ConcurrenceBreakdown
     flags: tuple[str, ...]
-    config: dict
 
     @property
     def copies_consumed(self) -> int:
@@ -165,13 +162,12 @@ def run_concurrence_protocol(
     if len(counts) != 4:
         raise ValueError("shots must be a single count or one count per group")
     per_group = [_shot_count(n) if mode == "sampled" else int(n) for n in counts]
-    config = {"protocol": "concurrence-moments", "shots": per_group, "seed": seed, "mode": mode}
     if mode == "ideal":
         # noise-free limit: the expectation values themselves, held exactly
         # (float64 storage of the k = 3, 4 means already costs ~1e-9)
         fractions = exact_moment_fractions(state)
         p = tuple(float(x) for x in fractions)
-        moments = MomentVector(p=p, provenance="spa-ideal", flags=_order_flags(p))
+        moments = MomentVector(p=p, flags=_order_flags(p))
         samples = None
         breakdown, flags = concurrence_from_moments(fractions)
         flags = tuple(flags) + moments.flags
@@ -181,14 +177,13 @@ def run_concurrence_protocol(
             for out in group_channel_outputs(state)
         )
         p = tuple(s.moment_estimate for s in samples)
-        moments = MomentVector(p=p, provenance="spa-sampled", flags=_order_flags(p))
+        moments = MomentVector(p=p, flags=_order_flags(p))
         breakdown, flags = concurrence_from_moments(moments)
     return EstimatorRun(
         samples=samples,
         moments=moments,
         breakdown=breakdown,
         flags=flags,
-        config=config,
     )
 
 
@@ -199,7 +194,6 @@ class SpectrumRun:
     samples: tuple[ShotRecord, ...] | None
     estimate: SpectrumEstimate
     flags: tuple[str, ...]
-    config: dict
 
 
 def run_spectrum_protocol(
@@ -216,11 +210,9 @@ def run_spectrum_protocol(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    d = state.dims[0]
-    config = {"protocol": "spectrum", "d": d, "shots": shots, "seed": seed, "mode": mode}
     if mode == "ideal":
         estimate = spectrum_protocol(state)
-        return SpectrumRun(samples=None, estimate=estimate, flags=estimate.flags, config=config)
+        return SpectrumRun(samples=None, estimate=estimate, flags=estimate.flags)
     sigma = apply_spa_pt(state)
     lam = herm_eigenvalues(sigma.matrix)
     records, psums = [], [1.0]
@@ -229,8 +221,8 @@ def run_spectrum_protocol(
         record, psum = _binary_run(p_plus, shots, rng_stream(seed, stream=n))
         records.append(record)
         psums.append(psum)
-    estimate = spectrum_from_channel_moments(psums, d)
-    return SpectrumRun(samples=tuple(records), estimate=estimate, flags=estimate.flags, config=config)
+    estimate = spectrum_from_channel_moments(psums, state.dims[0])
+    return SpectrumRun(samples=tuple(records), estimate=estimate, flags=estimate.flags)
 
 
 # ------------------------------------------------------------- tomography
@@ -261,7 +253,6 @@ class TomographyRun:
     shots: int
     rho_hat: DensityMatrix
     breakdown: ConcurrenceBreakdown
-    config: dict
 
     @property
     def copies_consumed(self) -> int:
@@ -285,7 +276,6 @@ def run_tomography_baseline(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if state.dims != (2, 2):
         raise ValueError("the tomography baseline is two-qubit only")
-    config = {"protocol": "tomography", "shots": shots, "seed": seed, "mode": mode}
     rho = state.matrix
     expectations = {}
     rebuilt = np.eye(4, dtype=complex)
@@ -305,5 +295,4 @@ def run_tomography_baseline(
         shots=shots,
         rho_hat=rho_hat,
         breakdown=concurrence_breakdown(rho_hat),
-        config=config,
     )

@@ -132,7 +132,7 @@ def _spa_checks(seed: int) -> list[dict]:
 
     thr = spa.spa_threshold_by_choi((2, 2), "partial-transpose-b", tol=1e-8)
     out.append(_check("choi threshold 2x2", abs(thr - 1.0 / 9.0) <= 1e-6, thr))
-    out.append(_check("choi threshold identity", spa.spa_threshold_by_choi((2, 2), "identity") == 1.0, 1.0))
+    out.append(_check("choi threshold identity", spa.spa_threshold_by_choi((2, 2), lambda m: m) == 1.0, 1.0))
 
     worst = 0.0
     for _ in range(25):

@@ -40,33 +40,6 @@ def inverse_affine(channel_eigenvalue: float, d: int) -> float:
     return (d**3 + 1.0) * channel_eigenvalue - d
 
 
-@dataclass(frozen=True)
-class SpaChannel:
-    """Descriptor of a white-noise structural approximation.
-
-    noise_weight is the weight of the maximally mixed output and shrink the
-    weight of the approximated map; for the built-in partial transpose on
-    d (x) d these are d^3/(d^3+1) and 1/(d^3+1).
-    """
-
-    dims: tuple[int, int]
-    noise_weight: float
-    shrink: float
-
-    @classmethod
-    def partial_transpose_channel(cls, d: int) -> "SpaChannel":
-        s = spa_shrink(d)
-        return cls(dims=(d, d), noise_weight=1.0 - s, shrink=s)
-
-    def apply(self, state: DensityMatrix) -> DensityMatrix:
-        if state.dims != self.dims:
-            raise ValueError(f"channel expects dims {self.dims}, state has {state.dims}")
-        dim = state.dim
-        pt = partial_transpose(state.matrix, state.dims, "B")
-        out = self.noise_weight * np.eye(dim) / dim + self.shrink * pt
-        return DensityMatrix(out, state.dims)
-
-
 def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     """Approximate partial transpose as a channel on a d (x) d state.
 
@@ -79,7 +52,10 @@ def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
             f"closed-form SPA needs equal local dimensions, got {state.dims}; "
             "use spa_threshold_by_choi for the general weight"
         )
-    return SpaChannel.partial_transpose_channel(da).apply(state)
+    dim = state.dim
+    s = spa_shrink(da)
+    pt = partial_transpose(state.matrix, state.dims, "B")
+    return DensityMatrix((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
 
 
 def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
@@ -99,8 +75,6 @@ def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndar
 def _builtin_map(tag: str, dims: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
     if tag == "partial-transpose-b":
         return lambda m: partial_transpose(m, dims, "B")
-    if tag == "identity":
-        return lambda m: m
     raise ValueError(f"unknown map tag {tag!r}")
 
 
@@ -108,14 +82,14 @@ def spa_threshold_by_choi(
     dims: tuple[int, int],
     target="partial-transpose-b",
     tol: float = 1e-8,
-    psd_tol: float = CHOI_PSD_TOL,
 ) -> float:
     """Largest weight of the target map that keeps the mixture a channel.
 
     Bisects the mixing weight p of  (1-p) * white-noise + p * target  until
-    the Choi matrix stops being PSD (min eigenvalue >= -psd_tol), to
-    precision ``tol``.  For the partial transpose on d (x) d the result is
-    1/(d^3 + 1); an already-CP target returns 1.
+    the Choi matrix stops being PSD (min eigenvalue >= -CHOI_PSD_TOL), to
+    precision ``tol``.  ``target`` is a map tag or a callable on matrices.
+    For the partial transpose on d (x) d the result is 1/(d^3 + 1); an
+    already-CP target returns 1.
     """
     dim = dims[0] * dims[1]
     map_fn = _builtin_map(target, dims) if isinstance(target, str) else target
@@ -124,7 +98,7 @@ def spa_threshold_by_choi(
 
     def psd_at(p: float) -> bool:
         choi = (1.0 - p) * choi_noise + p * choi_target
-        return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]) >= -psd_tol
+        return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]) >= -CHOI_PSD_TOL
 
     if psd_at(1.0):
         return 1.0
@@ -168,13 +142,6 @@ class GroupChannelOutput:
 
     k: int
     p_k: float
-
-    def trace(self) -> float:
-        return 1.0
-
-    def power_sum(self) -> float:
-        """p_k = Tr((rho rho~)^k), the moment the group encodes."""
-        return self.p_k
 
     def shift_trace(self) -> float:
         """Re Tr(V_(2k) rho_k) without touching the 16^k space.

@@ -178,6 +178,8 @@ def make_state(
     matrix=None,
 ) -> DensityMatrix:
     """Dispatch constructor over the named state families."""
+    if family in ("bell", "werner") and tuple(dims) != (2, 2):
+        raise ValueError(f"{family} states are two-qubit, got dims {tuple(dims)}; use isotropic for d (x) d")
     if family == "bell":
         return bell_state()
     if family == "werner":

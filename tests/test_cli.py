@@ -108,6 +108,15 @@ def test_protocol_two_stage_quantifies(capsys):
     assert "0.700000" in text
 
 
+def test_protocol_two_stage_rejects_sampled_mode(capsys, tmp_path):
+    out = tmp_path / "two.json"
+    code = run_cli(["protocol", "two-stage", "--family", "bell", "--mode", "sampled",
+                    "--shots", "0", "--out", str(out)])
+    assert code == 1
+    assert "ideal mode only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_protocol_sampled_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["protocol", "concurrence", "--family", "werner", "--p", "0.9",
@@ -150,6 +159,16 @@ def test_compare_sweep_csv(tmp_path, capsys):
 
 def test_compare_needs_reps(capsys):
     assert run_cli(["compare", "--family", "bell", "--reps", "1"]) == 1
+
+
+def test_run_options_per_subcommand(capsys):
+    # protocol takes no --reps; compare takes no --strict and samples only
+    assert run_cli(["protocol", "concurrence", "--family", "bell", "--reps", "2"]) == 1
+    assert run_cli(["compare", "--family", "bell", "--reps", "2", "--strict"]) == 1
+    assert run_cli(["compare", "--family", "bell", "--mode", "ideal", "--reps", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("unrecognized arguments") == 2
+    assert "invalid choice: 'ideal'" in err
 
 
 def test_resources_d2(capsys):

@@ -1,27 +1,37 @@
-"""Seeded sampled outputs pinned bit for bit.
+"""Seeded sampled outputs and CLI records pinned bit for bit.
 
 ``golden_sampled.json`` holds every float of a fixed set of seeded runs as
 ``float.hex`` (complex entries as a [real, imag] pair), so a change that
 moves a last bit, or turns a Python float into a numpy scalar, fails here.
 The file was recorded before the sampled path lost its per-call rebuilds
-and must not move under refactors. A change that alters these outputs on
-purpose re-records the file with
+and must not move under refactors.
+
+``golden_cli.json`` holds the ``--out`` record of a fixed set of CLI
+commands, less the ``versions`` block; the test compares the serialized
+text, so a float's last digit or an int turned float fails here too.
+
+A change that alters these outputs on purpose re-records both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and states the change in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entmoment import protocols, sampling, states
+from entmoment.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_sampled.json")
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 SEED = 20260
 SHOT_LEVELS = (100, 10**6)
 
@@ -139,7 +149,59 @@ def test_pauli_table_is_read_only():
             op[0, 0] = 2.0
 
 
+#: CLI commands whose --out record is pinned
+CLI_CASES = {
+    "exact/bell": ["exact", "--family", "bell"],
+    "exact/werner-0.6": ["exact", "--family", "werner", "--p", "0.6"],
+    "exact/random-mixed-3x3": ["exact", "--family", "random-mixed", "--dims", "3", "3"],
+    "protocol-concurrence/ideal": ["protocol", "concurrence", "--family", "random-mixed", "--mode", "ideal"],
+    "protocol-concurrence/sampled": ["protocol", "concurrence", "--family", "werner", "--p", "0.8",
+                                     "--mode", "sampled", "--shots", "10000", "--seed", "3"],
+    "protocol-negativity/ideal": ["protocol", "negativity", "--family", "random-mixed", "--dims", "3", "3",
+                                  "--mode", "ideal"],
+    "protocol-negativity/sampled": ["protocol", "negativity", "--family", "isotropic", "--p", "0.6",
+                                    "--dims", "3", "3", "--mode", "sampled", "--shots", "10000", "--seed", "3"],
+    "protocol-two-stage/werner-0.2": ["protocol", "two-stage", "--family", "werner", "--p", "0.2"],
+    "protocol-two-stage/bell": ["protocol", "two-stage", "--family", "bell"],
+    "resources/d3": ["resources", "--d", "3"],
+    "selftest/31415": ["selftest", "--seed", "31415"],
+}
+
+
+def cli_record(argv) -> dict:
+    """The --out record of one CLI run, less its versions block."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "record.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", str(out)])
+        record = json.loads(out.read_text())
+    assert code == 0, f"{argv} exited {code}"
+    del record["versions"]
+    return record
+
+
+def _text(record) -> str:
+    return json.dumps(record, indent=2, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def golden_cli():
+    return json.loads(GOLDEN_CLI.read_text())
+
+
+def test_golden_cli_covers_every_case(golden_cli):
+    assert sorted(golden_cli) == sorted(CLI_CASES)
+
+
+@pytest.mark.parametrize("name", CLI_CASES)
+def test_cli_record_is_byte_identical(golden_cli, name):
+    assert _text(cli_record(CLI_CASES[name])) == _text(golden_cli[name])
+
+
 if __name__ == "__main__":
     record = {name: encode(thunk()) for name, thunk in CASES}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(record)} cases to {GOLDEN}", file=sys.stderr)
+    cli = {name: cli_record(argv) for name, argv in CLI_CASES.items()}
+    GOLDEN_CLI.write_text(json.dumps(cli, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(cli)} CLI records to {GOLDEN_CLI}", file=sys.stderr)

@@ -50,11 +50,13 @@ def test_spa_requires_square_split():
 
 
 def test_channel_descriptor_weights():
-    ch = spa.SpaChannel.partial_transpose_channel(2)
-    assert abs(ch.shrink - 1 / 9) < 1e-15
-    assert abs(ch.noise_weight - 8 / 9) < 1e-15
-    ch3 = spa.SpaChannel.partial_transpose_channel(3)
-    assert abs(ch3.shrink - 1 / 28) < 1e-15
+    assert abs(spa.spa_shrink(2) - 1 / 9) < 1e-15
+    assert abs((1.0 - spa.spa_shrink(2)) - 8 / 9) < 1e-15
+    assert abs(spa.spa_shrink(3) - 1 / 28) < 1e-15
+    st = states.random_mixed_state((3, 3), states.rng_stream(303, 0))
+    s = spa.spa_shrink(3)
+    want = (1.0 - s) * np.eye(9) / 9 + s * linalg.partial_transpose(st.matrix, (3, 3), "B")
+    assert np.array_equal(spa.apply_spa_pt(st).matrix, want)
 
 
 # ----------------------------------------------------------------- affine map
@@ -83,7 +85,7 @@ def test_choi_threshold_qutrit_pt():
 
 
 def test_choi_threshold_identity_map_is_one():
-    assert spa.spa_threshold_by_choi((2, 2), "identity") == 1.0
+    assert spa.spa_threshold_by_choi((2, 2), lambda m: m) == 1.0
 
 
 def test_choi_threshold_matches_closed_form_on_2x3():
@@ -111,8 +113,7 @@ def test_choi_threshold_matches_closed_form_on_2x3():
 def test_group_channel_bell_shift_trace():
     out = spa.group_channel_output(states.bell_state(), 1)
     assert abs(out.shift_trace() - 17 / 65) < 1e-12
-    assert out.trace() == 1.0
-    assert abs(out.power_sum() - 1.0) < 1e-12
+    assert abs(out.p_k - 1.0) < 1e-12
 
 
 def test_group_channel_rejects_bad_input():
@@ -156,5 +157,5 @@ def test_group_channel_maximally_mixed_fixed_point():
     st = states.werner_state(0.0)
     for k in (1, 2, 3, 4):
         out = spa.group_channel_output(st, k)
-        assert abs(out.shift_trace() - out.power_sum()) < 1e-15
-        assert abs(out.power_sum() - 4.0 ** (1 - 2 * k)) < 1e-15
+        assert abs(out.shift_trace() - out.p_k) < 1e-15
+        assert abs(out.p_k - 4.0 ** (1 - 2 * k)) < 1e-15

@@ -166,3 +166,10 @@ def test_make_state_dispatch_errors():
         states.make_state("werner")
     with pytest.raises(ValueError, match="rng"):
         states.make_state("random-mixed")
+
+
+def test_two_qubit_families_reject_other_dims():
+    for family in ("bell", "werner"):
+        with pytest.raises(ValueError, match="use isotropic"):
+            states.make_state(family, dims=(3, 3), p=0.5)
+    assert states.make_state("werner", dims=(2, 2), p=0.5).dims == (2, 2)
