@@ -38,7 +38,7 @@ for k in (1, 2, 3, 4):
     spec = moment_observable_spec(k)
     out = group_channel_output(state, k)
     p_plus = moment_success_probability(state, k)
-    p_k = moment_from_channel(out, spec)
+    p_k = moment_from_channel(out)
     print(f"{k:2d} {spec.copies:7d} {16**k:10d} {spec.amplification:10d} "
           f"{p_plus:12.8f} {p_k:12.8f}")
 

@@ -12,7 +12,6 @@ validation and resource comparison.
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .linalg import (
     cyclic_shift_matrix,
-    cyclic_trace,
     general_eigenvalues,
     herm_eigen,
     herm_eigenvalues,

@@ -103,11 +103,12 @@ def cmd_exact(args) -> int:
 
 
 def _shots_single(args) -> int:
+    """The one --shots count, checked in every mode so a record never holds a bad one."""
     try:
         shots = int(args.shots)
     except ValueError as exc:
         raise ValueError(f"--shots must be a single integer here, got {args.shots!r}") from exc
-    return shots
+    return sampling._shot_count(shots)
 
 
 def cmd_protocol(args) -> int:
@@ -174,7 +175,7 @@ def cmd_protocol(args) -> int:
         print(f"negativity protocol ({args.mode}): E_c = {run.estimate.report.ec:.6f}  "
               f"(exact {exact.ec:.6f})")
 
-    elif args.pipeline == "two-stage":
+    else:  # two-stage
         res = protocols.two_stage_protocol(state)
         config = _state_config(args)
         flags = res.stage_two.flags if res.stage_two is not None else ()
@@ -193,8 +194,6 @@ def cmd_protocol(args) -> int:
                   f"{res.stage_two.concurrence_estimate:.6f}")
         else:
             print(f"two-stage: ppt, {res.message}")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown pipeline {args.pipeline!r}")
 
     report = {
         "command": f"protocol {args.pipeline}",
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="moments vs tomography error sweep (CSV)")
     _add_state_args(p)
     _add_run_args(p, ("sampled",))
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=int, required=True, help="repetitions per shot count, at least 2")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("resources", help="resource ledgers for dimension d")

@@ -1,13 +1,13 @@
 """Dense complex linear algebra for small multi-copy operator spaces.
 
 Everything here works on plain ``numpy`` arrays of complex128.  The cyclic
-shift operator and its defining trace identity
+shift operator defines the trace identity
 
     Tr(V_(n) A_1 (x) ... (x) A_n) = Tr(A_1 A_2 ... A_n)
 
-are the workhorses: they let multi-copy expectation values collapse to
-products of the small single-copy matrices, so nothing of dimension
-``local_dim**n`` ever needs to be built on the fast path.
+that lets multi-copy expectation values collapse to products of the small
+single-copy matrices (``spa.ladder_power_sums`` forms them), so nothing of
+dimension ``local_dim**n`` is built outside tests and the selftest.
 
 The exact power traces of ideal mode hold every binary64 entry as a Python
 int times one common power of two and take the powers on those ints.
@@ -138,25 +138,6 @@ def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     w = herm_eigenvalues(m)
     return float(np.sum(np.abs(w)))
-
-
-def cyclic_trace(factors) -> complex:
-    """Tr(A_1 A_2 ... A_n) for equally sized square factors.
-
-    Equals Tr(V_(n) A_1 (x) ... (x) A_n) by the shift-operator identity;
-    this is the implicit fast path that avoids the local_dim**n space.
-    """
-    mats = [as_complex_matrix(f) for f in factors]
-    if not mats:
-        raise ValueError("cyclic_trace needs at least one factor")
-    dim = mats[0].shape[0]
-    for f in mats[1:]:
-        if f.shape[0] != dim:
-            raise ValueError("all factors must share one dimension")
-    prod = mats[0]
-    for f in mats[1:]:
-        prod = prod @ f
-    return complex(np.trace(prod))
 
 
 def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:

@@ -160,10 +160,8 @@ def ppt_verdict(state: DensityMatrix) -> PptVerdict:
 
 @dataclass(frozen=True)
 class GammaReport:
-    """Spectrum of gamma = Sigma rho^T_A Sigma rho^T_B and the C estimate."""
+    """Smallest gamma = Sigma rho^T_A Sigma rho^T_B eigenvalue and the C estimate."""
 
-    gamma: np.ndarray
-    spectrum: tuple[complex, ...]
     lambda_min: float
     imag_residual: float
     concurrence_estimate: float
@@ -187,8 +185,7 @@ def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:
     on separable input the estimate is not meaningful and the caller is
     expected to have established entanglement first.
     """
-    g = gamma_matrix(state)
-    spec = general_eigenvalues(g)
+    spec = general_eigenvalues(gamma_matrix(state))
     idx = int(np.argmin(spec.real))
     lam_min = spec[idx]
     flags: list[str] = []
@@ -197,8 +194,6 @@ def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:
     ratio = 4.0 * float(lam_min.real) / GAMMA_PROPORTIONALITY
     c_hat = math.sqrt(max(0.0, ratio))
     return GammaReport(
-        gamma=g,
-        spectrum=tuple(complex(z) for z in spec),
         lambda_min=float(lam_min.real),
         imag_residual=float(abs(lam_min.imag)),
         concurrence_estimate=min(c_hat, 1.0),

@@ -58,12 +58,13 @@ class MomentVector:
     """Power sums p_k of the rho rho~ spectrum for k = 1..4."""
 
     p: tuple[float, float, float, float]
-    flags: tuple[str, ...] = ()
 
-
-def _order_flags(p) -> tuple[str, ...]:
-    ordered = all(p[i] >= p[i + 1] - 1e-12 for i in range(len(p) - 1))
-    return () if ordered and p[-1] >= -1e-12 else (MOMENT_ORDER_FLAG,)
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """MOMENT_ORDER_FLAG unless p_1 >= p_2 >= p_3 >= p_4 >= 0 (to 1e-12)."""
+        p = self.p
+        ordered = all(p[i] >= p[i + 1] - 1e-12 for i in range(len(p) - 1))
+        return () if ordered and p[-1] >= -1e-12 else (MOMENT_ORDER_FLAG,)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def moment_observable_spec(k: int) -> MomentObservableSpec:
 
 def exact_moments(state: DensityMatrix) -> MomentVector:
     """p_k = Tr((rho rho~)^k) for k = 1..4 via the cyclic product trace."""
-    p = ladder_power_sums(state)
-    return MomentVector(p=p, flags=_order_flags(p))
+    return MomentVector(p=ladder_power_sums(state))
 
 
 def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
@@ -117,23 +117,19 @@ def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
     return exact_product_power_traces(state.matrix, spin_flip(state), 4)
 
 
-def moment_from_channel(output: GroupChannelOutput, spec: MomentObservableSpec | None = None) -> float:
+def moment_from_channel(output: GroupChannelOutput) -> float:
     """Moment p_k read off the group channel output.
 
     (d_k^3 + 1) * Re Tr(V rho_k) - 4 d_k; the shift trace is the single
     parameter a binary measurement estimates.
     """
-    if spec is None:
-        spec = moment_observable_spec(output.k)
-    elif spec.k != output.k:
-        raise ValueError(f"spec is for group {spec.k}, output is group {output.k}")
+    spec = moment_observable_spec(output.k)
     return spec.amplification * output.shift_trace() - spec.offset
 
 
 def channel_moments(state: DensityMatrix) -> MomentVector:
     """All four moments through the (implicit) group channel route."""
-    p = tuple(moment_from_channel(out) for out in group_channel_outputs(state))
-    return MomentVector(p=p, flags=_order_flags(p))
+    return MomentVector(p=tuple(moment_from_channel(out) for out in group_channel_outputs(state)))
 
 
 @dataclass(frozen=True)
@@ -219,11 +215,9 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
 
 
 def spectrum_protocol(state: DensityMatrix) -> SpectrumEstimate:
-    """Negativity measures of a d (x) d state from channel moments alone."""
-    da, db = state.dims
-    if da != db:
-        raise ValueError(f"spectrum protocol needs equal local dimensions, got {state.dims}")
-    return spectrum_from_channel_moments(spectrum_power_sums(state), da)
+    """Negativity measures of a d (x) d state from channel moments alone;
+    :func:`apply_spa_pt` rejects unequal local dimensions."""
+    return spectrum_from_channel_moments(spectrum_power_sums(state), state.dims[0])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .protocols import (
     MomentVector,
     exact_moment_fractions,
     SpectrumEstimate,
-    _order_flags,
     concurrence_from_moments,
     moment_observable_spec,
     spectrum_from_channel_moments,
@@ -61,10 +60,8 @@ class MomentSample:
 
     k: int
     record: ShotRecord
-    p_plus: float
     moment_estimate: float
     copies_consumed: int  # protocol copies: shots * 2k
-    ancillas_consumed: int  # one readout ancilla per shot
 
 
 def _shot_count(shots) -> int:
@@ -108,17 +105,10 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
 
 def _moment_sample(output: GroupChannelOutput, shots: int, rng: np.random.Generator) -> MomentSample:
     spec = moment_observable_spec(output.k)
-    p_plus = _success_probability(output)
-    record, shift_hat = _binary_run(p_plus, shots, rng)
+    record, shift_hat = _binary_run(_success_probability(output), shots, rng)
     moment_hat = spec.amplification * shift_hat - spec.offset
-    return MomentSample(
-        k=output.k,
-        record=record,
-        p_plus=p_plus,
-        moment_estimate=moment_hat,
-        copies_consumed=shots * spec.copies,
-        ancillas_consumed=shots,
-    )
+    return MomentSample(k=output.k, record=record, moment_estimate=moment_hat,
+                        copies_consumed=shots * spec.copies)
 
 
 def sample_moment_povm(state: DensityMatrix, k: int, shots: int, rng: np.random.Generator) -> MomentSample:
@@ -144,7 +134,7 @@ class EstimatorRun:
 
 def run_concurrence_protocol(
     state: DensityMatrix,
-    shots=10**6,
+    shots: int = 10**6,
     seed: int = 0,
     mode: str = "sampled",
 ) -> EstimatorRun:
@@ -153,31 +143,26 @@ def run_concurrence_protocol(
     ideal mode plugs the exact success probabilities into the chain (shot
     noise off); sampled mode draws each moment from its binomial with an
     independent stream derived from the master seed by stream id = k.
-    ``shots`` is uniform per moment by default; a 4-sequence allocates
-    each group its own budget.  The four p+ come from one product chain.
+    Every moment gets the same ``shots``, which ideal mode ignores.  The
+    four p+ come from one product chain.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    counts = [shots] * 4 if np.isscalar(shots) else list(shots)
-    if len(counts) != 4:
-        raise ValueError("shots must be a single count or one count per group")
-    per_group = [_shot_count(n) if mode == "sampled" else int(n) for n in counts]
     if mode == "ideal":
         # noise-free limit: the expectation values themselves, held exactly
         # (float64 storage of the k = 3, 4 means already costs ~1e-9)
         fractions = exact_moment_fractions(state)
-        p = tuple(float(x) for x in fractions)
-        moments = MomentVector(p=p, flags=_order_flags(p))
+        moments = MomentVector(p=tuple(float(x) for x in fractions))
         samples = None
         breakdown, flags = concurrence_from_moments(fractions)
         flags = tuple(flags) + moments.flags
     else:
+        shots = _shot_count(shots)
         samples = tuple(
-            _moment_sample(out, per_group[out.k - 1], rng_stream(seed, stream=out.k))
+            _moment_sample(out, shots, rng_stream(seed, stream=out.k))
             for out in group_channel_outputs(state)
         )
-        p = tuple(s.moment_estimate for s in samples)
-        moments = MomentVector(p=p, flags=_order_flags(p))
+        moments = MomentVector(p=tuple(s.moment_estimate for s in samples))
         breakdown, flags = concurrence_from_moments(moments)
     return EstimatorRun(
         samples=samples,
@@ -240,11 +225,6 @@ _PAULI_OPS = np.array([np.kron(_PAULI[a], _PAULI[b]) for a, b in _PAULI_LABELS])
 _PAULI_OPS.setflags(write=False)
 
 
-def pauli_pairs() -> list[tuple[str, np.ndarray]]:
-    """The 15 non-identity two-qubit Pauli products, II excluded (read-only)."""
-    return list(zip(_PAULI_LABELS, _PAULI_OPS))
-
-
 @dataclass(frozen=True)
 class TomographyRun:
     """Linear-inversion reconstruction from 15 Pauli-pair expectations."""
@@ -279,7 +259,7 @@ def run_tomography_baseline(
     rho = state.matrix
     expectations = {}
     rebuilt = np.eye(4, dtype=complex)
-    for idx, (label, op) in enumerate(pauli_pairs()):
+    for idx, (label, op) in enumerate(zip(_PAULI_LABELS, _PAULI_OPS)):
         value = float(np.trace(rho @ op).real)
         if mode == "sampled":
             _, value = _binary_run((1.0 + value) / 2.0, shots, rng_stream(seed, stream=idx))

@@ -24,6 +24,9 @@ from .states import DensityMatrix
 #: min Choi eigenvalue tolerated as "still positive semidefinite"
 CHOI_PSD_TOL = 1e-10
 
+#: width of the bracket at which the Choi bisection stops
+CHOI_BISECT_TOL = 1e-8
+
 
 def spa_shrink(d: int) -> float:
     """Signal attenuation 1/(d^3 + 1) of the partial-transpose SPA."""
@@ -72,28 +75,20 @@ def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndar
     return out
 
 
-def _builtin_map(tag: str, dims: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
-    if tag == "partial-transpose-b":
-        return lambda m: partial_transpose(m, dims, "B")
-    raise ValueError(f"unknown map tag {tag!r}")
-
-
 def spa_threshold_by_choi(
     dims: tuple[int, int],
-    target="partial-transpose-b",
-    tol: float = 1e-8,
+    target: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Largest weight of the target map that keeps the mixture a channel.
 
     Bisects the mixing weight p of  (1-p) * white-noise + p * target  until
     the Choi matrix stops being PSD (min eigenvalue >= -CHOI_PSD_TOL), to
-    precision ``tol``.  ``target`` is a map tag or a callable on matrices.
-    For the partial transpose on d (x) d the result is 1/(d^3 + 1); an
-    already-CP target returns 1.
+    precision CHOI_BISECT_TOL.  ``target`` is a map on matrices, the partial
+    transpose on B by default.  For the partial transpose on d (x) d the
+    result is 1/(d^3 + 1); an already-CP target returns 1.
     """
     dim = dims[0] * dims[1]
-    map_fn = _builtin_map(target, dims) if isinstance(target, str) else target
-    choi_target = choi_matrix(map_fn, dim)
+    choi_target = choi_matrix(target or (lambda m: partial_transpose(m, dims, "B")), dim)
     choi_noise = np.eye(dim * dim, dtype=complex) / dim
 
     def psd_at(p: float) -> bool:
@@ -103,7 +98,7 @@ def spa_threshold_by_choi(
     if psd_at(1.0):
         return 1.0
     lo, hi = 0.0, 1.0  # psd_at(lo) holds: pure white noise is a channel
-    while hi - lo > tol:
+    while hi - lo > CHOI_BISECT_TOL:
         mid = (lo + hi) / 2.0
         if psd_at(mid):
             lo = mid
@@ -115,7 +110,8 @@ def spa_threshold_by_choi(
 def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]:
     """p_k = Re Tr((rho rho~)^k), k = 1..4, along one chain P_k = (P_{k-1} rho) rho~.
 
-    That is the product ``cyclic_trace([rho, rho~] * k)`` forms, so each p_k equals it bit for bit.
+    The left-to-right product of the 2k factors rho, rho~, ..., which the
+    shift-operator identity equates with Tr(V_(2k) (rho (x) rho~)^(x k)).
     """
     rho, rho_tilde = state.matrix, spin_flip(state)
     prod = rho @ rho_tilde

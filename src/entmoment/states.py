@@ -9,7 +9,8 @@ State families used throughout the test and simulation pipelines:
 - ``random-pure``   projector onto a normalized complex Gaussian vector
 - ``random-mixed``  G G^dagger / Tr(G G^dagger), square complex Gaussian G
                     (the Hilbert-Schmidt ensemble)
-- ``explicit``      caller-supplied matrix
+
+A caller-supplied matrix is wrapped directly: ``DensityMatrix(matrix, dims)``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ FAMILIES = (
     "product-pure",
     "random-pure",
     "random-mixed",
-    "explicit",
 )
 
 
@@ -175,7 +175,6 @@ def make_state(
     dims: tuple[int, int] = (2, 2),
     p: float | None = None,
     rng: np.random.Generator | None = None,
-    matrix=None,
 ) -> DensityMatrix:
     """Dispatch constructor over the named state families."""
     if family in ("bell", "werner") and tuple(dims) != (2, 2):
@@ -201,10 +200,6 @@ def make_state(
             "random-mixed": random_mixed_state,
         }[family]
         return fn(dims, rng)
-    if family == "explicit":
-        if matrix is None:
-            raise ValueError("explicit family needs a matrix")
-        return DensityMatrix(matrix, dims)
     raise ValueError(f"unknown state family {family!r}; known: {', '.join(FAMILIES)}")
 
 

@@ -133,7 +133,7 @@ def test_criterion_4_ideal_end_to_end():
 
 def test_criterion_5_spa_correctness():
     t0 = time.monotonic()
-    thr = spa.spa_threshold_by_choi((2, 2), "partial-transpose-b", tol=1e-8)
+    thr = spa.spa_threshold_by_choi((2, 2))
     assert abs(thr - 1.0 / 9.0) <= 1e-6
 
     rng = states.rng_stream(20240205, 0)

@@ -212,3 +212,23 @@ def test_entry_point_subprocess(tmp_path):
 
 def test_unknown_flag_exits_one(capsys):
     assert run_cli(["exact", "--familly", "bell"]) == 1
+
+
+def test_protocol_ideal_checks_shots(tmp_path, capsys):
+    # ideal runs draw nothing, but the count they record must still be valid
+    out = tmp_path / "x.json"
+    assert run_cli(["protocol", "concurrence", "--family", "bell", "--mode", "ideal",
+                    "--shots", "-3", "--out", str(out)]) == 1
+    assert run_cli(["protocol", "negativity", "--family", "bell", "--mode", "ideal", "--shots", "0"]) == 1
+    assert capsys.readouterr().err.count("whole number of at least 1") == 2
+    assert not out.exists()
+
+
+def test_compare_reps_is_required(capsys):
+    assert run_cli(["compare", "--family", "bell", "--shots", "100"]) == 1
+    assert "the following arguments are required: --reps" in capsys.readouterr().err
+
+
+def test_exact_has_no_explicit_family(capsys):
+    assert run_cli(["exact", "--family", "explicit"]) == 1
+    assert "invalid choice: 'explicit'" in capsys.readouterr().err

@@ -70,7 +70,7 @@ def ladder(state, shots):
     return {"moments": run.moments.p, "lambdas": run.breakdown.lambdas,
             "C": run.breakdown.concurrence, "E_f": run.breakdown.ef, "flags": run.flags,
             "successes": [s.record.successes for s in run.samples],
-            "p_plus": [s.p_plus for s in run.samples]}
+            "p_plus": [s.record.target_mean for s in run.samples]}
 
 
 def tomography(state, shots, mode="sampled"):
@@ -141,7 +141,7 @@ def test_sampled_output_is_bit_identical(golden, name, thunk):
 
 
 def test_pauli_table_is_read_only():
-    pairs = sampling.pauli_pairs()
+    pairs = list(zip(sampling._PAULI_LABELS, sampling._PAULI_OPS))
     assert [label for label, _ in pairs][:3] == ["IX", "IY", "IZ"]
     for _, op in pairs:
         assert op.dtype == complex and op.shape == (4, 4)

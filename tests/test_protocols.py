@@ -67,14 +67,6 @@ def test_moment_from_channel_maximally_mixed_k1():
     assert abs(protocols.moment_from_channel(out) - 0.25) < 1e-12
 
 
-def test_moment_from_channel_spec_mismatch():
-    from entmoment.spa import group_channel_output
-
-    out = group_channel_output(states.bell_state(), 1)
-    with pytest.raises(ValueError):
-        protocols.moment_from_channel(out, protocols.moment_observable_spec(2))
-
-
 def test_channel_moments_equal_exact_moments():
     rng = states.rng_stream(501, 0)
     for _ in range(100):

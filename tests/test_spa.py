@@ -75,12 +75,12 @@ def test_affine_inverse_round_trip():
 # ------------------------------------------------------------ choi threshold
 
 def test_choi_threshold_two_qubit_pt():
-    thr = spa.spa_threshold_by_choi((2, 2), "partial-transpose-b", tol=1e-8)
+    thr = spa.spa_threshold_by_choi((2, 2))
     assert abs(thr - 1 / 9) < 1e-6
 
 
 def test_choi_threshold_qutrit_pt():
-    thr = spa.spa_threshold_by_choi((3, 3), "partial-transpose-b", tol=1e-8)
+    thr = spa.spa_threshold_by_choi((3, 3))
     assert abs(thr - 1 / 28) < 1e-6
 
 
@@ -91,7 +91,7 @@ def test_choi_threshold_identity_map_is_one():
 def test_choi_threshold_matches_closed_form_on_2x3():
     # no closed form assumed for d != d': sanity-check the mixture at the
     # returned weight is still a channel and 10% above it is not
-    thr = spa.spa_threshold_by_choi((2, 3), "partial-transpose-b", tol=1e-8)
+    thr = spa.spa_threshold_by_choi((2, 3))
     assert 0.0 < thr < 1.0
     dim = 6
 
