@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__, measures, protocols, sampling, selftest, spa, states
 
+DEFAULT_SHOTS = "100000"
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; keep 2 for --strict only
@@ -41,7 +43,7 @@ def _add_state_args(p: argparse.ArgumentParser):
 
 def _add_run_args(p: argparse.ArgumentParser, modes: tuple[str, ...]):
     p.add_argument("--mode", choices=modes, default=modes[0])
-    p.add_argument("--shots", type=str, default="100000", help="shots per observable (compare: comma list)")
+    p.add_argument("--shots", type=str, default=DEFAULT_SHOTS, help="shots per observable (compare: comma list)")
     p.add_argument("--out", type=Path, default=None)
 
 
@@ -102,28 +104,29 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _shots_single(args) -> int:
+def _shots_single(text: str) -> int:
     """The one --shots count, checked in every mode so a record never holds a bad one."""
     try:
-        shots = int(args.shots)
+        shots = int(text)
     except ValueError as exc:
-        raise ValueError(f"--shots must be a single integer here, got {args.shots!r}") from exc
+        raise ValueError(f"--shots must be a single integer here, got {text!r}") from exc
     return sampling._shot_count(shots)
 
 
 def cmd_protocol(args) -> int:
-    if args.pipeline == "two-stage" and args.mode == "sampled":
-        raise ValueError("protocol two-stage draws no shots; it runs in ideal mode only")
+    if args.pipeline == "two-stage" and (args.mode, args.shots) != (None, None):
+        raise ValueError("protocol two-stage takes no --mode or --shots; it runs in ideal mode only")
+    mode = args.mode or "ideal"
     state = _load_state(args)
-    shots = _shots_single(args)
-    config = {**_state_config(args), "mode": args.mode, "shots": shots}
+    shots = _shots_single(DEFAULT_SHOTS if args.shots is None else args.shots)
+    config = {**_state_config(args), "mode": mode, "shots": shots}
 
     if args.pipeline == "concurrence":
-        run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
+        run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=mode)
         exact = measures.concurrence_breakdown(state)
         flags = run.flags
         results = {
-            "mode": args.mode,
+            "mode": mode,
             "moments": list(run.moments.p),
             **asdict(run.breakdown),
             "exact_concurrence": exact.concurrence,
@@ -150,16 +153,16 @@ def cmd_protocol(args) -> int:
             "offsets are 4*d_k, fixed by the ladder identity mean(M_k) = p_k; "
             "the d_k^3 variant is listed for reference only"
         )
-        print(f"concurrence protocol ({args.mode}): C = {run.breakdown.concurrence:.6f}  "
+        print(f"concurrence protocol ({mode}): C = {run.breakdown.concurrence:.6f}  "
               f"E_f = {run.breakdown.ef:.6f}")
         print(f"exact reference            : C = {exact.concurrence:.6f}  E_f = {exact.ef:.6f}")
 
     elif args.pipeline == "negativity":
-        run = sampling.run_spectrum_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
+        run = sampling.run_spectrum_protocol(state, shots=shots, seed=args.seed, mode=mode)
         exact = measures.negativity_report(state)
         flags = run.flags
         results = {
-            "mode": args.mode,
+            "mode": mode,
             "pt_eigenvalues": list(run.estimate.report.pt_eigenvalues),
             "ec": run.estimate.report.ec,
             "negativity": run.estimate.report.negativity,
@@ -172,7 +175,7 @@ def cmd_protocol(args) -> int:
             results["p_plus_per_order"] = {
                 str(n): rec.target_mean for n, rec in enumerate(run.samples, start=2)
             }
-        print(f"negativity protocol ({args.mode}): E_c = {run.estimate.report.ec:.6f}  "
+        print(f"negativity protocol ({mode}): E_c = {run.estimate.report.ec:.6f}  "
               f"(exact {exact.ec:.6f})")
 
     else:  # two-stage
@@ -321,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pipeline", choices=("concurrence", "negativity", "two-stage"))
     _add_state_args(p)
     _add_run_args(p, ("ideal", "sampled"))
+    p.set_defaults(mode=None, shots=None)  # None: not given, which two-stage requires
     p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
     p.set_defaults(fn=cmd_protocol)
 

@@ -9,8 +9,9 @@ that lets multi-copy expectation values collapse to products of the small
 single-copy matrices (``spa.ladder_power_sums`` forms them), so nothing of
 dimension ``local_dim**n`` is built outside tests and the selftest.
 
-The exact power traces of ideal mode hold every binary64 entry as a Python
-int times one common power of two and take the powers on those ints.
+The exact power traces of ideal mode hold the exactly symmetrized matrix as
+Python ints over its narrowest common power of two and take the powers on
+those ints: one integer product per real matrix product, three per complex.
 """
 
 from __future__ import annotations
@@ -161,19 +162,29 @@ def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:
 
 
 def _scaled_integer_parts(m: np.ndarray):
-    """((re, im), e): Python-int matrices with the exactly symmetrized m equal
-    to (re + 1j*im) * 2**e; one spare low bit keeps (x + y)/2 integral."""
+    """((re, im), e): Python-int matrices, sharing no factor of two, with the
+    exactly symmetrized m equal to (re + 1j*im) * 2**e; im is None when zero.
+    Symmetrizing before e is fixed cancels diagonal imaginary roundoff."""
     mant, expo = np.frexp(np.stack([m.real, m.imag]))
     mant = (mant * 2.0**53).astype(np.int64)  # exact: |mant| < 1
     expo = np.where(mant != 0, expo - 53, 0)  # so e <= 0 and no shift is negative
     e = int(expo.min())
     re, im = mant.astype(object) << (expo - e).astype(object)
-    return (re + re.T, im - im.T), e - 1
+    re, im = re + re.T, im - im.T  # twice the symmetrized m
+    low = np.bitwise_or.reduce(re | im, axis=None)
+    shift = max((low & -low).bit_length() - 1, 0)  # common trailing zero bits
+    return (re >> shift, im >> shift if im.any() else None), e - 1 + shift
 
 
 def _int_matmul(a, b):
+    """Complex int matmul, a None part being zero: 1, 2 or 3 products (Gauss)."""
     (ar, ai), (br, bi) = a, b
-    return ar @ br - ai @ bi, ar @ bi + ai @ br
+    if ai is None:
+        return ar @ br, None if bi is None else ar @ bi
+    if bi is None:
+        return ar @ br, ai @ br
+    t1, t2 = ar @ br, ai @ bi
+    return t1 - t2, (ar + ai) @ (br + bi) - t1 - t2
 
 
 def _scaled_power_traces(p, e: int, n_max: int) -> list[Fraction]:
@@ -185,8 +196,8 @@ def _scaled_power_traces(p, e: int, n_max: int) -> list[Fraction]:
     traces = [np.trace(p[0])]
     for n in range(2, n_max + 1):
         (ar, ai), (br, bi) = powers[(n + 1) // 2 - 1], powers[n // 2 - 1]
-        traces.append((ar * br.T).sum() - (ai * bi.T).sum())
-    return [Fraction(int(t)) * Fraction(2) ** (n * e) for n, t in enumerate(traces, 1)]
+        traces.append((ar * br.T).sum() - (0 if ai is None else (ai * bi.T).sum()))
+    return [Fraction(int(t) << max(n * e, 0), 1 << max(-n * e, 0)) for n, t in enumerate(traces, 1)]
 
 
 def exact_power_traces(m, n_max: int) -> list[Fraction]:

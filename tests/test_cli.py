@@ -109,12 +109,17 @@ def test_protocol_two_stage_quantifies(capsys):
 
 
 def test_protocol_two_stage_rejects_sampled_mode(capsys, tmp_path):
+    # any run option is refused, whatever its value: two-stage reads none
     out = tmp_path / "two.json"
-    code = run_cli(["protocol", "two-stage", "--family", "bell", "--mode", "sampled",
-                    "--shots", "0", "--out", str(out)])
-    assert code == 1
-    assert "ideal mode only" in capsys.readouterr().err
+    for extra in (["--mode", "sampled", "--shots", "0"], ["--mode", "ideal"], ["--shots", "5"]):
+        code = run_cli(["protocol", "two-stage", "--family", "bell", *extra, "--out", str(out)])
+        assert code == 1
+        assert "ideal mode only" in capsys.readouterr().err
     assert not out.exists()
+    # the other pipelines keep their defaults: ideal mode, 100000 shots on record
+    assert run_cli(["protocol", "concurrence", "--family", "bell", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["mode"], config["shots"]) == ("ideal", 100000)
 
 
 def test_protocol_sampled_deterministic(tmp_path):

@@ -409,21 +409,54 @@ def test_exact_power_traces_symmetrize_near_hermitian_input():
     assert linalg.exact_product_power_traces(m, b, 4) == expected
 
 
+def scaled_parts(m):
+    (re, im), e = linalg._scaled_integer_parts(m)
+    return re.tolist(), None if im is None else im.tolist(), e
+
+
+def test_scaled_integer_parts_ignore_diagonal_imaginary_roundoff():
+    rng = rng_stream(15, 0)
+    sigma = spa.apply_spa_pt(make_state("random-pure", (3, 3), rng=rng)).matrix
+    for clean in (random_hermitian(4, rng), random_hermitian(4, rng).real, sigma):
+        clean = clean - 1j * np.diag(np.diag(clean).imag)
+        noisy = clean + 1e-20j * np.diag(rng.standard_normal(len(clean)))
+        assert scaled_parts(noisy) == scaled_parts(clean)
+    assert scaled_parts(sigma.real + 1e-20j * np.eye(len(sigma)))[1] is None
+
+
+def test_scaled_integer_parts_share_no_factor_of_two():
+    rng = rng_stream(16, 0)
+    mats = [random_hermitian(4, rng), random_hermitian(3, rng).real, 0.25 * np.eye(3), 2.0**40 * bell_projector()]
+    mats += [spa.apply_spa_pt(state).matrix for state in family_states(3)]
+    for m in mats:
+        re, im, _ = scaled_parts(m)
+        entries = [x for row in re + (im or []) for x in row]
+        assert any(x % 2 for x in entries)
+        assert_traces_match_reference(m, 4)  # 2**40 * bell: a positive exponent
+
+
 _ENTRIES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_ROUNDOFF = st.floats(min_value=-1e-12, max_value=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_exact_traces_property_random_small_hermitian(data):
+    # each factor comes real and complex, with imaginary roundoff on its
+    # diagonal that symmetrizing cancels; every real/complex product is checked
     dim = data.draw(st.integers(1, 4))
     n_max = data.draw(st.integers(1, 5))
-    mats = []
+    pairs = []
     for _ in range(2):
         re = data.draw(arrays(float, (dim, dim), elements=_ENTRIES))
         im = data.draw(arrays(float, (dim, dim), elements=_ENTRIES))
+        roundoff = 1j * np.diag(data.draw(arrays(float, dim, elements=_ROUNDOFF)))
         m = re + 1j * im
-        mats.append((m + m.conj().T) / 2)
-    a, b = mats
-    assert_traces_match_reference(a, n_max)
-    expected = fraction_power_traces(fraction_matmul(fraction_parts(a), fraction_parts(b)), n_max)
-    assert linalg.exact_product_power_traces(a, b, n_max) == expected
+        h = (m + m.conj().T) / 2
+        pairs.append((h.real + roundoff, h + roundoff))
+        assert scaled_parts(h.real + roundoff)[1] is None
+    for a in pairs[0]:
+        assert_traces_match_reference(a, n_max)
+        for b in pairs[1]:
+            expected = fraction_power_traces(fraction_matmul(fraction_parts(a), fraction_parts(b)), n_max)
+            assert linalg.exact_product_power_traces(a, b, n_max) == expected
