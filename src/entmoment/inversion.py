@@ -13,9 +13,11 @@ polynomial is centered.  The engine here therefore
 2. roots the standardized polynomial via the companion matrix,
 3. selects a multiplicity structure by weighted least squares against the
    moments: for each cluster count, coarsest first, the sorted roots are
-   split at their widest gaps (single linkage), that one partition is
-   refined with a multiplicity-constrained Gauss-Newton pass, and the first
-   structure whose residual sits at the propagated rounding floor wins.
+   split at their widest gaps (single linkage; each count adds one cut to
+   the previous partition and recomputes only the two means it splits),
+   that one partition is refined with a multiplicity-constrained
+   Gauss-Newton pass, and the first structure whose residual sits at the
+   propagated rounding floor wins.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
 to the raw projected roots with flags, never an exception.
@@ -23,6 +25,7 @@ to the raw projected roots with flags, never an exception.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +77,9 @@ def _centered_setup(psums):
     num = [a * (odd << g) ** m // b for m, (a, b) in enumerate(p)]
     unit = n * (odd << g)
     cf = num[1] / unit
-    q = [sum(comb(m, j) * num[j] * n**j * (-num[1]) ** (m - j) for j in range(m + 1)) for m in range(1, n + 1)]
+    scaled = [x * n**j for j, x in enumerate(num)]
+    shift = [(-num[1]) ** i for i in range(n + 1)]
+    q = [sum(comb(m, j) * scaled[j] * shift[m - j] for j in range(m + 1)) for m in range(1, n + 1)]
 
     q2 = q[1] / unit**2 if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
@@ -90,11 +95,13 @@ def _centered_setup(psums):
     # carries ~eps relative error which the shift amplifies by the binomial
     # weights; exact Fraction inputs only pay the final float conversion.
     noise = np.empty(n)
+    magnitude = [abs(a / b) for a, b in p]
+    cf_pow = [abs(cf) ** i for i in range(n + 1)]
     for m in range(1, n + 1):
         propagated = 0.0
         if not exact_input:
-            for j, (a, b) in enumerate(p[: m + 1]):
-                propagated += comb(m, j) * abs(a / b) * abs(cf) ** (m - j)
+            for j in range(m + 1):
+                propagated += comb(m, j) * magnitude[j] * cf_pow[m - j]
             propagated *= _FLOAT_NOISE_FACTOR * _EPS / sf**m
         noise[m - 1] = propagated + _FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(qs[m - 1]))
 
@@ -106,25 +113,51 @@ def _centered_setup(psums):
     return cf, sf, coeffs, qs, noise
 
 
-def _power_sums(values: np.ndarray, mult: np.ndarray, n: int) -> np.ndarray:
-    return np.array([np.sum(mult * values**m) for m in range(1, n + 1)])
+def _power_table(z: np.ndarray, n: int) -> np.ndarray:
+    """Rows z**m, m = 0..n."""
+    pw = z ** np.arange(n + 1)[:, None]
+    if n >= 2:
+        # the scalar exponent takes numpy's square fast path, which can
+        # differ from pow() in the last bit
+        pw[2] = z**2
+    return pw
+
+
+def _power_sums(z: np.ndarray, mult: np.ndarray, n: int) -> np.ndarray:
+    return (mult * _power_table(z, n)[1:]).sum(axis=1)
+
+
+def _gap_splits(y: np.ndarray, cuts: list[int]):
+    """(multiplicities, group means) of sorted y cut at cuts[:k], k = 0, 1, ...
+
+    Each step inserts one cut and recomputes only the two means it splits.
+    """
+    bounds, sizes, means = [0, len(y)], [len(y)], [y.mean()]
+    yield np.array(sizes, dtype=float), np.array(means)
+    for cut in cuts:
+        i = bisect.bisect(bounds, cut)
+        a, b = bounds[i - 1], bounds[i]
+        bounds.insert(i, cut)
+        sizes[i - 1:i] = [cut - a, b - cut]
+        means[i - 1:i] = [y[a:cut].mean(), y[cut:b].mean()]
+        yield np.array(sizes, dtype=float), np.array(means)
 
 
 def _gauss_newton(z0, mult, targets, weights, iters: int = 12):
     """Refine distinct values z (with multiplicities) against the moments."""
     z = z0.astype(float).copy()
     n = len(targets)
+    ms = np.arange(1, n + 1)[:, None]
     best, best_res = z.copy(), math.inf
     for _ in range(iters):
-        r = (_power_sums(z, mult, n) - targets) / weights
+        pw = _power_table(z, n)
+        r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
         res = float(np.max(np.abs(r)))
         if res < best_res:
             best_res, best = res, z.copy()
         if res < 0.5:
             break
-        jac = np.empty((n, len(z)))
-        for m in range(1, n + 1):
-            jac[m - 1] = m * mult * z ** (m - 1)
+        jac = ms * mult * pw[:-1]
         step, *_ = np.linalg.lstsq(jac / weights[:, None], r, rcond=None)
         if not np.all(np.isfinite(step)):
             break
@@ -175,13 +208,10 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
     # single linkage: n_clusters groups split the sorted roots at their widest gaps
-    widest = np.argsort(-np.diff(y), kind="stable") + 1
-    for n_clusters in range(1, n + 1):
-        bounds = np.concatenate([[0], np.sort(widest[: n_clusters - 1]), [n]])
-        mult = np.diff(bounds).astype(float)
-        z0 = np.array([y[bounds[i]:bounds[i + 1]].mean() for i in range(n_clusters)])
+    widest = (np.argsort(-np.diff(y), kind="stable") + 1).tolist()
+    for mult, z0 in _gap_splits(y, widest):
         # skip structures hopelessly far from the moments
-        if np.max(np.abs(_power_sums(z0, mult, n) - targets) / weights) > 1e6:
+        if (np.abs(_power_sums(z0, mult, n) - targets) / weights).max() > 1e6:
             continue
         z, res = _gauss_newton(z0, mult, targets, weights)
         if res <= 1.0:

@@ -357,3 +357,35 @@ moment_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6
                  st.lists(st.one_of(moment_floats, moment_fractions), min_size=1, max_size=9)))
 def test_integer_chain_matches_fraction_chain_property(psums):
     assert_setup_matches_reference(psums)
+
+
+# The vectorized helpers against the per-moment and per-slice expressions
+# they replaced, bit for bit.
+
+roots = st.floats(-3, 3, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_power_sums_match_per_moment_sums(data):
+    k = data.draw(st.integers(1, 16))
+    z = np.array(data.draw(st.lists(roots, min_size=k, max_size=k)))
+    mult = np.array(data.draw(st.lists(st.integers(1, 16), min_size=k, max_size=k)), dtype=float)
+    n = data.draw(st.integers(1, 16))
+    expected = np.array([np.sum(mult * z**m) for m in range(1, n + 1)])
+    assert inversion._power_sums(z, mult, n).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gap_splits_match_slice_means(data):
+    n = data.draw(st.integers(1, 16))
+    y = np.sort(np.array(data.draw(st.lists(roots, min_size=n, max_size=n))))
+    cuts = data.draw(st.permutations(range(1, n)))
+    splits = list(inversion._gap_splits(y, cuts))
+    assert len(splits) == n
+    for k, (mult, z0) in enumerate(splits):
+        bounds = [0, *sorted(cuts[:k]), n]
+        assert mult.tolist() == np.diff(bounds).tolist()
+        expected = np.array([y[a:b].mean() for a, b in zip(bounds, bounds[1:])])
+        assert z0.tobytes() == expected.tobytes()

@@ -19,7 +19,7 @@ IDEAL_TOL = 1e-10
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="d = 4 ideal inversion merges two eigenvalues without a flag")
-@pytest.mark.parametrize("seed", [1, 32])
+@pytest.mark.parametrize("seed", [1, 32, 132])
 def test_ideal_d4_random_pure_channel_values_match_eigvalsh(seed):
     state = states.random_pure_state((4, 4), states.rng_stream(seed, 0))
     est = protocols.spectrum_protocol(state)
