@@ -45,11 +45,11 @@ for k in (1, 2, 3, 4):
 print()
 moments = exact_moments(state)
 print("power sums from the direct cyclic trace:", np.round(moments.p, 10))
-inv = newton_invert(moments)
+inv = newton_invert(moments.p)
 print("Newton inversion  ->  lambdas:", np.round(inv.lambdas, 10))
 print("eigendecomposition reference :", np.round(exact.lambdas, 10))
 
-estimate, flags = concurrence_from_moments(moments)
+estimate, flags = concurrence_from_moments(moments.p)
 print()
 print("concurrence from moments:", round(estimate.concurrence, 10), "flags:", flags)
 print("E_f from moments        :", round(estimate.ef, 10))

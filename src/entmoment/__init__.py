@@ -18,7 +18,6 @@ from .linalg import (
     matrix_sqrt_psd,
     partial_transpose,
     tensor,
-    trace_norm,
 )
 from .measures import (
     ConcurrenceBreakdown,

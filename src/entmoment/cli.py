@@ -29,10 +29,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _versions() -> dict:
-    return {"entmoment": __version__, "numpy": np.__version__}
-
-
 def _add_state_args(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=states.FAMILIES, help="named state family")
     p.add_argument("--p", type=float, default=None, help="family mixing weight")
@@ -70,8 +66,15 @@ def _state_config(args) -> dict:
     }
 
 
-def _emit(report: dict, out: Path | None):
+def _emit(command: str, config: dict, results, out: Path | None):
+    """Write the replayable record of one command to ``out``, if given."""
     if out is not None:
+        report = {
+            "command": command,
+            "config": config,
+            "results": results,
+            "versions": {"entmoment": __version__, "numpy": np.__version__},
+        }
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"report written to {out}")
 
@@ -94,13 +97,7 @@ def cmd_exact(args) -> int:
         results.update(asdict(br))
         print(f"C        : {br.concurrence:.6f}   E_f: {br.ef:.6f}")
         print("lambdas  : " + "  ".join(f"{x:.6f}" for x in br.lambdas))
-    report = {
-        "command": "exact",
-        "config": _state_config(args),
-        "results": results,
-        "versions": _versions(),
-    }
-    _emit(report, args.out)
+    _emit("exact", _state_config(args), results, args.out)
     return 0
 
 
@@ -198,13 +195,7 @@ def cmd_protocol(args) -> int:
         else:
             print(f"two-stage: ppt, {res.message}")
 
-    report = {
-        "command": f"protocol {args.pipeline}",
-        "config": config,
-        "results": results,
-        "versions": _versions(),
-    }
-    _emit(report, args.out)
+    _emit(f"protocol {args.pipeline}", config, results, args.out)
     if args.strict and flags:
         print(f"numerical flags raised: {', '.join(flags)}", file=sys.stderr)
         return 2
@@ -250,15 +241,11 @@ def cmd_compare(args) -> int:
                 }
             )
 
-    fieldnames = [
-        "method", "shots", "median_abs_error_c", "median_abs_error_ef",
-        "copies_consumed", "r_p", "r_c", "r", "r_quoted",
-    ]
     for row in rows:
-        print("  ".join(f"{row[f]}" for f in fieldnames))
+        print("  ".join(f"{v}" for v in row.values()))
     if args.out is not None:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         print(f"sweep written to {args.out}")
@@ -279,16 +266,9 @@ def cmd_resources(args) -> int:
     print(f"{'protocol':<22}{'r_p':>6}{'r_c':>7}{'r':>9}  quoted")
     for name, rp, rc, r, q in rows:
         print(f"{name:<22}{rp:>6}{rc:>7}{r:>9}  {q}")
-    report = {
-        "command": "resources",
-        "config": {"d": d},
-        "results": [
-            {"protocol": n, "r_p": rp, "r_c": rc, "r": r, "r_quoted": q or None}
-            for n, rp, rc, r, q in rows
-        ],
-        "versions": _versions(),
-    }
-    _emit(report, args.out)
+    results = [{"protocol": n, "r_p": rp, "r_c": rc, "r": r, "r_quoted": q or None}
+               for n, rp, rc, r, q in rows]
+    _emit("resources", {"d": d}, results, args.out)
     return 0
 
 
@@ -301,13 +281,7 @@ def cmd_selftest(args) -> int:
             for check in module["checks"]:
                 if not check["passed"]:
                     print(f"    FAIL {check['name']}: {check['detail']}")
-    full = {
-        "command": "selftest",
-        "config": {"seed": args.seed},
-        "results": report,
-        "versions": _versions(),
-    }
-    _emit(full, args.out)
+    _emit("selftest", {"seed": args.seed}, report, args.out)
     return 0 if report["passed"] else 2
 
 

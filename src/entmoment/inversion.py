@@ -44,6 +44,9 @@ _ACCEPT_FACTOR = 8.0
 #: below this relative spread all values are reported as their mean
 _DEGENERATE_SPREAD = 1e-8
 
+#: Gauss-Newton steps per candidate structure
+_GAUSS_NEWTON_ITERS = 12
+
 #: imaginary residual (original units) above which raw roots are flagged complex
 _IMAG_GUARD = 1e-6
 
@@ -143,13 +146,13 @@ def _gap_splits(y: np.ndarray, cuts: list[int]):
         yield np.array(sizes, dtype=float), np.array(means)
 
 
-def _gauss_newton(z0, mult, targets, weights, iters: int = 12):
+def _gauss_newton(z0, mult, targets, weights):
     """Refine distinct values z (with multiplicities) against the moments."""
     z = z0.astype(float).copy()
     n = len(targets)
     ms = np.arange(1, n + 1)[:, None]
     best, best_res = z.copy(), math.inf
-    for _ in range(iters):
+    for _ in range(_GAUSS_NEWTON_ITERS):
         pw = _power_table(z, n)
         r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
         res = float(np.max(np.abs(r)))

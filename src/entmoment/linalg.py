@@ -127,18 +127,11 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything more
     negative is an error.
     """
-    a = require_hermitian(m)
-    w, v = np.linalg.eigh(a)
+    w, v = herm_eigen(m)
     if w[0] < -PSD_CLAMP:
         raise ValueError(f"matrix has significantly negative spectrum (min {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def trace_norm(m) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    w = herm_eigenvalues(m)
-    return float(np.sum(np.abs(w)))
 
 
 def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:

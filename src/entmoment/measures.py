@@ -105,9 +105,7 @@ def concurrence_breakdown(state: DensityMatrix) -> ConcurrenceBreakdown:
     rho = _require_two_qubit(state)
     rho_tilde = spin_flip(state)
     s = matrix_sqrt_psd(rho)
-    lam = herm_eigenvalues(s @ rho_tilde @ s)
-    lam = np.clip(lam, 0.0, None)
-    return breakdown_from_lambdas(lam)
+    return breakdown_from_lambdas(herm_eigenvalues(s @ rho_tilde @ s))
 
 
 def concurrence(state: DensityMatrix) -> float:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .inversion import spectrum_from_power_sums
+from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .linalg import exact_power_traces, exact_product_power_traces, herm_eigenvalues
 from .measures import (
     ConcurrenceBreakdown,
@@ -138,30 +138,28 @@ class InversionResult:
     flags: tuple[str, ...]
 
 
-def _clamped_inversion(psums) -> tuple[np.ndarray, list[str]]:
+def _clamped_inversion(psums) -> SpectrumRecovery:
     """Inverted values clamped at zero, flagged beyond NEGATIVE_ROOT_GUARD."""
     rec = spectrum_from_power_sums(psums)
-    flags = list(rec.flags)
+    flags = rec.flags
     if float(rec.values.min()) < -NEGATIVE_ROOT_GUARD:
-        flags.append(NEGATIVE_ROOTS_FLAG)
-    return np.clip(rec.values, 0.0, None), flags
+        flags += (NEGATIVE_ROOTS_FLAG,)
+    return SpectrumRecovery(np.clip(rec.values, 0.0, None), flags)
 
 
 def newton_invert(moments) -> InversionResult:
-    """Eigenvalue estimates from four power sums, sorted descending.
+    """Eigenvalue estimates from a 4-sequence of power sums, sorted descending.
 
-    Complex root residuals are projected out with a flag; negative values
+    The flags are the inversion's; a caller holding a MomentVector passes
+    its ``.p`` and appends its order flag after them.  Complex root residuals are projected out with a flag; negative values
     are clamped to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy
     input yields a flagged estimate, never an exception.  Fraction inputs
     are inverted exactly.
     """
-    p = moments.p if isinstance(moments, MomentVector) else tuple(moments)
-    if len(p) != 4:
+    if len(moments) != 4:
         raise ValueError("expected four moments")
-    lam, flags = _clamped_inversion(p)
-    if isinstance(moments, MomentVector):
-        flags.extend(f for f in moments.flags if f not in flags)
-    return InversionResult(tuple(float(x) for x in lam), tuple(flags))
+    rec = _clamped_inversion(moments)
+    return InversionResult(tuple(float(x) for x in rec.values), rec.flags)
 
 
 def concurrence_from_moments(moments) -> tuple[ConcurrenceBreakdown, tuple[str, ...]]:
@@ -205,12 +203,12 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
     psums = list(psums)
     if not isinstance(psums[0], Fraction):
         psums[0] = 1.0
-    lam, flags = _clamped_inversion(psums)
-    pt = np.array([inverse_affine(x, d) for x in lam])
+    rec = _clamped_inversion(psums)
+    pt = np.array([inverse_affine(x, d) for x in rec.values])
     return SpectrumEstimate(
         report=report_from_pt_eigenvalues(pt),
-        channel_eigenvalues=tuple(float(x) for x in lam),
-        flags=tuple(flags),
+        channel_eigenvalues=tuple(float(x) for x in rec.values),
+        flags=rec.flags,
     )
 
 
@@ -283,12 +281,10 @@ def resource_ledger(protocol: str, d: int = 2) -> ResourceLedger:
     and the full-reconstruction baseline."""
     if protocol == "concurrence-moments":
         return ResourceLedger(protocol, r_p=4, r_c=2 + 4 + 6 + 8)
+    if protocol not in ("spectrum", "tomography"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if d < 2:
+        raise ValueError("local dimension must be at least 2")
     if protocol == "spectrum":
-        if d < 2:
-            raise ValueError("local dimension must be at least 2")
         return ResourceLedger(protocol, r_p=d**2 - 1, r_c=(d**4 + d**2 - 2) // 2)
-    if protocol == "tomography":
-        if d < 2:
-            raise ValueError("local dimension must be at least 2")
-        return ResourceLedger(protocol, r_p=d**4 - 1, r_c=d**4 - 1)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return ResourceLedger(protocol, r_p=d**4 - 1, r_c=d**4 - 1)

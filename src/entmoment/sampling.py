@@ -155,7 +155,6 @@ def run_concurrence_protocol(
         moments = MomentVector(p=tuple(float(x) for x in fractions))
         samples = None
         breakdown, flags = concurrence_from_moments(fractions)
-        flags = tuple(flags) + moments.flags
     else:
         shots = _shot_count(shots)
         samples = tuple(
@@ -163,12 +162,12 @@ def run_concurrence_protocol(
             for out in group_channel_outputs(state)
         )
         moments = MomentVector(p=tuple(s.moment_estimate for s in samples))
-        breakdown, flags = concurrence_from_moments(moments)
+        breakdown, flags = concurrence_from_moments(moments.p)
     return EstimatorRun(
         samples=samples,
         moments=moments,
         breakdown=breakdown,
-        flags=flags,
+        flags=flags + moments.flags,
     )
 
 
@@ -178,7 +177,10 @@ class SpectrumRun:
 
     samples: tuple[ShotRecord, ...] | None
     estimate: SpectrumEstimate
-    flags: tuple[str, ...]
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return self.estimate.flags
 
 
 def run_spectrum_protocol(
@@ -197,7 +199,7 @@ def run_spectrum_protocol(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "ideal":
         estimate = spectrum_protocol(state)
-        return SpectrumRun(samples=None, estimate=estimate, flags=estimate.flags)
+        return SpectrumRun(samples=None, estimate=estimate)
     sigma = apply_spa_pt(state)
     lam = herm_eigenvalues(sigma.matrix)
     records, psums = [], [1.0]
@@ -207,7 +209,7 @@ def run_spectrum_protocol(
         records.append(record)
         psums.append(psum)
     estimate = spectrum_from_channel_moments(psums, state.dims[0])
-    return SpectrumRun(samples=tuple(records), estimate=estimate, flags=estimate.flags)
+    return SpectrumRun(samples=tuple(records), estimate=estimate)
 
 
 # ------------------------------------------------------------- tomography

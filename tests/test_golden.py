@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entmoment import protocols, sampling, states
+from entmoment import __version__, protocols, sampling, states
 from entmoment.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_sampled.json")
@@ -176,6 +176,8 @@ def cli_record(argv) -> dict:
             code = main([*argv, "--out", str(out)])
         record = json.loads(out.read_text())
     assert code == 0, f"{argv} exited {code}"
+    assert sorted(record) == ["command", "config", "results", "versions"]
+    assert record["versions"] == {"entmoment": __version__, "numpy": np.__version__}
     del record["versions"]
     return record
 

@@ -13,6 +13,7 @@ import pytest
 
 from entmoment import protocols, spa, states
 from entmoment.cli import main
+from entmoment.inversion import spectrum_from_power_sums
 
 #: the README's accuracy statement for ideal-mode spectrum values
 IDEAL_TOL = 1e-10
@@ -40,3 +41,11 @@ def test_ideal_d5_random_pure_channel_values_match_eigvalsh():
 @pytest.mark.parametrize("seed", [935174343, 191741831])
 def test_selftest_seed_passes(seed, capsys):
     assert main(["selftest", "--seed", str(seed)]) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="float inversion merges a 1-3 split 6.9e-5 apart without a flag")
+def test_float_triple_near_a_single_value_round_trips():
+    # a draw that the repeated-root round trip met under one PYTHONHASHSEED
+    lam = np.array([0.9045172488384773] + [0.9044483104297252] * 3)
+    rec = spectrum_from_power_sums([float(np.sum(lam**m)) for m in range(1, 5)])
+    assert rec.flags or np.max(np.abs(rec.values - lam)) <= 1e-8

@@ -188,19 +188,6 @@ def test_matrix_sqrt_psd_rejects_negative():
         linalg.matrix_sqrt_psd(np.diag([1.0, -0.5]))
 
 
-def test_trace_norm_values():
-    rho = np.eye(4) / 4
-    assert abs(linalg.trace_norm(rho) - 1.0) < 1e-12
-    pt = linalg.partial_transpose(bell_projector(), (2, 2))
-    assert abs(linalg.trace_norm(pt) - 2.0) < 1e-12
-    assert abs(linalg.trace_norm(np.diag([0.5, -0.25, 0.75])) - 1.5) < 1e-14
-
-
-def test_trace_norm_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 # -------------------------------------------------------- shift operators
 
 def test_shift_n2_is_swap():

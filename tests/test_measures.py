@@ -210,7 +210,7 @@ def test_pt_trace_norm_at_least_one_with_ppt_equality():
         for _ in range(100):
             st = states.random_mixed_state(dims, rng)
             pt = linalg.partial_transpose(st.matrix, dims, "B")
-            tn = linalg.trace_norm(pt)
+            tn = measures.negativity_report(st).trace_norm_pt
             assert tn >= 1.0 - 1e-9
             ppt = np.linalg.eigvalsh(pt)[0] >= -1e-9
             assert (abs(tn - 1.0) <= 1e-8) == ppt

@@ -146,13 +146,13 @@ def test_concurrence_from_moments_bell():
 
 def test_concurrence_from_moments_werner():
     mv = protocols.exact_moments(states.werner_state(0.6))
-    br, _ = protocols.concurrence_from_moments(mv)
+    br, _ = protocols.concurrence_from_moments(mv.p)
     assert abs(br.concurrence - 0.4) < 1e-8
 
 
 def test_concurrence_from_moments_separable_clamps():
     st = states.product_pure_state((2, 2), states.rng_stream(503, 0))
-    br, _ = protocols.concurrence_from_moments(protocols.exact_moments(st))
+    br, _ = protocols.concurrence_from_moments(protocols.exact_moments(st).p)
     assert br.concurrence == 0.0
 
 
@@ -160,7 +160,7 @@ def test_moment_pipeline_matches_wootters_on_random_states():
     rng = states.rng_stream(504, 0)
     for _ in range(50):
         st = states.random_mixed_state((2, 2), rng)
-        br, flags = protocols.concurrence_from_moments(protocols.channel_moments(st))
+        br, flags = protocols.concurrence_from_moments(protocols.channel_moments(st).p)
         assert abs(br.concurrence - measures.concurrence(st)) < 1e-6
 
 
@@ -257,7 +257,7 @@ def test_monotone_concurrence_on_werner_ladder():
     estimates = []
     for p in (0.4, 0.6, 0.8, 1.0):
         mv = protocols.channel_moments(states.werner_state(p))
-        br, _ = protocols.concurrence_from_moments(mv)
+        br, _ = protocols.concurrence_from_moments(mv.p)
         estimates.append(br.concurrence)
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
 
