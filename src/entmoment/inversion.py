@@ -14,10 +14,10 @@ polynomial is centered.  The engine here therefore
 3. selects a multiplicity structure by weighted least squares against the
    moments: for each cluster count, coarsest first, the sorted roots are
    split at their widest gaps (single linkage; each count adds one cut to
-   the previous partition and recomputes only the two means it splits),
-   that one partition is refined with a multiplicity-constrained
-   Gauss-Newton pass, and the first structure whose residual sits at the
-   propagated rounding floor wins.
+   the previous partition); a plain-float screen covers every count, and
+   only its survivors get exact means, the numpy screen and a multiplicity-
+   constrained Gauss-Newton pass (outputs as if numpy screened every count).
+   The first structure whose residual sits at the rounding floor wins.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
 to the raw projected roots with flags, never an exception.
@@ -130,20 +130,27 @@ def _power_sums(z: np.ndarray, mult: np.ndarray, n: int) -> np.ndarray:
     return (mult * _power_table(z, n)[1:]).sum(axis=1)
 
 
-def _gap_splits(y: np.ndarray, cuts: list[int]):
-    """(multiplicities, group means) of sorted y cut at cuts[:k], k = 0, 1, ...
+def _fast_skip(means: list, sizes: list, targets: list, weights: list, limit: float) -> bool:
+    """Whether some moment's screen value, in plain floats (powers by repeated
+    multiplication, lowest moment first), is finite and above limit."""
+    powers = sizes
+    for t, w in zip(targets, weights):
+        powers = [p * z for p, z in zip(powers, means)]
+        if limit < abs(sum(powers) - t) / w < math.inf:
+            return True
+    return False
 
-    Each step inserts one cut and recomputes only the two means it splits.
-    """
-    bounds, sizes, means = [0, len(y)], [len(y)], [y.mean()]
-    yield np.array(sizes, dtype=float), np.array(means)
-    for cut in cuts:
-        i = bisect.bisect(bounds, cut)
-        a, b = bounds[i - 1], bounds[i]
-        bounds.insert(i, cut)
-        sizes[i - 1:i] = [cut - a, b - cut]
-        means[i - 1:i] = [y[a:cut].mean(), y[cut:b].mean()]
-        yield np.array(sizes, dtype=float), np.array(means)
+
+def _companion_roots(coeffs: list) -> np.ndarray:
+    """np.roots of monic coefficients (highest first) without its wrapper: the
+    same companion matrix, eigvals call and zero roots for trailing zeros."""
+    degree = len(coeffs) - 1
+    while degree and coeffs[degree] == 0:
+        degree -= 1
+    companion = np.eye(degree, k=-1)
+    companion[:1] = [-c for c in coeffs[1:degree + 1]]
+    roots = np.linalg.eigvals(companion)
+    return np.concatenate((roots, np.zeros(len(coeffs) - 1 - degree, roots.dtype)))
 
 
 def _gauss_newton(z0, mult, targets, weights):
@@ -205,14 +212,35 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     if coeffs is None:
         return SpectrumRecovery(np.full(n, center), ())
 
-    raw = np.roots(coeffs)
+    raw = _companion_roots(coeffs)
     y = np.sort(raw.real)
     ymax = max(1.0, float(np.max(np.abs(y))))
     weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
-    # single linkage: n_clusters groups split the sorted roots at their widest gaps
-    widest = (np.argsort(-np.diff(y), kind="stable") + 1).tolist()
-    for mult, z0 in _gap_splits(y, widest):
+    # Fast screen: the numpy screen below in plain floats.  With |z| <= ymax a
+    # k-value mean differs by at most k * eps * ymax, amplified m-fold by the
+    # m-th power; with power and summation rounding the m-th sums differ by
+    # less than (m * n + 2 * n) * n * eps * ymax**m.  Every weight is at least
+    # 8 * 64 * eps * n * ymax**m, so the screen values differ by less than
+    # (n * n + 2 * n) / 512 < n * n: above 1e6 + n * n here is above 1e6 there.
+    # Nothing is skipped on a non-finite value or when ymax**n nears overflow.
+    limit = 1e6 + n * n if n * math.log2(ymax) < 1000 else math.inf
+    ys, fast_targets, fast_weights = y.tolist(), targets.tolist(), weights.tolist()
+    bounds, sizes, means = [0, n], [n], [sum(ys) / n]
+    # single linkage: n_clusters groups split the sorted roots at their widest
+    # gaps; each count adds one cut to the previous split
+    for cut in [0] + (np.argsort(-np.diff(y), kind="stable") + 1).tolist():
+        if cut:
+            i = bisect.bisect(bounds, cut)
+            a, b = bounds[i - 1], bounds[i]
+            bounds.insert(i, cut)
+            sizes[i - 1:i] = [cut - a, b - cut]
+            means[i - 1:i] = [sum(ys[a:cut]) / (cut - a), sum(ys[cut:b]) / (b - cut)]
+        if _fast_skip(means, sizes, fast_targets, fast_weights, limit):
+            continue
+        # survivors only: exact means (the finest split is y itself)
+        mult = np.array(sizes, dtype=float)
+        z0 = y if len(sizes) == n else np.array([y[a:b].mean() for a, b in zip(bounds, bounds[1:])])
         # skip structures hopelessly far from the moments
         if (np.abs(_power_sums(z0, mult, n) - targets) / weights).max() > 1e6:
             continue

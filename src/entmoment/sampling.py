@@ -12,9 +12,9 @@ outcome counts are drawn from the corresponding binomial.  Everything is
 reproducible from (state, config, seed); independent estimates use
 independent seed streams.
 
-Every binary run goes through one draw helper, which rejects shot counts
-that are not whole numbers of at least 1.  A ladder run reads its four p+
-off one product chain; tomography loops over a Pauli table built once.
+Every sampled entry point rejects shot counts that are not whole numbers of
+at least 1 before any draw; one helper draws every binary run.  A ladder run
+reads its four p+ off one product chain; tomography loops over a Pauli table.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inversion import _power_table
 from .linalg import herm_eigenvalues
 from .measures import ConcurrenceBreakdown, concurrence_breakdown
 from .protocols import (
@@ -70,12 +71,10 @@ def _shot_count(shots) -> int:
     return int(shots)
 
 
-def _binary_run(p_plus: float, shots, rng: np.random.Generator) -> tuple[ShotRecord, float]:
-    """One binomial run of ``shots`` outcomes: its record and the +-1 mean.
-
-    p+ is clamped into [0, 1] against float dust before the draw.
+def _binary_run(p_plus: float, shots: int, rng: np.random.Generator) -> tuple[ShotRecord, float]:
+    """One binomial run of ``shots`` (already checked) outcomes: its record and
+    the +-1 mean.  p+ is clamped into [0, 1] against float dust first.
     """
-    _shot_count(shots)
     p_plus = min(max(p_plus, 0.0), 1.0)
     successes = int(rng.binomial(shots, p_plus))
     record = ShotRecord(shots=shots, successes=successes, target_mean=p_plus)
@@ -113,7 +112,7 @@ def _moment_sample(output: GroupChannelOutput, shots: int, rng: np.random.Genera
 
 def sample_moment_povm(state: DensityMatrix, k: int, shots: int, rng: np.random.Generator) -> MomentSample:
     """Draw one binomial run for group k and push it through the estimate chain."""
-    return _moment_sample(group_channel_output(state, k), shots, rng)
+    return _moment_sample(group_channel_output(state, k), _shot_count(shots), rng)
 
 
 @dataclass(frozen=True)
@@ -198,18 +197,14 @@ def run_spectrum_protocol(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "ideal":
-        estimate = spectrum_protocol(state)
-        return SpectrumRun(samples=None, estimate=estimate)
+        return SpectrumRun(samples=None, estimate=spectrum_protocol(state))
+    shots = _shot_count(shots)
     sigma = apply_spa_pt(state)
-    lam = herm_eigenvalues(sigma.matrix)
-    records, psums = [], [1.0]
-    for n in range(2, sigma.dim + 1):
-        p_plus = (1.0 + float(np.sum(lam**n))) / 2.0
-        record, psum = _binary_run(p_plus, shots, rng_stream(seed, stream=n))
-        records.append(record)
-        psums.append(psum)
-    estimate = spectrum_from_channel_moments(psums, state.dims[0])
-    return SpectrumRun(samples=tuple(records), estimate=estimate)
+    # every channel power sum Tr(sigma^n) from one table, row n = lam**n
+    traces = _power_table(herm_eigenvalues(sigma.matrix), sigma.dim).sum(axis=1).tolist()
+    runs = [_binary_run((1.0 + traces[n]) / 2.0, shots, rng_stream(seed, stream=n)) for n in range(2, sigma.dim + 1)]
+    estimate = spectrum_from_channel_moments([1.0] + [psum for _, psum in runs], state.dims[0])
+    return SpectrumRun(samples=tuple(record for record, _ in runs), estimate=estimate)
 
 
 # ------------------------------------------------------------- tomography
@@ -258,6 +253,8 @@ def run_tomography_baseline(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if state.dims != (2, 2):
         raise ValueError("the tomography baseline is two-qubit only")
+    if mode == "sampled":
+        shots = _shot_count(shots)
     rho = state.matrix
     expectations = {}
     rebuilt = np.eye(4, dtype=complex)

@@ -12,9 +12,10 @@ Every case names the kind of its input (``exact``, ``float`` or
 (the all-equal early return), ``clusters-<k>`` (the structure with k
 distinct values won) or ``raw`` / ``raw-complex`` (no structure reached the
 floor; the projected roots came back, flagged or not).  The inputs cover
-n = 2..16: channel moments of named and random states at d = 2, 3, 4, exact
-and rounded; seeded finite-shot runs; random spectra with repeated values,
-exact, rounded and perturbed; and moments no real spectrum has.
+n = 2..16 and 25: channel moments of named and random states at d = 2..5,
+exact and rounded; seeded finite-shot runs at d = 2..5; random spectra with
+repeated values, exact, rounded and perturbed; and moments no real spectrum
+has.
 
 A change that alters these outputs on purpose re-records the file with
 
@@ -89,11 +90,18 @@ def cases():
             exact = protocols.spectrum_power_sums(state)
             out.append((f"channel/d{d}/{name}/exact", "exact", exact))
             out.append((f"channel/d{d}/{name}/float", "float", [float(x) for x in exact]))
+    # n = 25, a size no benchmark workload reaches
+    for name, state in (("isotropic-0.4", states.isotropic_state(5, 0.4)),
+                        ("random-mixed-0", states.random_mixed_state((5, 5), states.rng_stream(SEED, 5)))):
+        exact = protocols.spectrum_power_sums(state)
+        out.append((f"channel/d5/{name}/exact", "exact", exact))
+        out.append((f"channel/d5/{name}/float", "float", [float(x) for x in exact]))
     rng = states.rng_stream(SEED, 0)
     # a single shot or 1e12 shots per order: the only budgets at which some
     # d = 2 estimates still have an all-real spectrum
     for d, shots, reps in ((2, 1, 4), (2, 10**2, 4), (2, 10**4, 4), (2, 10**6, 4), (2, 10**12, 4),
-                           (3, 10**2, 4), (3, 10**4, 4), (3, 10**6, 4), (4, 10**6, 2)):
+                           (3, 10**2, 4), (3, 10**4, 4), (3, 10**6, 4), (4, 10**6, 2),
+                           (5, 10**2, 1), (5, 10**4, 1), (5, 10**6, 1)):
         for seed in range(reps):
             state = states.random_mixed_state((d, d), rng) if seed % 2 else states.random_pure_state((d, d), rng)
             out.append((f"finite-shot/d{d}/{shots}/{seed}", "finite-shot", _sampled_inputs(d, shots, seed, state)))
@@ -174,7 +182,7 @@ def test_inversion_is_bit_identical(name):
 def test_golden_inversion_covers_every_route():
     assert len(GOLDEN_CASES) >= 200
     sizes = {len(case["power_sums"]) for case in GOLDEN_CASES.values()}
-    assert sizes == set(range(2, 17))
+    assert sizes == set(range(2, 17)) | {25}
     routes = {(case["kind"], case["route"]) for case in GOLDEN_CASES.values()}
     for kind in ("exact", "float", "finite-shot"):
         assert any(k == kind and r.startswith("clusters-") for k, r in routes), kind

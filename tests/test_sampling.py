@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
-from entmoment import measures, sampling, states
+from entmoment import inversion, measures, sampling, states
 
 
 def test_bell_k1_success_probability():
@@ -232,6 +234,13 @@ def test_tomography_baseline_rejects_bad_shots(shots):
         sampling.run_tomography_baseline(states.werner_state(0.8), shots=shots, seed=3)
 
 
+@pytest.mark.parametrize("shots", BAD_SHOTS)
+def test_bad_shots_rejected_where_nothing_is_drawn(shots):
+    # d = 1: the channel has no order n >= 2 to draw, the count is still checked
+    with pytest.raises(ValueError, match="whole number of at least 1"):
+        sampling.run_spectrum_protocol(states.DensityMatrix(np.array([[1.0]]), (1, 1)), shots=shots, seed=3)
+
+
 def test_integral_float_shots_match_int_shots():
     st = states.werner_state(0.8)
     a, b = (sampling.run_concurrence_protocol(st, shots=n, seed=3) for n in (1e6, 10**6))
@@ -246,3 +255,13 @@ def test_ideal_mode_ignores_shot_count():
     st = states.werner_state(0.8)
     assert sampling.run_concurrence_protocol(st, shots=0, mode="ideal").samples is None
     assert sampling.run_spectrum_protocol(st, shots=0, mode="ideal").samples is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.data())
+def test_one_power_table_matches_per_order_sums(data):
+    dim = data.draw(strategies.integers(1, 25))
+    values = strategies.floats(-1, 1, allow_subnormal=False)
+    lam = np.array(data.draw(strategies.lists(values, min_size=dim, max_size=dim)))
+    expected = np.array([np.sum(lam**n) for n in range(2, dim + 1)])
+    assert inversion._power_table(lam, dim).sum(axis=1)[2:].tobytes() == expected.tobytes()
