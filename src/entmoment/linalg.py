@@ -9,14 +9,22 @@ that lets multi-copy expectation values collapse to products of the small
 single-copy matrices (``spa.ladder_power_sums`` forms them), so nothing of
 dimension ``local_dim**n`` is built outside tests and the selftest.
 
-The exact power traces of ideal mode hold the exactly symmetrized matrix as
-Python ints over its narrowest common power of two and take the powers on
-those ints: one integer product per real matrix product, three per complex.
+The exact power traces of ideal mode scale the exactly symmetrized matrix to
+integers and work on their residues modulo word-size primes: the powers are
+batched float64 products over all primes at once, exact because the prime
+width, chosen from the dimension, keeps every partial sum below 2**53.  The
+traces come back by CRT in the symmetric range, and one spare prime checks
+each of them, so a wrong ``Fraction`` raises instead of being returned.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +50,7 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max absolute entry of m - m^dagger."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -154,43 +162,243 @@ def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:
     return v
 
 
-def _scaled_integer_parts(m: np.ndarray):
-    """((re, im), e): Python-int matrices, sharing no factor of two, with the
-    exactly symmetrized m equal to (re + 1j*im) * 2**e; im is None when zero.
-    Symmetrizing before e is fixed cancels diagonal imaginary roundoff."""
-    mant, expo = np.frexp(np.stack([m.real, m.imag]))
-    mant = (mant * 2.0**53).astype(np.int64)  # exact: |mant| < 1
-    expo = np.where(mant != 0, expo - 53, 0)  # so e <= 0 and no shift is negative
-    e = int(expo.min())
-    re, im = mant.astype(object) << (expo - e).astype(object)
-    re, im = re + re.T, im - im.T  # twice the symmetrized m
-    low = np.bitwise_or.reduce(re | im, axis=None)
-    shift = max((low & -low).bit_length() - 1, 0)  # common trailing zero bits
-    return (re >> shift, im >> shift if im.any() else None), e - 1 + shift
+def _reduce(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
+    """x mod p within p/2 + 4 of zero, exactly, for integer floats x with
+    |x| + p/2 + 4 <= 2**53.
+
+    The quotient x * p_inv is off x / p by less than 4 / p, so its nearest
+    integer q can miss round(x / p) only at a near tie, and x - q * p is a
+    difference of integers no larger than 2**53: exact.
+    """
+    q = x * p_inv
+    np.rint(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
-def _int_matmul(a, b):
-    """Complex int matmul, a None part being zero: 1, 2 or 3 products (Gauss)."""
-    (ar, ai), (br, bi) = a, b
-    if ai is None:
-        return ar @ br, None if bi is None else ar @ bi
-    if bi is None:
-        return ar @ br, ai @ br
-    t1, t2 = ar @ br, ai @ bi
-    return t1 - t2, (ar + ai) @ (br + bi) - t1 - t2
+def _prime_width(dim: int) -> int:
+    """Bit width w of the primes used on dim x dim matrices.
+
+    Residues stay within h = 2**(w-1) + 4 of zero.  A trace sums 2 * dim**2
+    products of at most h**2 each, a power step 2 * dim of them: with every
+    partial sum below 2**53, float64 forms both exactly in any order.
+    """
+    w = 26
+    while 2 * dim * dim * (2 ** (w - 1) + 4) ** 2 + 2**w > 2**53:
+        w -= 1
+    return w
 
 
-def _scaled_power_traces(p, e: int, n_max: int) -> list[Fraction]:
-    """Re Tr((p * 2**e)^n), n = 1..n_max, from the powers of p up to
-    ceil(n_max/2): Tr(P^a P^b) = sum(P^a * (P^b).T) with a + b = n."""
-    powers = [p]
-    for _ in range(1, (n_max + 1) // 2):
-        powers.append(_int_matmul(powers[-1], p))
-    traces = [np.trace(p[0])]
-    for n in range(2, n_max + 1):
-        (ar, ai), (br, bi) = powers[(n + 1) // 2 - 1], powers[n // 2 - 1]
-        traces.append((ar * br.T).sum() - (0 if ai is None else (ai * bi.T).sum()))
-    return [Fraction(int(t) << max(n * e, 0), 1 << max(-n * e, 0)) for n, t in enumerate(traces, 1)]
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n below 3.2e9 (bases 2, 3, 5, 7)."""
+    if n in (3, 5, 7):
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+#: CRT weights are kept for prefixes of up to this many primes (a d = 6
+#: spectrum needs about 140); a longer prefix's weights, k**2 words, are
+#: rebuilt on each use instead of being held
+_CRT_KEPT = 256
+
+
+class _Residues:
+    """What the residue route needs on dim x dim matrices, built on demand.
+
+    The primes, odd and just below 2**width, largest first, come with their
+    columns, 2**s mod p for every shift s asked for so far, the CRT weights
+    of each prefix, and the gather that lays out real embeddings.  All of it
+    is a function of dim, so one instance per dim serves every call.
+    """
+
+    def __init__(self, dim: int):
+        self.dim, self.width = dim, _prime_width(dim)
+        self.primes: list[int] = []
+        self.product, self.bits = 1, [1]  # bits[k]: bit length of the product of the first k primes
+        self.pow2 = np.zeros((0, 0))
+        self.crts: dict[int, tuple[int, list[int], int]] = {}
+        self.gathers: dict[int, np.ndarray] = {}
+
+    def _grow(self) -> None:
+        n = self.primes[-1] - 2 if self.primes else 2**self.width - 1
+        while not _is_prime(n):
+            n -= 2
+        self.primes.append(n)
+        self.product *= n
+        self.bits.append(self.product.bit_length())
+
+    def count(self, bits: int) -> int:
+        """Fewest primes whose product is at least 2**bits."""
+        while self.bits[-1] <= bits:
+            self._grow()
+        return bisect.bisect_right(self.bits, bits)
+
+    def columns(self, k: int, shifts: int):
+        """(p as int64, p, 1/p, 2**s mod p for s < shifts) over the first k
+        primes, the first three shaped (k, 1, 1)."""
+        rows, cols = self.pow2.shape
+        if rows < k or cols < shifts:
+            while len(self.primes) < k:
+                self._grow()
+            self._build(max(k, rows), max(shifts, cols))
+        return self.p_int[:k], self.p[:k], self.p_inv[:k], self.pow2[:k]
+
+    def _build(self, rows: int, cols: int) -> None:
+        self.p_int = np.array(self.primes[:rows], dtype=np.int64)[:, None, None]
+        self.p = self.p_int.astype(float)
+        self.p_inv = 1.0 / self.p
+        p, p_inv = self.p[:, 0], self.p_inv[:, 0]
+        pow2 = _reduce(np.ldexp(1.0, np.arange(32)), p, p_inv)
+        while pow2.shape[1] < cols:  # 2**(c + s) = 2**c * 2**s, products below 2**51
+            step = _reduce(2.0 * pow2[:, -1:], p, p_inv)
+            pow2 = np.concatenate([pow2, _reduce(pow2 * step, p, p_inv)], axis=1)
+        self.pow2 = pow2[:, :cols].copy()
+
+    def crt(self, k: int) -> tuple[int, list[int], int]:
+        """(M, w, q): the product M of the first k primes, weights w_j that
+        are 1 mod the j-th prime and 0 mod the others, and the next prime q."""
+        if k in self.crts:
+            return self.crts[k]
+        primes = self.primes[:k]
+        modulus = math.prod(primes)
+        crt = modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes], self.primes[k]
+        if k <= _CRT_KEPT:
+            self.crts[k] = crt
+        return crt
+
+    def gather(self, factors: int) -> np.ndarray:
+        """(factors, 2D, 2D) indices into [v, -v, 0], v the factors' entries
+        as (re, im) pairs, that lay out each factor's real embedding
+        [[R, -I], [I, R]] with its imaginary diagonal taken from the 0."""
+        if factors not in self.gathers:
+            size = 2 * self.dim * self.dim  # floats per factor in v
+            zero = 2 * factors * size
+            re = np.arange(0, size, 2).reshape(self.dim, self.dim)
+            blocks = []
+            for base in range(0, factors * size, size):
+                im = re + base + 1
+                np.fill_diagonal(im, zero)
+                neg_im = np.where(im == zero, zero, im + factors * size)
+                blocks.append(np.block([[re + base, neg_im], [im, re + base]]))
+            self.gathers[factors] = np.array(blocks)
+        return self.gathers[factors]
+
+
+@functools.cache
+def _residues(dim: int) -> _Residues:
+    return _Residues(dim)
+
+
+class _Scaled(NamedTuple):
+    """Factors m_f as integer matrices M_f = 2 * sym(m_f) * 2**-(e_f + 1),
+    laid out as real embeddings.
+
+    Before symmetrizing, each entry of an embedding is mant * 2**shift.
+    """
+
+    mant: np.ndarray  # (factors, 2D, 2D) int64, below 2**53 in magnitude
+    shift: np.ndarray  # (factors, 2D, 2D) nonnegative ints, below ``shifts``
+    shifts: int
+    e: list[int]
+    log2_norm: list[float]  # ||M_f||_F < 2**log2_norm[f]
+
+
+def _decompose(mats, gather: np.ndarray) -> _Scaled:
+    """Integer parts of the exactly symmetrized factors, from one frexp.
+
+    The imaginary diagonal is dropped first: symmetrizing cancels it, so its
+    roundoff changes neither e nor the norm bound.  With |x| < 2**E for the
+    at most 2D**2 - D nonzero entries, ||M||_F < 2 * sqrt(2D**2 - D) *
+    2**(max E - min E + 53): the bound comes from the exponents, so no float
+    norm can overflow.
+    """
+    factors, dim = len(mats), mats[0].shape[0]
+    v = np.concatenate([m.reshape(-1) for m in mats]).view(float)
+    x = np.concatenate([v, -v, _ZERO])[gather]
+    frac, expo = np.frexp(x)
+    low = expo.reshape(factors, -1).min(axis=1)  # zeros enter with exponent 0: they can only lower it
+    shift = expo - low[:, None, None]
+    low, top = low.tolist(), np.frexp(np.abs(x).reshape(factors, -1).max(axis=1))[1].tolist()
+    half_log2_count = math.log2(2 * dim * dim - dim) / 2
+    shifts = max(max(t, 0) - lo for t, lo in zip(top, low)) + 1  # no exponent, a zero's included, tops max(t, 0)
+    return _Scaled(np.ldexp(frac, 53).astype(np.int64), shift, shifts,
+                   [lo - 54 for lo in low], [t - lo + 54 + half_log2_count for t, lo in zip(top, low)])
+
+
+_ZERO = np.zeros(1)
+
+#: signs of the real and imaginary planes in Re Tr(XY) = sum(X * Y^T)
+_PLANE_SIGN = np.array([1.0, -1.0])[:, None, None]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b, axis=1) as one batched matmul (BLAS dot per row)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _exact_traces(mats, n_max: int) -> list[Fraction]:
+    """Re Tr((m_1 ... m_f)^n), n = 1..n_max, of the one or two exactly
+    symmetrized factors m_f = M_f * 2**e_f, as exact Fractions.
+
+    The integer traces Re Tr(X^n), X = M_1 ... M_f, are taken modulo k
+    word-size primes, with k from |Re Tr(X^n)| <= sqrt(D) * ||X||_F**n, and
+    rebuilt by CRT in the symmetric range; one more prime checks every
+    reconstruction.  Tr(X^n) = sum(X^a * (X^b)^T) with a + b = n, so only
+    the powers up to ceil(n_max / 2) are formed.
+    """
+    mats = [require_hermitian(m) for m in mats]
+    factors, dim = len(mats), mats[0].shape[0]
+    res = _residues(dim)
+    scaled = _decompose(mats, res.gather(factors))
+    log2_norm, half_log2_dim = sum(scaled.log2_norm), math.log2(dim) / 2
+    # 2 |Tr| < 2**bits; the 1e-9 keeps float rounding from lowering the bound
+    bits = [math.ceil(n * log2_norm + half_log2_dim + 1e-9) + 1 for n in range(1, n_max + 1)]
+    counts = [res.count(b) for b in bits]
+    k = counts[-1] + 1
+    p_int, p, p_inv, pow2 = res.columns(k, scaled.shifts)
+    r = np.fmod(scaled.mant, p_int[..., None]) * pow2[:, scaled.shift]  # (k, f, 2D, 2D)
+    embedded = _reduce(r + r.swapaxes(-1, -2), p[..., None], p_inv[..., None])  # M = A + A^H
+    step = embedded[:, 0] if factors == 1 else _reduce(embedded[:, 0] @ embedded[:, 1], p, p_inv)
+    x = step[:, :, :dim]  # X as its stacked planes [R; I]
+    half, traces = (n_max + 1) // 2, []
+    for j in range(1, half + 1):  # traces 2j - 1 and 2j from X^j
+        if j > 1:
+            x = _reduce(step @ x, p, p_inv)
+        w = z = x.reshape(k, -1)
+        if j == 1:
+            traces.append(w[:, : dim * dim : dim + 1].sum(axis=1))  # the diagonal of R
+        if factors == 2 and (j < half or 2 * j <= n_max):
+            # X^j's transpose, sign-flipped on its imaginary plane; a power of
+            # a Hermitian X needs none: its transpose is its conjugate
+            z = np.multiply(x.reshape(k, 2, dim, dim).swapaxes(-1, -2), _PLANE_SIGN, order="C").reshape(k, -1)
+        if j > 1:
+            traces.append(_row_dots(w, z_prev))
+        if 2 * j <= n_max:
+            traces.append(_row_dots(w, z))
+        z_prev = z
+    e, crts, out = sum(scaled.e), res.crts, []
+    for n, row, kn in zip(range(1, n_max + 1), np.array(traces, dtype=np.int64).tolist(), counts):
+        modulus, weights, check = crts[kn] if kn in crts else res.crt(kn)
+        t = sum(map(operator.mul, row, weights)) % modulus
+        if t > modulus >> 1:
+            t -= modulus
+        if (t - row[kn]) % check:
+            raise ArithmeticError(f"power trace {n} failed its check prime")
+        out.append(Fraction(t << n * e, 1) if e >= 0 else Fraction(t, 1 << -n * e))
+    return out
 
 
 def exact_power_traces(m, n_max: int) -> list[Fraction]:
@@ -198,12 +406,11 @@ def exact_power_traces(m, n_max: int) -> list[Fraction]:
 
     Entries of ``m`` are binary floats, hence exact rationals; the traces
     returned are the mathematically exact power traces of the (exactly
-    symmetrized) stored matrix, computed on scaled integers.  Needed where
-    float64 accumulation would bury the signal carried by the high-order
-    traces of a tightly clustered spectrum.
+    symmetrized) stored matrix.  Needed where float64 accumulation would
+    bury the signal carried by the high-order traces of a tightly clustered
+    spectrum.
     """
-    p, e = _scaled_integer_parts(require_hermitian(m))
-    return _scaled_power_traces(p, e, n_max)
+    return _exact_traces([m], n_max)
 
 
 def exact_product_power_traces(a, b, n_max: int) -> list[Fraction]:
@@ -214,6 +421,4 @@ def exact_product_power_traces(a, b, n_max: int) -> list[Fraction]:
     This is the noise-free limit of the moment ladder: the product of the
     state with its spin flip is not Hermitian, but its power traces are.
     """
-    pa, ea = _scaled_integer_parts(require_hermitian(a))
-    pb, eb = _scaled_integer_parts(require_hermitian(b))
-    return _scaled_power_traces(_int_matmul(pa, pb), ea + eb, n_max)
+    return _exact_traces([a, b], n_max)

@@ -284,9 +284,11 @@ def test_exact_power_traces_match_float_for_well_conditioned():
         assert abs(float(exact[n - 1]) - np.trace(power).real) < 1e-10
 
 
-# Reference route: entrywise Fractions, exactly symmetrized, multiplied out
-# entry by entry.  The library computes the same exact values on scaled
-# Python ints; the two must agree Fraction for Fraction.
+# Two references.  The entrywise route holds the exactly symmetrized matrix
+# as Fractions and multiplies it out entry by entry: independent, but slow,
+# so it runs at d <= 3 and on small cases.  The integer route holds it as
+# Python ints over one common power of two and takes object-dtype integer
+# products; it checks everything larger and the adversarial cases.
 
 def fraction_parts(m):
     m = np.asarray(m, dtype=complex)
@@ -329,6 +331,54 @@ def fraction_power_traces(p, n_max):
     return traces
 
 
+def int_parts(m):
+    """((re, im), e): Python-int matrices, sharing no factor of two, with the
+    exactly symmetrized m equal to (re + 1j*im) * 2**e; im is None when zero."""
+    m = np.asarray(m, dtype=complex)
+    mant, expo = np.frexp(np.stack([m.real, m.imag]))
+    mant = (mant * 2.0**53).astype(np.int64)  # exact: |mant| < 1
+    expo = np.where(mant != 0, expo - 53, 0)  # so e <= 0 and no shift is negative
+    e = int(expo.min())
+    re, im = mant.astype(object) << (expo - e).astype(object)
+    re, im = re + re.T, im - im.T  # twice the symmetrized m
+    low = np.bitwise_or.reduce(re | im, axis=None)
+    shift = max((low & -low).bit_length() - 1, 0)  # common trailing zero bits
+    return (re >> shift, im >> shift if im.any() else None), e - 1 + shift
+
+
+def int_matmul(a, b):
+    """Complex int matmul, a None part being zero: 1, 2 or 3 products (Gauss)."""
+    (ar, ai), (br, bi) = a, b
+    if ai is None:
+        return ar @ br, None if bi is None else ar @ bi
+    if bi is None:
+        return ar @ br, ai @ br
+    t1, t2 = ar @ br, ai @ bi
+    return t1 - t2, (ar + ai) @ (br + bi) - t1 - t2
+
+
+def int_power_traces(p, e, n_max):
+    """Re Tr((p * 2**e)^n), n = 1..n_max, from the powers of p up to
+    ceil(n_max/2): Tr(P^a P^b) = sum(P^a * (P^b).T) with a + b = n."""
+    powers = [p]
+    for _ in range(1, (n_max + 1) // 2):
+        powers.append(int_matmul(powers[-1], p))
+    traces = [np.trace(p[0])]
+    for n in range(2, n_max + 1):
+        (ar, ai), (br, bi) = powers[(n + 1) // 2 - 1], powers[n // 2 - 1]
+        traces.append((ar * br.T).sum() - (0 if ai is None else (ai * bi.T).sum()))
+    return [Fraction(int(t) << max(n * e, 0), 1 << max(-n * e, 0)) for n, t in enumerate(traces, 1)]
+
+
+def int_route_traces(m, n_max):
+    return int_power_traces(*int_parts(m), n_max)
+
+
+def int_route_product_traces(a, b, n_max):
+    (pa, ea), (pb, eb) = int_parts(a), int_parts(b)
+    return int_power_traces(int_matmul(pa, pb), ea + eb, n_max)
+
+
 def assert_traces_match_reference(m, n_max):
     got = linalg.exact_power_traces(m, n_max)
     assert all(type(t) is Fraction for t in got)
@@ -343,11 +393,29 @@ def family_states(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_exact_power_traces_match_reference_for_every_family(d):
+    # the entrywise route at d <= 3, the integer route at d = 4
     for state in family_states(d):
         sigma = spa.apply_spa_pt(state).matrix
-        assert_traces_match_reference(sigma, sigma.shape[0])
+        if d <= 3:
+            assert_traces_match_reference(sigma, sigma.shape[0])
+        else:
+            assert linalg.exact_power_traces(sigma, sigma.shape[0]) == int_route_traces(sigma, sigma.shape[0])
         if d == 2:
             assert_traces_match_reference(state.matrix, 4)
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("family", ["random-mixed", "random-pure"])
+@pytest.mark.parametrize("d", [5, 6])
+def test_exact_power_traces_match_int_route_at_d5_d6(d, family, stream):
+    sigma = spa.apply_spa_pt(make_state(family, (d, d), rng=rng_stream(d, stream))).matrix
+    assert linalg.exact_power_traces(sigma, d * d) == int_route_traces(sigma, d * d)
+
+
+def test_int_route_matches_entrywise_route():
+    rng = rng_stream(17, 0)
+    for m in (random_hermitian(3, rng), random_hermitian(4, rng).real, 2.0**40 * bell_projector()):
+        assert int_route_traces(m, 5) == fraction_power_traces(fraction_parts(m), 5)
 
 
 def test_exact_product_power_traces_match_reference():
@@ -396,29 +464,57 @@ def test_exact_power_traces_symmetrize_near_hermitian_input():
     assert linalg.exact_product_power_traces(m, b, 4) == expected
 
 
-def scaled_parts(m):
-    (re, im), e = linalg._scaled_integer_parts(m)
-    return re.tolist(), None if im is None else im.tolist(), e
+def decomposition(*mats):
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    return linalg._decompose(mats, linalg._residues(len(mats[0])).gather(len(mats)))
 
 
-def test_scaled_integer_parts_ignore_diagonal_imaginary_roundoff():
+def embedding(m):
+    """[[R, -I], [I, R]] of m with its imaginary diagonal dropped."""
+    m = np.asarray(m, dtype=complex)
+    im = m.imag - np.diag(np.diag(m.imag))
+    return np.block([[m.real, -im], [im, m.real]])
+
+
+def prime_counts(monkeypatch):
+    """The prime count k of every later trace call, as it is made."""
+    counts, columns = [], linalg._Residues.columns
+
+    def spy(self, k, shifts):
+        counts.append(k)
+        return columns(self, k, shifts)
+
+    monkeypatch.setattr(linalg._Residues, "columns", spy)
+    return counts
+
+
+def test_decomposition_ignores_diagonal_imaginary_roundoff(monkeypatch):
     rng = rng_stream(15, 0)
     sigma = spa.apply_spa_pt(make_state("random-pure", (3, 3), rng=rng)).matrix
+    counts = prime_counts(monkeypatch)
     for clean in (random_hermitian(4, rng), random_hermitian(4, rng).real, sigma):
         clean = clean - 1j * np.diag(np.diag(clean).imag)
         noisy = clean + 1e-20j * np.diag(rng.standard_normal(len(clean)))
-        assert scaled_parts(noisy) == scaled_parts(clean)
-    assert scaled_parts(sigma.real + 1e-20j * np.eye(len(sigma)))[1] is None
+        a, b = decomposition(clean), decomposition(noisy)
+        assert (a.e, a.log2_norm, a.shifts) == (b.e, b.log2_norm, b.shifts)
+        np.testing.assert_array_equal(a.mant, b.mant)
+        np.testing.assert_array_equal(a.shift, b.shift)
+        assert linalg.exact_power_traces(noisy, 5) == linalg.exact_power_traces(clean, 5)
+        assert counts[-2] == counts[-1]
+    # a real matrix with imaginary roundoff on its diagonal only decomposes as a real one
+    dim = len(sigma)
+    real = decomposition(sigma.real + 1e-20j * np.eye(dim))
+    assert not real.mant[:, dim:, :dim].any() and not real.mant[:, :dim, dim:].any()
 
 
-def test_scaled_integer_parts_share_no_factor_of_two():
+def test_decomposition_is_exact_from_the_smallest_exponent():
     rng = rng_stream(16, 0)
     mats = [random_hermitian(4, rng), random_hermitian(3, rng).real, 0.25 * np.eye(3), 2.0**40 * bell_projector()]
     mats += [spa.apply_spa_pt(state).matrix for state in family_states(3)]
     for m in mats:
-        re, im, _ = scaled_parts(m)
-        entries = [x for row in re + (im or []) for x in row]
-        assert any(x % 2 for x in entries)
+        s = decomposition(m)
+        assert np.abs(s.mant).max() < 2**53 and s.shift.min() == 0 and s.shift.max() < s.shifts
+        np.testing.assert_array_equal(np.ldexp(s.mant[0].astype(float), s.shift[0] + s.e[0] + 1), embedding(m))
         assert_traces_match_reference(m, 4)  # 2**40 * bell: a positive exponent
 
 
@@ -441,9 +537,95 @@ def test_exact_traces_property_random_small_hermitian(data):
         m = re + 1j * im
         h = (m + m.conj().T) / 2
         pairs.append((h.real + roundoff, h + roundoff))
-        assert scaled_parts(h.real + roundoff)[1] is None
+        real = decomposition(h.real + roundoff)
+        assert not real.mant[:, dim:, :dim].any()
     for a in pairs[0]:
         assert_traces_match_reference(a, n_max)
         for b in pairs[1]:
             expected = fraction_power_traces(fraction_matmul(fraction_parts(a), fraction_parts(b)), n_max)
             assert linalg.exact_product_power_traces(a, b, n_max) == expected
+
+
+# ------------------------------------------- residue route, adversarial cases
+
+@st.composite
+def hermitian_matrices(draw, dim):
+    """Exactly Hermitian, real or complex, with entries drawn from a band of
+    binary exponents up to 2100 wide: subnormals, -0.0 and 1e300 included."""
+    low = draw(st.integers(-1074, 1020))
+    high = draw(st.integers(low, min(low + draw(st.sampled_from([0, 60, 600, 2100])), 1020)))
+
+    def entries(shape):
+        mant = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+        return np.ldexp(mant, draw(arrays(int, shape, elements=st.integers(low, high))))
+
+    m = np.triu(entries((dim, dim)), 1)
+    if draw(st.booleans()):
+        m = m + 1j * np.triu(entries((dim, dim)), 1)
+    return m + m.conj().T + np.diag(entries(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residue_route_matches_int_route_on_extreme_entries(data):
+    dim = data.draw(st.integers(1, 8))
+    n_max = data.draw(st.integers(1, 2 * dim))
+    a, b = data.draw(hermitian_matrices(dim)), data.draw(hermitian_matrices(dim))
+    assert linalg.exact_power_traces(a, n_max) == int_route_traces(a, n_max)
+    assert linalg.exact_product_power_traces(a, b, n_max) == int_route_product_traces(a, b, n_max)
+
+
+def rank_one(data, dim, sign):
+    """sign * v v^H with |v_i| = 1 - 2**-27 and random phases of 1, i: every
+    entry sits just below a power of two, so the traces come within a few
+    bits per power of the bound the prime count is taken from."""
+    phases = np.array(data.draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=dim, max_size=dim)))
+    v = (1 - 2.0**-27) * phases * 2.0 ** data.draw(st.integers(-300, 300))
+    return sign * np.outer(v, v.conj())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residue_route_near_the_prime_bound(data):
+    # rank-one traces reach the norm bound within a factor of about sqrt(2)
+    # per power; negative-definite ones have negative odd traces
+    dim = data.draw(st.integers(1, 8))
+    n_max = data.draw(st.integers(1, 2 * dim))
+    m = rank_one(data, dim, data.draw(st.sampled_from([1, -1])))
+    got = linalg.exact_power_traces(m, n_max)
+    assert got == int_route_traces(m, n_max)
+    if m[0, 0].real < 0:
+        assert all(t < 0 for t in got[::2]) and all(t > 0 for t in got[1::2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_residue_route_on_non_commuting_products(data):
+    dim = data.draw(st.integers(2, 8))
+    n_max = data.draw(st.integers(1, 2 * dim))
+    # a rank-one factor with every entry nonzero against a generic one: ab and
+    # ba differ, their power traces must not
+    a = rank_one(data, dim, data.draw(st.sampled_from([1, -1])))
+    b = data.draw(hermitian_matrices(dim))
+    got = linalg.exact_product_power_traces(a, b, n_max)
+    assert got == int_route_product_traces(a, b, n_max)
+    assert linalg.exact_product_power_traces(b, a, n_max) == got
+
+
+def test_too_few_primes_raise_instead_of_returning(monkeypatch):
+    # two primes short, every trace of a rank-one matrix near the bound wraps
+    # around its modulus; the check prime must catch it
+    count = linalg._Residues.count
+    monkeypatch.setattr(linalg._Residues, "count", lambda self, bits: max(count(self, bits) - 2, 1))
+    m = np.outer([1, -1, 1, 1], [1, -1, 1, 1]) * (1 - 2.0**-26)
+    with pytest.raises(ArithmeticError):
+        linalg.exact_power_traces(m, 8)
+    with pytest.raises(ArithmeticError):
+        linalg.exact_product_power_traces(m, m, 4)
+
+
+def test_prime_width_keeps_sums_exact():
+    for dim in (1, 2, 4, 9, 16, 36, 255, 10**4):
+        w = linalg._prime_width(dim)
+        h = 2 ** (w - 1) + 4
+        assert 2 * dim * dim * h * h + h <= 2**53 < 2 * dim * dim * (2 * h - 4) ** 2
