@@ -316,6 +316,13 @@ class _Scaled(NamedTuple):
     log2_norm: list[float]  # ||M_f||_F < 2**log2_norm[f]
 
 
+#: the 0 that a real embedding takes its dropped imaginary diagonal from
+_ZERO = np.zeros(1)
+
+#: signs of the real and imaginary planes in Re Tr(XY) = sum(X * Y^T)
+_PLANE_SIGN = np.array([1.0, -1.0])[:, None, None]
+
+
 def _decompose(mats, gather: np.ndarray) -> _Scaled:
     """Integer parts of the exactly symmetrized factors, from one frexp.
 
@@ -337,11 +344,6 @@ def _decompose(mats, gather: np.ndarray) -> _Scaled:
     return _Scaled(np.ldexp(frac, 53).astype(np.int64), shift, shifts,
                    [lo - 54 for lo in low], [t - lo + 54 + half_log2_count for t, lo in zip(top, low)])
 
-
-_ZERO = np.zeros(1)
-
-#: signs of the real and imaginary planes in Re Tr(XY) = sum(X * Y^T)
-_PLANE_SIGN = np.array([1.0, -1.0])[:, None, None]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

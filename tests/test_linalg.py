@@ -565,7 +565,7 @@ def hermitian_matrices(draw, dim):
     return m + m.conj().T + np.diag(entries(dim))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_residue_route_matches_int_route_on_extreme_entries(data):
     dim = data.draw(st.integers(1, 8))
@@ -584,7 +584,7 @@ def rank_one(data, dim, sign):
     return sign * np.outer(v, v.conj())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_residue_route_near_the_prime_bound(data):
     # rank-one traces reach the norm bound within a factor of about sqrt(2)
@@ -598,7 +598,7 @@ def test_residue_route_near_the_prime_bound(data):
         assert all(t < 0 for t in got[::2]) and all(t > 0 for t in got[1::2])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_residue_route_on_non_commuting_products(data):
     dim = data.draw(st.integers(2, 8))
