@@ -362,6 +362,8 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
     the powers up to ceil(n_max / 2) are formed.
     """
     mats = [require_hermitian(m) for m in mats]
+    if mats[-1].shape != mats[0].shape:
+        raise ValueError(f"factor shapes {mats[0].shape} and {mats[-1].shape} differ")
     factors, dim = len(mats), mats[0].shape[0]
     res = _residues(dim)
     scaled = _decompose(mats, res.gather(factors))

@@ -426,6 +426,11 @@ def test_exact_product_power_traces_match_reference():
         assert linalg.exact_product_power_traces(state.matrix, flipped, 4) == expected
 
 
+def test_exact_product_power_traces_reject_factors_of_different_sizes():
+    with pytest.raises(ValueError, match="differ"):
+        linalg.exact_product_power_traces(np.eye(4), np.eye(3), 2)
+
+
 def test_exact_power_traces_zero_matrix():
     assert linalg.exact_power_traces(np.zeros((3, 3)), 3) == [Fraction(0)] * 3
     assert linalg.exact_product_power_traces(np.zeros((3, 3)), np.eye(3), 2) == [Fraction(0)] * 2
