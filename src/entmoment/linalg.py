@@ -319,8 +319,9 @@ class _Scaled(NamedTuple):
 #: the 0 that a real embedding takes its dropped imaginary diagonal from
 _ZERO = np.zeros(1)
 
-#: signs of the real and imaginary planes in Re Tr(XY) = sum(X * Y^T)
-_PLANE_SIGN = np.array([1.0, -1.0])[:, None, None]
+#: signs that turn the transposed blocks [R^T, -I^T] into [R^T, I^T], so that
+#: Re Tr(XY) = sum(R_X * R_Y^T) - sum(I_X * I_Y^T) is one dot with [R_X, -I_X]
+_BLOCK_SIGN = np.array([1.0, -1.0])[:, None]
 
 
 def _decompose(mats, gather: np.ndarray) -> _Scaled:
@@ -333,12 +334,12 @@ def _decompose(mats, gather: np.ndarray) -> _Scaled:
     norm can overflow.
     """
     factors, dim = len(mats), mats[0].shape[0]
-    v = np.concatenate([m.reshape(-1) for m in mats]).view(float)
-    x = np.concatenate([v, -v, _ZERO])[gather]
+    v = [m.reshape(-1).view(float) for m in mats]
+    x = np.concatenate(v + [-part for part in v] + [_ZERO])[gather]
     frac, expo = np.frexp(x)
     low = expo.reshape(factors, -1).min(axis=1)  # zeros enter with exponent 0: they can only lower it
     shift = expo - low[:, None, None]
-    low, top = low.tolist(), np.frexp(np.abs(x).reshape(factors, -1).max(axis=1))[1].tolist()
+    low, top = low.tolist(), [math.frexp(t)[1] for t in np.abs(x).reshape(factors, -1).max(axis=1).tolist()]
     half_log2_count = math.log2(2 * dim * dim - dim) / 2
     shifts = max(max(t, 0) - lo for t, lo in zip(top, low)) + 1  # no exponent, a zero's included, tops max(t, 0)
     return _Scaled(np.ldexp(frac, 53).astype(np.int64), shift, shifts,
@@ -376,18 +377,18 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
     r = np.fmod(scaled.mant, p_int[..., None]) * pow2[:, scaled.shift]  # (k, f, 2D, 2D)
     embedded = _reduce(r + r.swapaxes(-1, -2), p[..., None], p_inv[..., None])  # M = A + A^H
     step = embedded[:, 0] if factors == 1 else _reduce(embedded[:, 0] @ embedded[:, 1], p, p_inv)
-    x = step[:, :, :dim]  # X as its stacked planes [R; I]
+    x = step[:, :dim]  # X as the first D rows of its embedding, [R, -I]
     half, traces = (n_max + 1) // 2, []
     for j in range(1, half + 1):  # traces 2j - 1 and 2j from X^j
         if j > 1:
-            x = _reduce(step @ x, p, p_inv)
+            x = _reduce(x @ step, p, p_inv)
         w = z = x.reshape(k, -1)
         if j == 1:
-            traces.append(w[:, : dim * dim : dim + 1].sum(axis=1))  # the diagonal of R
+            traces.append(w[:, : 2 * dim * dim : 2 * dim + 1].sum(axis=1))  # the diagonal of R
         if factors == 2 and (j < half or 2 * j <= n_max):
-            # X^j's transpose, sign-flipped on its imaginary plane; a power of
-            # a Hermitian X needs none: its transpose is its conjugate
-            z = np.multiply(x.reshape(k, 2, dim, dim).swapaxes(-1, -2), _PLANE_SIGN, order="C").reshape(k, -1)
+            # [R^T, I^T] of X^j; a power of a Hermitian X needs no transpose,
+            # as [R, -I] = [R^T, I^T] there
+            z = np.multiply(x.reshape(k, dim, 2, dim).swapaxes(1, 3), _BLOCK_SIGN, order="C").reshape(k, -1)
         if j > 1:
             traces.append(_row_dots(w, z_prev))
         if 2 * j <= n_max:
