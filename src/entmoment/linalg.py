@@ -334,17 +334,16 @@ def _decompose(mats, gather: np.ndarray) -> _Scaled:
     norm can overflow.
     """
     factors, dim = len(mats), mats[0].shape[0]
-    v = [m.reshape(-1).view(float) for m in mats]
+    v = [m.ravel().view(float) for m in mats]
     x = np.concatenate(v + [-part for part in v] + [_ZERO])[gather]
     frac, expo = np.frexp(x)
     low = expo.reshape(factors, -1).min(axis=1)  # zeros enter with exponent 0: they can only lower it
     shift = expo - low[:, None, None]
     low, top = low.tolist(), [math.frexp(t)[1] for t in np.abs(x).reshape(factors, -1).max(axis=1).tolist()]
     half_log2_count = math.log2(2 * dim * dim - dim) / 2
-    shifts = max(max(t, 0) - lo for t, lo in zip(top, low)) + 1  # no exponent, a zero's included, tops max(t, 0)
+    shifts = max(max(t, 0) - lo for t, lo in zip(top, low)) + 1  # a zero's exponent is 0
     return _Scaled(np.ldexp(frac, 53).astype(np.int64), shift, shifts,
                    [lo - 54 for lo in low], [t - lo + 54 + half_log2_count for t, lo in zip(top, low)])
-
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

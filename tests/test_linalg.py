@@ -431,6 +431,16 @@ def test_exact_product_power_traces_reject_factors_of_different_sizes():
         linalg.exact_product_power_traces(np.eye(4), np.eye(3), 2)
 
 
+def test_exact_traces_accept_strided_views():
+    big = np.zeros((4, 8), dtype=complex)
+    big[:, ::2] = random_hermitian(4, rng_stream(18, 0))
+    view = big[:, ::2]
+    assert not view.flags.c_contiguous and not view.T.flags.c_contiguous
+    assert_traces_match_reference(view, 4)
+    expected = fraction_power_traces(fraction_matmul(fraction_parts(view), fraction_parts(view.T)), 3)
+    assert linalg.exact_product_power_traces(view, view.T, 3) == expected
+
+
 def test_exact_power_traces_zero_matrix():
     assert linalg.exact_power_traces(np.zeros((3, 3)), 3) == [Fraction(0)] * 3
     assert linalg.exact_product_power_traces(np.zeros((3, 3)), np.eye(3), 2) == [Fraction(0)] * 2
