@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ _IMAG_GUARD = 1e-6
 COMPLEX_ROOTS_FLAG = "complex-roots"
 
 
-@dataclass(frozen=True)
-class SpectrumRecovery:
+class SpectrumRecovery(NamedTuple):
     """Sorted (descending) recovered values plus diagnostic flags."""
 
     values: np.ndarray

@@ -12,7 +12,7 @@ into a concurrence estimate for states already known to be entangled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def ef_from_concurrence(c: float) -> float:
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
-@dataclass(frozen=True)
-class ConcurrenceBreakdown:
+class ConcurrenceBreakdown(NamedTuple):
     """The four descending eigenvalues of rho rho~ plus C and E_f."""
 
     lambdas: tuple[float, float, float, float]
@@ -112,8 +111,7 @@ def concurrence(state: DensityMatrix) -> float:
     return concurrence_breakdown(state).concurrence
 
 
-@dataclass(frozen=True)
-class NegativityReport:
+class NegativityReport(NamedTuple):
     """Partial-transpose spectrum and the measures derived from it."""
 
     pt_eigenvalues: tuple[float, ...]
@@ -139,8 +137,7 @@ def negativity_report(state: DensityMatrix) -> NegativityReport:
     return report_from_pt_eigenvalues(herm_eigenvalues(pt))
 
 
-@dataclass(frozen=True)
-class PptVerdict:
+class PptVerdict(NamedTuple):
     verdict: str  # "npt" (entangled for 2x2 and 2x3) or "ppt"
     min_pt_eigenvalue: float
 
@@ -156,8 +153,7 @@ def ppt_verdict(state: DensityMatrix) -> PptVerdict:
     return PptVerdict("npt" if min_eig < -NPT_TOL else "ppt", min_eig)
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(NamedTuple):
     """Smallest gamma = Sigma rho^T_A Sigma rho^T_B eigenvalue and the C estimate."""
 
     lambda_min: float

@@ -16,8 +16,8 @@ Resource ledgers count estimated parameters and consumed copies per round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ SECOND_STAGE_ABANDONED = "no entanglement detected, second stage abandoned"
 QUOTED_TOMOGRAPHY_R = 165
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(NamedTuple):
     """Power sums p_k of the rho rho~ spectrum for k = 1..4."""
 
     p: tuple[float, float, float, float]
@@ -67,8 +66,7 @@ class MomentVector:
         return () if ordered and p[-1] >= -1e-12 else (MOMENT_ORDER_FLAG,)
 
 
-@dataclass(frozen=True)
-class MomentObservableSpec:
+class MomentObservableSpec(NamedTuple):
     """Scale and offset turning the binary-observable mean into p_k.
 
     The offset applied is 4 * d_k, the unique constant for which the group
@@ -132,8 +130,7 @@ def channel_moments(state: DensityMatrix) -> MomentVector:
     return MomentVector(p=tuple(moment_from_channel(out) for out in group_channel_outputs(state)))
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(NamedTuple):
     lambdas: tuple[float, float, float, float]
     flags: tuple[str, ...]
 
@@ -168,8 +165,7 @@ def concurrence_from_moments(moments) -> tuple[ConcurrenceBreakdown, tuple[str, 
     return breakdown_from_lambdas(inv.lambdas), inv.flags
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
+class SpectrumEstimate(NamedTuple):
     """Negativity data reconstructed from channel-output power sums."""
 
     report: NegativityReport
@@ -218,8 +214,7 @@ def spectrum_protocol(state: DensityMatrix) -> SpectrumEstimate:
     return spectrum_from_channel_moments(spectrum_power_sums(state), state.dims[0])
 
 
-@dataclass(frozen=True)
-class TwoStageResult:
+class TwoStageResult(NamedTuple):
     """Sign-test verdict plus, only when warranted, the gamma estimate."""
 
     verdict: str  # "npt" | "ppt"
@@ -263,8 +258,7 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     )
 
 
-@dataclass(frozen=True)
-class ResourceLedger:
+class ResourceLedger(NamedTuple):
     """(parameters estimated, copies per round, product) for one protocol."""
 
     protocol: str

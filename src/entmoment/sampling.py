@@ -20,7 +20,7 @@ reads its four p+ off one product chain; tomography loops over a Pauli table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .states import DensityMatrix, rng_stream
 MODES = ("ideal", "sampled")
 
 
-@dataclass(frozen=True)
-class ShotRecord:
+class ShotRecord(NamedTuple):
     """Outcome counts of one binary estimation run."""
 
     shots: int
@@ -55,8 +54,7 @@ class ShotRecord:
         return self.successes / self.shots
 
 
-@dataclass(frozen=True)
-class MomentSample:
+class MomentSample(NamedTuple):
     """One sampled moment: counts, derived estimate, copy accounting."""
 
     k: int
@@ -115,8 +113,7 @@ def sample_moment_povm(state: DensityMatrix, k: int, shots: int, rng: np.random.
     return _moment_sample(group_channel_output(state, k), _shot_count(shots), rng)
 
 
-@dataclass(frozen=True)
-class EstimatorRun:
+class EstimatorRun(NamedTuple):
     """One run of the concurrence pipeline."""
 
     samples: tuple[MomentSample, ...] | None  # None in ideal mode
@@ -170,8 +167,7 @@ def run_concurrence_protocol(
     )
 
 
-@dataclass(frozen=True)
-class SpectrumRun:
+class SpectrumRun(NamedTuple):
     """One run of the negativity pipeline."""
 
     samples: tuple[ShotRecord, ...] | None
@@ -222,8 +218,7 @@ _PAULI_OPS = np.array([np.kron(_PAULI[a], _PAULI[b]) for a, b in _PAULI_LABELS])
 _PAULI_OPS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class TomographyRun:
+class TomographyRun(NamedTuple):
     """Linear-inversion reconstruction from 15 Pauli-pair expectations."""
 
     expectations: dict

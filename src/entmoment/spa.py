@@ -12,8 +12,7 @@ spectrum, so measuring the output spectrum measures the PT spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,8 +121,7 @@ def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]
     return tuple(sums)
 
 
-@dataclass(frozen=True)
-class GroupChannelOutput:
+class GroupChannelOutput(NamedTuple):
     """Implicit value object for the k-th group channel output.
 
     The 2k-copy channel output equals

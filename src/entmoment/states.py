@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-@dataclass(frozen=True)
-class StateDiagnostics:
+class StateDiagnostics(NamedTuple):
     """Residuals of the three density-matrix invariants."""
 
     hermiticity_defect: float
@@ -220,6 +220,10 @@ def state_to_json(state: DensityMatrix) -> str:
     return json.dumps(payload)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false load as bool
+
+
 def _parse_grid(raw, name: str, dim: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ValueError(f"state record: '{name}' must be a {dim}-row grid")
@@ -227,7 +231,12 @@ def _parse_grid(raw, name: str, dim: int) -> np.ndarray:
     for row in raw:
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"state record: '{name}' grid is not rectangular {dim}x{dim}")
-        rows.append([float(x) for x in row])
+        if not all(_is_int(x) or isinstance(x, float) for x in row):
+            raise ValueError(f"state record: '{name}' grid holds an entry that is not a number")
+        try:
+            rows.append([float(x) for x in row])
+        except OverflowError as exc:
+            raise ValueError(f"state record: '{name}' grid holds an integer beyond float range") from exc
     return np.array(rows, dtype=float)
 
 
@@ -243,9 +252,9 @@ def state_from_json(text: str) -> DensityMatrix:
         if key not in payload:
             raise ValueError(f"state record is missing '{key}'")
     dims = payload["dims"]
-    if not isinstance(dims, list) or len(dims) != 2:
-        raise ValueError("state record: 'dims' must be [dimA, dimB]")
-    da, db = int(dims[0]), int(dims[1])
+    if not isinstance(dims, list) or len(dims) != 2 or not all(_is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"state record: 'dims' must be [dimA, dimB], integers of at least 1, got {dims!r}")
+    da, db = dims
     dim = da * db
     re = _parse_grid(payload["re"], "re", dim)
     im = _parse_grid(payload["im"], "im", dim)

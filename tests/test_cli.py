@@ -215,6 +215,32 @@ def test_entry_point_subprocess(tmp_path):
     assert "C        : 1.000000" in proc.stdout
 
 
+def test_cli_import_leaves_selftest_and_csv_unloaded():
+    # every command pays for what `import entmoment.cli` loads; selftest and
+    # csv serve one command each and are imported inside it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, entmoment.cli; print(sorted({'entmoment.selftest', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_selftest_default_seed_is_recorded(tmp_path, capsys):
+    out = tmp_path / "st.json"
+    run_cli(["selftest", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["config"]["seed"] == report["results"]["seed"] == 20240101
+
+
+def test_exact_malformed_dims_exits_one(tmp_path, capsys):
+    record = json.loads(states.state_to_json(states.bell_state()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**record, "dims": [None, 2]}))
+    assert run_cli(["exact", "--in", str(bad)]) == 1
+    assert "error: state record: 'dims'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert run_cli(["exact", "--familly", "bell"]) == 1
 

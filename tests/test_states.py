@@ -159,6 +159,40 @@ def test_reject_invariant_violation_with_residuals():
         states.state_from_json(json.dumps(record))
 
 
+def _mixed_record(**changes) -> str:
+    """The maximally mixed two-qubit record, with some keys replaced."""
+    record = json.loads(states.state_to_json(states.werner_state(0.0)))
+    return json.dumps({**record, **changes})
+
+
+def _grid_with_first_entry(value):
+    grid = [[0.0] * 4 for _ in range(4)]
+    grid[0][0] = value
+    return grid
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"dims": [None, 2]}, "integers of at least 1"),
+        ({"dims": [2.9, 2.1]}, "integers of at least 1"),  # was truncated to (2, 2)
+        ({"dims": [True, 4]}, "integers of at least 1"),  # was read as (1, 4)
+        ({"re": _grid_with_first_entry(None)}, "not a number"),
+        ({"re": _grid_with_first_entry("0.25")}, "not a number"),
+        ({"im": _grid_with_first_entry(10**400)}, "beyond float range"),
+    ],
+    ids=["null-dims", "float-dims", "bool-dims", "null-entry", "string-entry", "huge-int-entry"],
+)
+def test_reject_malformed_dims_and_entries(changes, message):
+    with pytest.raises(ValueError, match=message):
+        states.state_from_json(_mixed_record(**changes))
+
+
+def test_integer_grid_entries_still_parse():
+    record = {"dims": [1, 1], "re": [[1]], "im": [[0]]}
+    assert states.state_from_json(json.dumps(record)).dims == (1, 1)
+
+
 def test_make_state_dispatch_errors():
     with pytest.raises(ValueError, match="unknown state family"):
         states.make_state("ghz")
