@@ -9,7 +9,7 @@ import importlib
 import numpy as np
 import pytest
 
-from entmoment import protocols, sampling, states
+from entmoment import sampling, states
 
 FIELDS = {
     "inversion.SpectrumRecovery": ("values", "flags"),
@@ -73,13 +73,10 @@ def test_density_matrix_rejects_attribute_assignment():
         state.dims = (4, 1)
 
 
-def test_record_keyword_construction_repr_and_properties():
+def test_record_keyword_construction_repr_and_asdict():
     shot = sampling.ShotRecord(shots=4, successes=1, target_mean=0.25)
     assert repr(shot) == "ShotRecord(shots=4, successes=1, target_mean=0.25)"
     assert shot.estimate == 0.25
     assert shot._asdict() == {"shots": 4, "successes": 1, "target_mean": 0.25}
-    ledger = protocols.resource_ledger("concurrence-moments")
-    assert (ledger.r_p, ledger.r_c, ledger.r) == (4, 20, 80)
-    assert protocols.MomentVector(p=(1.0, 0.5, 0.6, 0.1)).flags == (protocols.MOMENT_ORDER_FLAG,)
     diag = states.validate_state(np.eye(2) / 2)
     assert diag.ok and str(diag).startswith("StateDiagnostics(hermiticity_defect=")
