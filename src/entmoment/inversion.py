@@ -14,9 +14,9 @@ polynomial is centered.  The engine here therefore
 3. selects a multiplicity structure by weighted least squares against the
    moments: for each cluster count, coarsest first, the sorted roots are
    split at their widest gaps (single linkage; each count adds one cut to
-   the previous partition); a plain-float screen covers every count, and
-   only its survivors get exact means, the numpy screen and a multiplicity-
-   constrained Gauss-Newton pass (outputs as if numpy screened every count).
+   the previous partition); one plain-float screen of the cluster means
+   skips every count some moment rules out, and each survivor gets a
+   multiplicity-constrained Gauss-Newton pass started from those means.
    The first structure whose residual sits at the rounding floor wins.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
@@ -28,7 +28,9 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, perm
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +45,9 @@ _ACCEPT_FACTOR = 8.0
 
 #: below this relative spread all values are reported as their mean
 _DEGENERATE_SPREAD = 1e-8
+
+#: screen value, in units of the weights, above which a structure is skipped
+_SCREEN_CUT = 1e6
 
 #: Gauss-Newton steps per candidate structure
 _GAUSS_NEWTON_ITERS = 12
@@ -129,13 +134,18 @@ def _power_sums(z: np.ndarray, mult: np.ndarray, n: int) -> np.ndarray:
     return (mult * _power_table(z, n)[1:]).sum(axis=1)
 
 
-def _fast_skip(means: list, sizes: list, targets: list, weights: list, limit: float) -> bool:
+def _mean(xs: list) -> float:
+    """Left-to-right mean, the same on every Python (sum() compensates from 3.12)."""
+    return reduce(add, xs, 0.0) / len(xs)
+
+
+def _fast_skip(means: list, sizes: list, targets: list, weights: list) -> bool:
     """Whether some moment's screen value, in plain floats (powers by repeated
-    multiplication, lowest moment first), is finite and above limit."""
+    multiplication, lowest moment first), is above the cut."""
     powers = sizes
     for t, w in zip(targets, weights):
         powers = [p * z for p, z in zip(powers, means)]
-        if limit < abs(sum(powers) - t) / w < math.inf:
+        if abs(sum(powers) - t) / w > _SCREEN_CUT:
             return True
     return False
 
@@ -203,8 +213,6 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         if not isinstance(x, Fraction) and not abs(x) < math.inf:
             raise ValueError(f"power sum at index {i} is not finite: {x!r}")
     try:
-        if n == 1:
-            return SpectrumRecovery(np.array([float(psums[0])]), ())
         center, scale, coeffs, targets, noise = _centered_setup(psums)
     except OverflowError as exc:
         raise ValueError(f"power sums overflow float64: {exc}") from exc
@@ -216,16 +224,8 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     ymax = max(1.0, float(np.max(np.abs(y))))
     weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
-    # Fast screen: the numpy screen below in plain floats.  With |z| <= ymax a
-    # k-value mean differs by at most k * eps * ymax, amplified m-fold by the
-    # m-th power; with power and summation rounding the m-th sums differ by
-    # less than (m * n + 2 * n) * n * eps * ymax**m.  Every weight is at least
-    # 8 * 64 * eps * n * ymax**m, so the screen values differ by less than
-    # (n * n + 2 * n) / 512 < n * n: above 1e6 + n * n here is above 1e6 there.
-    # Nothing is skipped on a non-finite value or when ymax**n nears overflow.
-    limit = 1e6 + n * n if n * math.log2(ymax) < 1000 else math.inf
     ys, fast_targets, fast_weights = y.tolist(), targets.tolist(), weights.tolist()
-    bounds, sizes, means = [0, n], [n], [sum(ys) / n]
+    bounds, sizes, means = [0, n], [n], [_mean(ys)]
     # single linkage: n_clusters groups split the sorted roots at their widest
     # gaps; each count adds one cut to the previous split
     for cut in [0] + (np.argsort(-np.diff(y), kind="stable") + 1).tolist():
@@ -234,16 +234,11 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
             a, b = bounds[i - 1], bounds[i]
             bounds.insert(i, cut)
             sizes[i - 1:i] = [cut - a, b - cut]
-            means[i - 1:i] = [sum(ys[a:cut]) / (cut - a), sum(ys[cut:b]) / (b - cut)]
-        if _fast_skip(means, sizes, fast_targets, fast_weights, limit):
+            means[i - 1:i] = [_mean(ys[a:cut]), _mean(ys[cut:b])]
+        if _fast_skip(means, sizes, fast_targets, fast_weights):
             continue
-        # survivors only: exact means (the finest split is y itself)
         mult = np.array(sizes, dtype=float)
-        z0 = y if len(sizes) == n else np.array([y[a:b].mean() for a, b in zip(bounds, bounds[1:])])
-        # skip structures hopelessly far from the moments
-        if (np.abs(_power_sums(z0, mult, n) - targets) / weights).max() > 1e6:
-            continue
-        z, res = _gauss_newton(z0, mult, targets, weights)
+        z, res = _gauss_newton(np.array(means), mult, targets, weights)
         if res <= 1.0:
             values = np.repeat(z, mult.astype(int))
             return SpectrumRecovery(np.sort(center + scale * values)[::-1], ())

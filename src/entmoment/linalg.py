@@ -364,6 +364,10 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
     mats = [require_hermitian(m) for m in mats]
     if mats[-1].shape != mats[0].shape:
         raise ValueError(f"factor shapes {mats[0].shape} and {mats[-1].shape} differ")
+    if n_max < 1:
+        if n_max < 0:
+            raise ValueError(f"n_max must be at least 0, got {n_max}")
+        return []
     factors, dim = len(mats), mats[0].shape[0]
     res = _residues(dim)
     scaled = _decompose(mats, res.gather(factors))

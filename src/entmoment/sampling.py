@@ -12,8 +12,8 @@ outcome counts are drawn from the corresponding binomial.  Everything is
 reproducible from (state, config, seed); independent estimates use
 independent seed streams.
 
-Every sampled entry point rejects shot counts that are not whole numbers of
-at least 1 before any draw; one helper draws every binary run.  A ladder run
+Every sampled entry point rejects shot counts that are not whole numbers in
+[1, 2**63) before any draw; one helper draws every binary run.  A ladder run
 reads its four p+ off one product chain; tomography loops over a Pauli table.
 """
 
@@ -64,8 +64,8 @@ class MomentSample(NamedTuple):
 
 
 def _shot_count(shots) -> int:
-    if not 1 <= shots < math.inf or shots != int(shots):
-        raise ValueError(f"shots must be a whole number of at least 1, got {shots!r}")
+    if not 1 <= shots < 2**63 or shots != int(shots):
+        raise ValueError(f"shots must be a whole number of at least 1 and below 2**63, got {shots!r}")
     return int(shots)
 
 

@@ -255,6 +255,12 @@ def test_protocol_ideal_checks_shots(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_protocol_sampled_rejects_shots_beyond_int64(capsys):
+    assert run_cli(["protocol", "concurrence", "--family", "bell", "--mode", "sampled",
+                    "--shots", str(2**63)]) == 1
+    assert "error: shots must be a whole number of at least 1 and below 2**63" in capsys.readouterr().err
+
+
 def test_compare_reps_is_required(capsys):
     assert run_cli(["compare", "--family", "bell", "--shots", "100"]) == 1
     assert "the following arguments are required: --reps" in capsys.readouterr().err

@@ -446,6 +446,16 @@ def test_exact_power_traces_zero_matrix():
     assert linalg.exact_product_power_traces(np.zeros((3, 3)), np.eye(3), 2) == [Fraction(0)] * 2
 
 
+def test_exact_traces_of_no_powers_and_negative_counts():
+    m = np.diag([0.5, 0.25])
+    assert linalg.exact_power_traces(m, 0) == fraction_power_traces(fraction_parts(m), 0) == []
+    assert linalg.exact_product_power_traces(m, m, 0) == []
+    with pytest.raises(ValueError, match="n_max"):
+        linalg.exact_power_traces(m, -1)
+    with pytest.raises(ValueError, match="n_max"):
+        linalg.exact_product_power_traces(m, m, -1)
+
+
 def test_exact_power_traces_entries_spanning_1e300():
     rng = rng_stream(13, 0)
     upper = np.triu_indices(4)

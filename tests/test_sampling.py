@@ -213,7 +213,7 @@ def test_invalid_mode_rejected():
 
 # ---------------------------------------------------------------- shot counts
 
-BAD_SHOTS = [0, -5, 2.5, float("nan"), float("inf")]
+BAD_SHOTS = [0, -5, 2.5, float("nan"), float("inf"), 2**63]
 
 
 @pytest.mark.parametrize("shots", BAD_SHOTS)
@@ -249,6 +249,11 @@ def test_integral_float_shots_match_int_shots():
     assert a.estimate == b.estimate
     a, b = (sampling.run_tomography_baseline(st, shots=n, seed=3) for n in (1e6, 10**6))
     assert a.expectations == b.expectations and a.breakdown == b.breakdown
+
+
+def test_largest_int64_shot_count_runs():
+    run = sampling.run_concurrence_protocol(states.werner_state(0.8), shots=2**63 - 1, seed=3)
+    assert all(s.record.shots == 2**63 - 1 for s in run.samples)
 
 
 def test_ideal_mode_ignores_shot_count():
