@@ -206,11 +206,12 @@ def cmd_compare(args) -> int:
     state = _load_state(args)
     exact = measures.concurrence_breakdown(state)
     try:
-        shots_list = [int(s) for s in str(args.shots).split(",") if s]
+        counts = [int(s) for s in str(args.shots).split(",") if s]
     except ValueError as exc:
         raise ValueError(f"--shots must be a comma list of integers, got {args.shots!r}") from exc
-    if not shots_list or min(shots_list) < 1:
-        raise ValueError("compare needs positive shot counts")
+    shots_list = [sampling._shot_count(s) for s in counts]  # all checked before any run
+    if not shots_list:
+        raise ValueError("compare needs at least one shot count")
 
     methods = (
         ("moments", sampling.run_concurrence_protocol, protocols.resource_ledger("concurrence-moments"), ""),

@@ -65,6 +65,16 @@ class SpectrumRecovery(NamedTuple):
     flags: tuple[str, ...]
 
 
+def _taylor_shift(a: list, b: int) -> list:
+    """sum_j comb(m, j) a_j b**(m - j), m = 1..len(a) - 1, on integers: pass m
+    of the triangle row[i] = row[i + 1] + b * row[i] leaves the m-th in row[0]."""
+    q = []
+    for _ in range(len(a) - 1):
+        a = [hi + b * lo for lo, hi in zip(a, a[1:])]
+        q.append(a[0])
+    return q
+
+
 def _centered_setup(psums):
     """Exact shift/scale/Newton chain.
 
@@ -84,9 +94,7 @@ def _centered_setup(psums):
     num = [a * (odd << g) ** m // b for m, (a, b) in enumerate(p)]
     unit = n * (odd << g)
     cf = num[1] / unit
-    scaled = [x * n**j for j, x in enumerate(num)]
-    shift = [(-num[1]) ** i for i in range(n + 1)]
-    q = [sum(comb(m, j) * scaled[j] * shift[m - j] for j in range(m + 1)) for m in range(1, n + 1)]
+    q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
 
     q2 = q[1] / unit**2 if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
@@ -130,10 +138,6 @@ def _power_table(z: np.ndarray, n: int) -> np.ndarray:
     return pw
 
 
-def _power_sums(z: np.ndarray, mult: np.ndarray, n: int) -> np.ndarray:
-    return (mult * _power_table(z, n)[1:]).sum(axis=1)
-
-
 def _mean(xs: list) -> float:
     """Left-to-right mean, the same on every Python (sum() compensates from 3.12)."""
     return reduce(add, xs, 0.0) / len(xs)
@@ -168,23 +172,19 @@ def _gauss_newton(z0, mult, targets, weights):
     n = len(targets)
     ms = np.arange(1, n + 1)[:, None]
     best, best_res = z.copy(), math.inf
-    for _ in range(_GAUSS_NEWTON_ITERS):
+    for i in range(_GAUSS_NEWTON_ITERS + 1):  # the last pass only evaluates
         pw = _power_table(z, n)
         r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
         res = float(np.max(np.abs(r)))
         if res < best_res:
             best_res, best = res, z.copy()
-        if res < 0.5:
+        if res < 0.5 or i == _GAUSS_NEWTON_ITERS:
             break
         jac = ms * mult * pw[:-1]
         step, *_ = np.linalg.lstsq(jac / weights[:, None], r, rcond=None)
         if not np.all(np.isfinite(step)):
             break
         z = z - step
-    r = (_power_sums(z, mult, n) - targets) / weights
-    res = float(np.max(np.abs(r)))
-    if res < best_res:
-        best_res, best = res, z
     return best, best_res
 
 

@@ -82,16 +82,18 @@ class ConcurrenceBreakdown(NamedTuple):
 
 def breakdown_from_lambdas(lambdas) -> ConcurrenceBreakdown:
     """Assemble C and E_f from (possibly estimated) eigenvalues of rho rho~."""
-    lam = np.sort(np.clip(np.asarray(lambdas, dtype=float), 0.0, None))[::-1]
+    lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (4,):
         raise ValueError("expected four eigenvalues")
+    # in plain floats: negatives and -0.0 clip to +0.0, NaN stays and sorts first
+    lam = sorted((x if x > 0.0 or x != x else 0.0 for x in lam.tolist()), key=lambda x: (x == x, -x))
     # rounding dust must not leak through the square roots: an eigenvalue of
     # 1e-17 would otherwise shift C by 3e-9
-    lam[lam < 1e-13 * lam[0]] = 0.0
-    roots = np.sqrt(lam)
-    c = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
-    c = min(c, 1.0)
-    return ConcurrenceBreakdown(tuple(float(x) for x in lam), c, ef_from_concurrence(c))
+    cut = 1e-13 * lam[0]
+    lam = tuple(0.0 if x < cut else x for x in lam)
+    r0, r1, r2, r3 = map(math.sqrt, lam)
+    c = min(max(0.0, r0 - r1 - r2 - r3), 1.0)
+    return ConcurrenceBreakdown(lam, c, ef_from_concurrence(c))
 
 
 def concurrence_breakdown(state: DensityMatrix) -> ConcurrenceBreakdown:

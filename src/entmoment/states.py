@@ -71,7 +71,11 @@ class StateDiagnostics(NamedTuple):
 
 def validate_state(matrix) -> StateDiagnostics:
     """Report hermiticity defect, trace defect and minimum eigenvalue."""
-    m = as_complex_matrix(matrix)
+    return _diagnostics(as_complex_matrix(matrix))
+
+
+def _diagnostics(m: np.ndarray) -> StateDiagnostics:
+    """validate_state of a matrix already coerced by as_complex_matrix."""
     herm = hermiticity_defect(m)
     trace = float(abs(np.trace(m) - 1.0))
     sym = (m + m.conj().T) / 2.0
@@ -91,7 +95,7 @@ class DensityMatrix:
         da, db = int(self.dims[0]), int(self.dims[1])
         if da < 1 or db < 1 or da * db != m.shape[0]:
             raise ValueError(f"dims {self.dims} incompatible with matrix dimension {m.shape[0]}")
-        diag = validate_state(m)
+        diag = _diagnostics(m)
         if not diag.ok:
             raise ValueError(f"not a density matrix: {', '.join(diag.violations)} violated ({diag})")
         m = m.copy()

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from entmoment import states
+from entmoment import sampling, states
 from entmoment.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -259,6 +259,20 @@ def test_protocol_sampled_rejects_shots_beyond_int64(capsys):
     assert run_cli(["protocol", "concurrence", "--family", "bell", "--mode", "sampled",
                     "--shots", str(2**63)]) == 1
     assert "error: shots must be a whole number of at least 1 and below 2**63" in capsys.readouterr().err
+
+
+def test_compare_checks_every_shot_count_before_running(capsys, tmp_path, monkeypatch):
+    runs = []
+    for name in ("run_concurrence_protocol", "run_tomography_baseline"):
+        monkeypatch.setattr(sampling, name, lambda *a, **k: runs.append(1))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["compare", "--family", "bell", "--shots", f"100,{2**63}", "--reps", "2",
+                    "--out", str(out)]) == 1
+    assert runs == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: shots must be a whole number of at least 1 and below 2**63" in captured.err
+    assert not out.exists()
 
 
 def test_compare_reps_is_required(capsys):

@@ -4,7 +4,7 @@
 (floats as ``float.hex``, Fractions as ``"num/den"``) together with the
 values (as ``float.hex``) and flags it returned when the file was recorded.
 The exhaustive reference in ``test_inversion.py`` calls the library's own
-``_power_sums`` and ``_gauss_newton``, so it cannot see a change inside
+``_power_table`` and ``_gauss_newton``, so it cannot see a change inside
 them; this file depends on nothing the library computes today.
 
 Every case names the kind of its input (``exact``, ``float`` or

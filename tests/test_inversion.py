@@ -145,12 +145,17 @@ def reference_weights(y, noise):
         noise + inversion._FLOAT_NOISE_FACTOR * inversion._EPS * n * ymax ** np.arange(1, n + 1))
 
 
+def power_sums(z, mult, n):
+    """sum_i mult_i z_i**m, m = 1..n, the way _gauss_newton forms its residual."""
+    return (mult * inversion._power_table(z, n)[1:]).sum(axis=1)
+
+
 def reference_split(y, targets, weights, sizes):
     """(start values, multiplicities, screen value) of one contiguous split."""
     bounds = np.cumsum((0,) + sizes)
     mult = np.array(sizes, dtype=float)
     z0 = np.array([y[bounds[i]:bounds[i + 1]].mean() for i in range(len(sizes))])
-    return z0, mult, np.max(np.abs(inversion._power_sums(z0, mult, len(y)) - targets) / weights)
+    return z0, mult, np.max(np.abs(power_sums(z0, mult, len(y)) - targets) / weights)
 
 
 def reference_spectrum_from_power_sums(psums):
@@ -363,6 +368,77 @@ def test_integer_chain_matches_fraction_chain_property(psums):
     assert_setup_matches_reference(psums)
 
 
+# Reference: the binomial sums the additions-only Taylor shift replaced, and
+# the Gauss-Newton pass with its closing evaluation on every exit.
+
+def reference_taylor_shift(a, b):
+    shift = [b**i for i in range(len(a))]
+    return [sum(comb(m, j) * a[j] * shift[m - j] for j in range(m + 1)) for m in range(1, len(a))]
+
+
+def shift_inputs(psums):
+    """The (a, b) that _centered_setup hands to _taylor_shift for psums."""
+    seen, real = [], inversion._taylor_shift
+    inversion._taylor_shift = lambda a, b: seen.append((a, b)) or real(a, b)
+    try:
+        inversion._centered_setup(psums)
+    except OverflowError:
+        pass
+    finally:
+        inversion._taylor_shift = real
+    (a, b), = seen
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(moment_floats, min_size=1, max_size=16),
+                 st.lists(moment_fractions, min_size=1, max_size=16)))
+def test_taylor_shift_matches_binomial_sums(psums):
+    a, b = shift_inputs(psums)
+    assert len(a) == len(psums) + 1
+    assert inversion._taylor_shift(a, b) == reference_taylor_shift(a, b)
+
+
+def reference_gauss_newton(z0, mult, targets, weights):
+    z = z0.astype(float).copy()
+    n = len(targets)
+    ms = np.arange(1, n + 1)[:, None]
+    best, best_res = z.copy(), math.inf
+    for _ in range(inversion._GAUSS_NEWTON_ITERS):
+        pw = inversion._power_table(z, n)
+        r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
+        res = float(np.max(np.abs(r)))
+        if res < best_res:
+            best_res, best = res, z.copy()
+        if res < 0.5:
+            break
+        jac = ms * mult * pw[:-1]
+        step, *_ = np.linalg.lstsq(jac / weights[:, None], r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        z = z - step
+    r = (power_sums(z, mult, n) - targets) / weights
+    res = float(np.max(np.abs(r)))
+    if res < best_res:
+        best_res, best = res, z
+    return best, best_res
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gauss_newton_matches_closing_evaluation_reference(data):
+    # weights from 1e-12 (the loop runs out) to 1e3 (it stops at once)
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, n))
+    z0 = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=k, max_size=k)))
+    mult = np.array(data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)), dtype=float)
+    targets = np.array(data.draw(st.lists(st.floats(-20, 20), min_size=n, max_size=n)))
+    weights = np.full(n, 10.0 ** data.draw(st.integers(-12, 3)))
+    (z, res), (z_ref, res_ref) = inversion._gauss_newton(z0, mult, targets, weights), \
+        reference_gauss_newton(z0, mult, targets, weights)
+    assert z.tobytes() == z_ref.tobytes() and repr(res) == repr(res_ref)
+
+
 # The vectorized helpers against the per-moment and per-slice expressions
 # they replaced, bit for bit.
 
@@ -377,7 +453,7 @@ def test_power_sums_match_per_moment_sums(data):
     mult = np.array(data.draw(st.lists(st.integers(1, 16), min_size=k, max_size=k)), dtype=float)
     n = data.draw(st.integers(1, 16))
     expected = np.array([np.sum(mult * z**m) for m in range(1, n + 1)])
-    assert inversion._power_sums(z, mult, n).tobytes() == expected.tobytes()
+    assert power_sums(z, mult, n).tobytes() == expected.tobytes()
 
 
 coefficients = st.floats(-100, 100, allow_subnormal=False)

@@ -363,7 +363,7 @@ def int_power_traces(p, e, n_max):
     powers = [p]
     for _ in range(1, (n_max + 1) // 2):
         powers.append(int_matmul(powers[-1], p))
-    traces = [np.trace(p[0])]
+    traces = [np.trace(p[0])] if n_max else []
     for n in range(2, n_max + 1):
         (ar, ai), (br, bi) = powers[(n + 1) // 2 - 1], powers[n // 2 - 1]
         traces.append((ar * br.T).sum() - (0 if ai is None else (ai * bi.T).sum()))
@@ -448,8 +448,8 @@ def test_exact_power_traces_zero_matrix():
 
 def test_exact_traces_of_no_powers_and_negative_counts():
     m = np.diag([0.5, 0.25])
-    assert linalg.exact_power_traces(m, 0) == fraction_power_traces(fraction_parts(m), 0) == []
-    assert linalg.exact_product_power_traces(m, m, 0) == []
+    assert linalg.exact_power_traces(m, 0) == fraction_power_traces(fraction_parts(m), 0) == int_route_traces(m, 0) == []
+    assert linalg.exact_product_power_traces(m, m, 0) == int_route_product_traces(m, m, 0) == []
     with pytest.raises(ValueError, match="n_max"):
         linalg.exact_power_traces(m, -1)
     with pytest.raises(ValueError, match="n_max"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmoment import linalg, measures, states
 
@@ -123,6 +125,61 @@ def test_ef_monotone_in_concurrence():
     values = [measures.ef_from_concurrence(c) for c in grid]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
     assert values[0] == 0.0 and abs(values[-1] - 1.0) < 1e-12
+
+
+# Reference: the numpy clip/sort/mask/sqrt read-out that the plain-float
+# breakdown_from_lambdas replaced, as it stood.
+
+def reference_breakdown_from_lambdas(lambdas):
+    lam = np.sort(np.clip(np.asarray(lambdas, dtype=float), 0.0, None))[::-1]
+    if lam.shape != (4,):
+        raise ValueError("expected four eigenvalues")
+    lam[lam < 1e-13 * lam[0]] = 0.0
+    roots = np.sqrt(lam)
+    c = max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    c = min(c, 1.0)
+    return measures.ConcurrenceBreakdown(tuple(float(x) for x in lam), c, measures.ef_from_concurrence(c))
+
+
+def assert_breakdown_matches_reference(lambdas):
+    # repr tells -0.0 from 0.0 and shows every float to the last bit
+    got = measures.breakdown_from_lambdas(lambdas)
+    assert all(type(x) is float for x in got.lambdas)
+    assert repr(got) == repr(reference_breakdown_from_lambdas(lambdas))
+
+
+@st.composite
+def lambda_vectors(draw):
+    """Four values around a top one: negatives, signed zeros, ties with the
+    top and values just under, at and above the 1e-13 dust cut."""
+    top = draw(st.floats(0, 2))
+    factors = st.sampled_from([1.0, 0.5, 1.0000001e-13, 1e-13, 0.9999999e-13, 1e-17, 0.0, -0.0, -1e-17, -1.0])
+    value = st.one_of(st.floats(-1, 2), factors.map(lambda f: top * f))
+    values = draw(st.permutations([top] + draw(st.lists(value, min_size=3, max_size=3))))
+    return draw(st.sampled_from([list, tuple, np.array]))(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lambda_vectors())
+def test_breakdown_from_lambdas_matches_numpy_reference(lambdas):
+    assert_breakdown_matches_reference(lambdas)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # numpy's inf - inf
+@pytest.mark.parametrize("lambdas", [
+    [math.nan, 0.3, 0.1, 0.0], [0.3, math.nan, math.nan, -0.1], [math.inf, 0.3, 1e-20, 0.0],
+    [0.2, -math.inf, 0.1, 0.05], [math.inf, math.nan, -1.0, 0.2], [math.inf, math.inf, 0.0, -0.0],
+])
+def test_breakdown_from_lambdas_keeps_non_finite_behaviour(lambdas):
+    assert_breakdown_matches_reference(lambdas)
+
+
+@pytest.mark.parametrize("lambdas", [[], [0.5, 0.2, 0.1], [0.4, 0.3, 0.2, 0.1, 0.0], np.eye(2), 0.5])
+def test_breakdown_from_lambdas_needs_four_values(lambdas):
+    with pytest.raises(ValueError, match="expected four eigenvalues"):
+        measures.breakdown_from_lambdas(lambdas)
+    with pytest.raises(ValueError):  # a scalar raised numpy's axis error here
+        reference_breakdown_from_lambdas(lambdas)
 
 
 # -------------------------------------------------------- binary entropy

@@ -164,6 +164,51 @@ def test_tomography_exact_mode_reproduces_state():
         assert abs(run.breakdown.concurrence - measures.concurrence(st)) < 1e-9
 
 
+# Reference: the per-observable loop that the batched product and trace
+# replaced, as it stood.
+
+def reference_tomography_baseline(state, shots, seed, mode):
+    if mode == "sampled":
+        shots = sampling._shot_count(shots)
+    rho = state.matrix
+    expectations = {}
+    rebuilt = np.eye(4, dtype=complex)
+    for idx, (label, op) in enumerate(zip(sampling._PAULI_LABELS, sampling._PAULI_OPS)):
+        value = float(np.trace(rho @ op).real)
+        if mode == "sampled":
+            _, value = sampling._binary_run((1.0 + value) / 2.0, shots, states.rng_stream(seed, stream=idx))
+        expectations[label] = value
+        rebuilt = rebuilt + value * op
+    rebuilt /= 4.0
+    w, v = np.linalg.eigh((rebuilt + rebuilt.conj().T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    w /= np.sum(w)
+    rho_hat = states.DensityMatrix((v * w) @ v.conj().T, (2, 2))
+    return sampling.TomographyRun(expectations, shots, rho_hat, measures.concurrence_breakdown(rho_hat))
+
+
+@strategies.composite
+def two_qubit_states(draw):
+    """Random states, and bell and werner, whose matrices hold exact zeros."""
+    family = draw(strategies.sampled_from(states.FAMILIES))
+    p = draw(strategies.floats(0, 1)) if family in ("werner", "isotropic") else None
+    return states.make_state(family, p=p, rng=states.rng_stream(draw(strategies.integers(0, 2**32)), 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_qubit_states(), strategies.sampled_from(sampling.MODES),
+       strategies.sampled_from([1, 100, 10**4, 10**6, 2**63 - 1]), strategies.integers(0, 2**32))
+def test_batched_tomography_matches_per_observable_reference(state, mode, shots, seed):
+    got = sampling.run_tomography_baseline(state, shots=shots, seed=seed, mode=mode)
+    expected = reference_tomography_baseline(state, shots, seed, mode)
+    assert list(got.expectations) == list(expected.expectations)
+    assert all(type(v) is float for v in got.expectations.values())
+    # repr tells -0.0 from 0.0 and shows every float to the last bit
+    assert repr(got.expectations) == repr(expected.expectations)
+    assert got.rho_hat.matrix.tobytes() == expected.rho_hat.matrix.tobytes()
+    assert repr(got.breakdown) == repr(expected.breakdown) and got.shots == expected.shots
+
+
 def test_tomography_has_fifteen_observables():
     labels = list(sampling._PAULI_LABELS)
     assert len(labels) == 15

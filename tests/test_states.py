@@ -97,6 +97,14 @@ def test_density_matrix_rejects_invalid():
         states.DensityMatrix(np.eye(4) / 4, (2, 3))
 
 
+def test_density_matrix_coerces_and_scans_once(monkeypatch):
+    calls = []
+    real = states.as_complex_matrix
+    monkeypatch.setattr(states, "as_complex_matrix", lambda m: calls.append(1) or real(m))
+    states.DensityMatrix(np.eye(4) / 4, (2, 2))
+    assert len(calls) == 1
+
+
 def test_density_matrix_is_read_only():
     st = states.bell_state()
     with pytest.raises(ValueError):
