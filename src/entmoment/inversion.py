@@ -84,21 +84,24 @@ def _centered_setup(psums):
     """
     n = len(psums)
     exact_input = all(isinstance(x, Fraction) for x in psums)
-    # p_m = P_m / G**m, G = 2**g times the lcm of the odd denominators, and the
-    # moments about the mean c = P_1 / (n G) are q_m = Q_m / (n G)**m; P, Q ints
     p = [(n, 1)] + [(x if isinstance(x, Fraction) else float(x)).as_integer_ratio() for x in psums]
+    # the mean c = p_1 / n and the variance q_2 = p_2 - p_1**2 / n, each one
+    # correctly rounded int / int, decide the degenerate return on their own
+    (a1, b1), (a2, b2) = p[1], p[min(n, 2)]
+    cf = a1 / (n * b1)
+    q2 = (n * a2 * b1 * b1 - a1 * a1 * b2) / (n * b2 * b1 * b1) if n >= 2 else 0.0
+    if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
+        return cf, 0.0, None, None, None
+
+    # p_m = P_m / G**m, G = 2**g times the lcm of the odd denominators, and the
+    # moments about the mean are q_m = Q_m / (n G)**m; P, Q integers
     odd, g = 1, 0
     for m, (_, b) in enumerate(p[1:], 1):
         twos = (b & -b).bit_length() - 1
         odd, g = math.lcm(odd, b >> twos), max(g, -(-twos // m))
     num = [a * (odd << g) ** m // b for m, (a, b) in enumerate(p)]
     unit = n * (odd << g)
-    cf = num[1] / unit
     q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
-
-    q2 = q[1] / unit**2 if n >= 2 else 0.0
-    if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
-        return cf, 0.0, None, None, None
     s = round(0.5 * math.log2(q2 / n))
     sf = 2.0**s
     # standardized moments q_m / 2**(s m) = Q_m / D**m with integers Q_m, D

@@ -10,7 +10,8 @@ coverage, so sampling happens at the statistics level: the exact Bernoulli
 parameter is computed through the implicit channel representation and the
 outcome counts are drawn from the corresponding binomial.  Everything is
 reproducible from (state, config, seed); independent estimates use
-independent seed streams.
+independent seed streams, stream k being ``states.rng_stream(seed, k)``.
+A run builds all its streams from one mix of its seed.
 
 Every sampled entry point rejects shot counts that are not whole numbers in
 [1, 2**63) before any draw; one helper draws every binary run.  A ladder run
@@ -38,7 +39,7 @@ from .protocols import (
     spectrum_protocol,
 )
 from .spa import GroupChannelOutput, apply_spa_pt, group_channel_output, group_channel_outputs
-from .states import DensityMatrix, rng_stream
+from .states import DensityMatrix, _rng_streams
 
 MODES = ("ideal", "sampled")
 
@@ -154,10 +155,9 @@ def run_concurrence_protocol(
         breakdown, flags = concurrence_from_moments(fractions)
     else:
         shots = _shot_count(shots)
-        samples = tuple(
-            _moment_sample(out, shots, rng_stream(seed, stream=out.k))
-            for out in group_channel_outputs(state)
-        )
+        outputs = group_channel_outputs(state)
+        rngs = _rng_streams(seed, [out.k for out in outputs])
+        samples = tuple(_moment_sample(out, shots, rng) for out, rng in zip(outputs, rngs))
         moments = MomentVector(p=tuple(s.moment_estimate for s in samples))
         breakdown, flags = concurrence_from_moments(moments.p)
     return EstimatorRun(
@@ -199,7 +199,9 @@ def run_spectrum_protocol(
     sigma = apply_spa_pt(state)
     # every channel power sum Tr(sigma^n) from one table, row n = lam**n
     traces = _power_table(herm_eigenvalues(sigma.matrix), sigma.dim).sum(axis=1).tolist()
-    runs = [_binary_run((1.0 + traces[n]) / 2.0, shots, rng_stream(seed, stream=n)) for n in range(2, sigma.dim + 1)]
+    orders = range(2, sigma.dim + 1)
+    runs = [_binary_run((1.0 + traces[n]) / 2.0, shots, rng)
+            for n, rng in zip(orders, _rng_streams(seed, orders))]
     estimate = spectrum_from_channel_moments([1.0] + [psum for _, psum in runs], state.dims[0])
     return SpectrumRun(samples=tuple(record for record, _ in runs), estimate=estimate)
 
@@ -223,7 +225,7 @@ class TomographyRun(NamedTuple):
     """Linear-inversion reconstruction from 15 Pauli-pair expectations."""
 
     expectations: dict
-    shots: int
+    shots: int  # outcomes drawn per observable, 0 in ideal mode
     rho_hat: DensityMatrix
     breakdown: ConcurrenceBreakdown
 
@@ -243,17 +245,20 @@ def run_tomography_baseline(
     Each Pauli pair has outcomes +-1; N outcomes are drawn per observable
     (one independent stream each), the state is rebuilt by linear inversion
     with the identity term fixed, then projected onto the PSD trace-one
-    cone by clamping negative eigenvalues and renormalizing.
+    cone by clamping negative eigenvalues and renormalizing.  ideal mode
+    takes the exact expectations, draws nothing and ignores ``shots``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if state.dims != (2, 2):
         raise ValueError("the tomography baseline is two-qubit only")
     values = np.trace(state.matrix @ _PAULI_OPS, axis1=1, axis2=2).real.tolist()
-    if mode == "sampled":
+    if mode == "ideal":
+        shots = 0
+    else:
         shots = _shot_count(shots)
-        values = [_binary_run((1.0 + v) / 2.0, shots, rng_stream(seed, stream=idx))[1]
-                  for idx, v in enumerate(values)]
+        values = [_binary_run((1.0 + v) / 2.0, shots, rng)[1]
+                  for v, rng in zip(values, _rng_streams(seed, range(len(values))))]
     # I + v_1 P_1 + ... + v_15 P_15, summed left to right along axis 0
     terms = np.concatenate((np.eye(4, dtype=complex)[None], np.array(values)[:, None, None] * _PAULI_OPS))
     rebuilt = np.add.reduce(terms, axis=0) / 4.0

@@ -15,6 +15,7 @@ A caller-supplied matrix is wrapped directly: ``DensityMatrix(matrix, dims)``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,6 +45,74 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     per-moment samplers stay reproducible under partial re-runs.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.array([0xCA01F9DD, 0x4973F715, 16], dtype=np.uint32)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j = 0..count, as uint32."""
+    return np.multiply.accumulate(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)
+
+
+#: generate_state xors word i with INIT_B * MULT_B**i, then multiplies it by
+#: INIT_B * MULT_B**(i + 1); PCG64's 8 words cycle twice through the 4-word
+#: pool, hence the (pass, pool word) layout
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+_STATE_XOR, _STATE_MULT = _STATE_HASH[:8].reshape(2, 4), _STATE_HASH[1:].reshape(2, 4)
+
+
+@functools.cache
+def _preset_seed_sequence() -> type:
+    """A seed sequence that hands PCG64 its four state words as given; built on
+    first use, as numpy.random costs 10-17 ms to import."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PresetWords
+
+
+def _rng_streams(seed, streams) -> list[np.random.Generator]:
+    """``rng_stream(seed, k)`` for every k in ``streams``, same states, with the
+    seed mixed once.
+
+    ``SeedSequence(seed)`` leaves the pool that every ``SeedSequence(seed,
+    spawn_key=(k,))`` holds before its key word is mixed in (numpy hashes
+    its zero padding as it hashes empty pool slots), its hash constant
+    advanced ``4 * max(4, entropy words)`` times.  The key word and
+    ``generate_state(4, uint64)`` are then redone for all streams at once,
+    on uint32 words only.  The generators cannot ``spawn()``.  Stream ids
+    outside [0, 2**32) raise ValueError.
+    """
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+
+    keys = list(streams)
+    if not all(0 <= k < 2**32 for k in keys):
+        raise ValueError(f"stream ids must lie in [0, 2**32), got {keys!r}")
+    run = np.random.SeedSequence(seed)
+    hashes = 4 * max(4, len(_coerce_to_uint32_array(run.entropy)))
+    hash_const = _hash_constants(_INIT_A, _MULT_A, hashes + 4)[hashes:]
+    # the key word, hashed once per pool word, mixed into that word
+    key = (np.array(keys, dtype=np.uint32)[:, None] ^ hash_const[:4]) * hash_const[1:]
+    key ^= key >> _XSHIFT
+    pool = _MIX_MULT_L * run.pool - _MIX_MULT_R * key
+    pool ^= pool >> _XSHIFT
+    # generate_state: 8 words cycling twice through the pool, paired
+    # little-endian into 4 uint64 words
+    words = ((pool[:, None, :] ^ _STATE_XOR) * _STATE_MULT).reshape(-1, 4, 2)
+    words ^= words >> _XSHIFT
+    words = words.astype(np.uint64)
+    state = words[..., 0] | words[..., 1] << np.uint64(32)
+    preset = _preset_seed_sequence()
+    return [np.random.Generator(np.random.PCG64(preset(row))) for row in state]
 
 
 class StateDiagnostics(NamedTuple):

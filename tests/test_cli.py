@@ -217,10 +217,13 @@ def test_entry_point_subprocess(tmp_path):
 
 def test_cli_import_leaves_selftest_and_csv_unloaded():
     # every command pays for what `import entmoment.cli` loads; selftest and
-    # csv serve one command each and are imported inside it
+    # csv serve one command each and are imported inside it, and numpy.random
+    # (10-17 ms) loads only where a command draws
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, entmoment.cli; print(sorted({'entmoment.selftest', 'csv'} & set(sys.modules)))"
+    code = ("import sys, numpy; bare = set(sys.modules); import entmoment.cli; "
+            "print(sorted({m for m in set(sys.modules) - bare if m.startswith('numpy.random')}"
+            " | ({'entmoment.selftest', 'csv'} & set(sys.modules))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

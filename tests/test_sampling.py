@@ -206,7 +206,9 @@ def test_batched_tomography_matches_per_observable_reference(state, mode, shots,
     # repr tells -0.0 from 0.0 and shows every float to the last bit
     assert repr(got.expectations) == repr(expected.expectations)
     assert got.rho_hat.matrix.tobytes() == expected.rho_hat.matrix.tobytes()
-    assert repr(got.breakdown) == repr(expected.breakdown) and got.shots == expected.shots
+    assert repr(got.breakdown) == repr(expected.breakdown)
+    # an ideal run draws nothing (the loop kept the count it was given)
+    assert got.shots == (expected.shots if mode == "sampled" else 0)
 
 
 def test_tomography_has_fifteen_observables():
@@ -242,6 +244,13 @@ def test_tomography_maximally_mixed_mostly_zero():
 def test_tomography_copies_consumed():
     run = sampling.run_tomography_baseline(states.bell_state(), shots=500, seed=1, mode="sampled")
     assert run.copies_consumed == 15 * 500
+
+
+@pytest.mark.parametrize("shots", [-5, 2.5, 10**6])
+def test_tomography_ideal_run_consumes_no_copies(shots):
+    # as the ladder's ideal run: nothing is drawn, whatever count is passed
+    run = sampling.run_tomography_baseline(states.werner_state(0.8), shots=shots, mode="ideal")
+    assert run.shots == run.copies_consumed == 0
 
 
 def test_tomography_rejects_non_two_qubit():

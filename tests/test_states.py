@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmoment import states
 
@@ -66,6 +68,50 @@ def test_determinism_same_seed_same_matrix():
     assert np.array_equal(a.matrix, b.matrix)
     c = states.random_mixed_state((2, 2), states.rng_stream(7, 4))
     assert not np.array_equal(a.matrix, c.matrix)
+
+
+# Oracle: the streams of one run, mixed from the seed once, against numpy's
+# own SeedSequence(seed, spawn_key=(k,)) construction in rng_stream.  The
+# example budget comes from the hypothesis profile (--hypothesis-profile=ci
+# runs more).
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**128 - 1, 2**128, 2**128 + 1, 2**200]
+seeds = st.one_of(
+    st.sampled_from(EDGE_SEEDS),
+    st.integers(0, 2**200),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
+)
+stream_ids = st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)), min_size=1, max_size=36)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None)
+@given(seeds, stream_ids)
+def test_rng_streams_match_rng_stream(seed, streams):
+    rngs = states._rng_streams(seed, streams)
+    assert len(rngs) == len(streams)
+    for k, rng in zip(streams, rngs):
+        expected = states.rng_stream(seed, k)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random(2).tobytes() == expected.random(2).tobytes()
+        assert rng.binomial(10**6, 0.3) == expected.binomial(10**6, 0.3)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 0.5, 3.0, np.float64(2.0)])
+def test_rng_streams_reject_the_seeds_rng_stream_rejects(seed):
+    with pytest.raises(Exception) as expected:
+        states.rng_stream(seed, 1)
+    with pytest.raises(Exception) as got:
+        states._rng_streams(seed, [1])
+    assert type(got.value) is type(expected.value)
+
+
+@pytest.mark.parametrize("stream", [-1, 2**32])
+def test_rng_streams_reject_stream_ids_beyond_one_word(stream):
+    with pytest.raises(ValueError, match="stream ids"):
+        states._rng_streams(7, [1, stream])
 
 
 def test_validate_clean_state():
