@@ -29,8 +29,9 @@ import bisect
 import math
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, perm
-from operator import add
+from itertools import accumulate
+from math import comb, factorial
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -93,21 +94,21 @@ def _centered_setup(psums):
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
         return cf, 0.0, None, None, None
 
-    # p_m = P_m / G**m, G = 2**g times the lcm of the odd denominators, and the
-    # moments about the mean are q_m = Q_m / (n G)**m; P, Q integers
-    odd, g = 1, 0
+    # p_m = a_m / b_m = P_m / G**m, P_m integers: with b_m = odd_m << twos_m, G is
+    # odd << g, odd the lcm of the odd_m and g m >= twos_m; q_m = Q_m / (n G)**m
+    odd, g, twos = 1, 0, [0]
     for m, (_, b) in enumerate(p[1:], 1):
-        twos = (b & -b).bit_length() - 1
-        odd, g = math.lcm(odd, b >> twos), max(g, -(-twos // m))
-    num = [a * (odd << g) ** m // b for m, (a, b) in enumerate(p)]
-    unit = n * (odd << g)
+        twos.append((b & -b).bit_length() - 1)
+        odd, g = math.lcm(odd, b >> twos[m]), max(g, -(-twos[m] // m))
+    num = [(a * odd**m // (b >> t)) << (g * m - t) for m, ((a, b), t) in enumerate(zip(p, twos))]
     q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
     s = round(0.5 * math.log2(q2 / n))
     sf = 2.0**s
     # standardized moments q_m / 2**(s m) = Q_m / D**m with integers Q_m, D
-    denom, q = unit << max(s, 0), [x << max(-s, 0) * m for m, x in enumerate(q, 1)]
+    denom, q = n * (odd << g) << max(s, 0), [x << max(-s, 0) * m for m, x in enumerate(q, 1)]
+    denom_pow = list(accumulate([denom] * n, mul, initial=1))
 
-    qs = np.array([q[m - 1] / denom**m for m in range(1, n + 1)])
+    qs = np.array([x / y for x, y in zip(q, denom_pow[1:])])
 
     # Rounding floor of the standardized moments: each float input p_j
     # carries ~eps relative error which the shift amplifies by the binomial
@@ -123,11 +124,14 @@ def _centered_setup(psums):
             propagated *= _FLOAT_NOISE_FACTOR * _EPS / sf**m
         noise[m - 1] = propagated + _FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(qs[m - 1]))
 
-    # Newton's identities with e_k = E_k / (k! D**k)
+    # Newton's identities with e_k = E_k / (k! D**k), f = (-1)**(i-1) (k-1)!/(k-i)!
     e = [1]
     for k in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * q[i - 1] * perm(k - 1, i - 1) for i in range(1, k + 1)))
-    coeffs = [(-1) ** k * e[k] / (factorial(k) * denom**k) for k in range(n + 1)]
+        acc, f = 0, 1
+        for i in range(1, k + 1):
+            acc, f = acc + f * e[k - i] * q[i - 1], f * (i - k)
+        e.append(acc)
+    coeffs = [(-x if k % 2 else x) / (factorial(k) * y) for k, (x, y) in enumerate(zip(e, denom_pow))]
     return cf, sf, coeffs, qs, noise
 
 

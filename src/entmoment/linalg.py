@@ -135,7 +135,11 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything more
     negative is an error.
     """
-    w, v = herm_eigen(m)
+    return _psd_sqrt(require_hermitian(m))
+
+
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:  # a finite and already checked Hermitian
+    w, v = np.linalg.eigh(a)
     if w[0] < -PSD_CLAMP:
         raise ValueError(f"matrix has significantly negative spectrum (min {w[0]:.3e})")
     w = np.clip(w, 0.0, None)

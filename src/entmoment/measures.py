@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    general_eigenvalues,
-    herm_eigenvalues,
-    matrix_sqrt_psd,
-    partial_transpose,
-    tensor,
-)
+from .linalg import _psd_sqrt, general_eigenvalues, herm_eigenvalues, partial_transpose, tensor
 from .states import DensityMatrix
 
 #: sigma_y (x) sigma_y, the two-qubit spin flip (real, entries in {0, +-1})
@@ -101,11 +95,12 @@ def concurrence_breakdown(state: DensityMatrix) -> ConcurrenceBreakdown:
 
     The eigenvalues of rho rho~ are obtained from the Hermitian PSD matrix
     sqrt(rho) rho~ sqrt(rho), which shares its spectrum with rho rho~ but
-    guarantees real nonnegative output by construction.
+    guarantees real nonnegative output by construction.  rho, a state's
+    matrix, is a valid density matrix already and is not re-checked.
     """
     rho = _require_two_qubit(state)
     rho_tilde = spin_flip(state)
-    s = matrix_sqrt_psd(rho)
+    s = _psd_sqrt(rho)
     return breakdown_from_lambdas(herm_eigenvalues(s @ rho_tilde @ s))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
-from .linalg import exact_power_traces, exact_product_power_traces, herm_eigenvalues
+from .linalg import exact_power_traces, exact_product_power_traces
 from .measures import (
     ConcurrenceBreakdown,
     GammaReport,
@@ -239,7 +239,7 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     if state.dims != (2, 2):
         raise ValueError("the two-stage scenario is defined for two-qubit states")
     sigma = apply_spa_pt(state)
-    min_channel = float(herm_eigenvalues(sigma.matrix)[0])
+    min_channel = float(np.linalg.eigvalsh(sigma.matrix)[0])
     min_pt = inverse_affine(min_channel, 2)
     if min_pt >= -NPT_TOL:
         return TwoStageResult(
@@ -277,8 +277,8 @@ def resource_ledger(protocol: str, d: int = 2) -> ResourceLedger:
         return ResourceLedger(protocol, r_p=4, r_c=2 + 4 + 6 + 8)
     if protocol not in ("spectrum", "tomography"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"local dimension must be an integer of at least 2, got {d!r}")
     if protocol == "spectrum":
         return ResourceLedger(protocol, r_p=d**2 - 1, r_c=(d**4 + d**2 - 2) // 2)
     return ResourceLedger(protocol, r_p=d**4 - 1, r_c=d**4 - 1)

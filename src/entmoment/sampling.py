@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .inversion import _power_table
-from .linalg import herm_eigenvalues
 from .measures import ConcurrenceBreakdown, concurrence_breakdown
 from .protocols import (
     MomentVector,
@@ -198,7 +197,7 @@ def run_spectrum_protocol(
     shots = _shot_count(shots)
     sigma = apply_spa_pt(state)
     # every channel power sum Tr(sigma^n) from one table, row n = lam**n
-    traces = _power_table(herm_eigenvalues(sigma.matrix), sigma.dim).sum(axis=1).tolist()
+    traces = _power_table(np.linalg.eigvalsh(sigma.matrix), sigma.dim).sum(axis=1).tolist()
     orders = range(2, sigma.dim + 1)
     runs = [_binary_run((1.0 + traces[n]) / 2.0, shots, rng)
             for n, rng in zip(orders, _rng_streams(seed, orders))]
@@ -265,6 +264,6 @@ def run_tomography_baseline(
     w, v = np.linalg.eigh((rebuilt + rebuilt.conj().T) / 2.0)
     w = np.clip(w, 0.0, None)
     w /= np.sum(w)
-    rho_hat = DensityMatrix((v * w) @ v.conj().T, (2, 2))
+    rho_hat = DensityMatrix._valid((v * w) @ v.conj().T, (2, 2))
     return TomographyRun(expectations=dict(zip(_PAULI_LABELS, values)), shots=shots,
                          rho_hat=rho_hat, breakdown=concurrence_breakdown(rho_hat))

@@ -45,8 +45,8 @@ def inverse_affine(channel_eigenvalue: float, d: int) -> float:
 def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     """Approximate partial transpose as a channel on a d (x) d state.
 
-    Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B, a valid state whose
-    spectrum is the affine image of the PT spectrum.
+    Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B, whose spectrum is the affine
+    image of the PT spectrum: valid by construction, so not re-checked.
     """
     da, db = state.dims
     if da != db:
@@ -57,7 +57,7 @@ def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     dim = state.dim
     s = spa_shrink(da)
     pt = partial_transpose(state.matrix, state.dims, "B")
-    return DensityMatrix((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
+    return DensityMatrix._valid((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
 
 
 def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:

@@ -11,6 +11,8 @@ State families used throughout the test and simulation pipelines:
                     (the Hilbert-Schmidt ensemble)
 
 A caller-supplied matrix is wrapped directly: ``DensityMatrix(matrix, dims)``.
+That, ``make_state`` and ``state_from_json`` check every invariant; SPA channel
+outputs and tomography estimates are valid by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -44,7 +46,14 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     statistically independent streams, which is how parallel estimators and
     per-moment samplers stay reproducible under partial re-runs.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))
+
+
+def _seed_sequence(seed, *spawn_key) -> np.random.SeedSequence:
+    """``SeedSequence(seed, spawn_key)``; ValueError unless seed is a non-negative int or a list of them."""
+    if not all(isinstance(w, int) and w >= 0 for w in np.ravel(seed).tolist()):
+        raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+    return np.random.SeedSequence(seed, spawn_key=spawn_key)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words
@@ -90,14 +99,14 @@ def _rng_streams(seed, streams) -> list[np.random.Generator]:
     advanced ``4 * max(4, entropy words)`` times.  The key word and
     ``generate_state(4, uint64)`` are then redone for all streams at once,
     on uint32 words only.  The generators cannot ``spawn()``.  Stream ids
-    outside [0, 2**32) raise ValueError.
+    outside [0, 2**32) and seeds ``rng_stream`` rejects raise ValueError.
     """
     from numpy.random.bit_generator import _coerce_to_uint32_array
 
     keys = list(streams)
     if not all(0 <= k < 2**32 for k in keys):
         raise ValueError(f"stream ids must lie in [0, 2**32), got {keys!r}")
-    run = np.random.SeedSequence(seed)
+    run = _seed_sequence(seed)
     hashes = 4 * max(4, len(_coerce_to_uint32_array(run.entropy)))
     hash_const = _hash_constants(_INIT_A, _MULT_A, hashes + 4)[hashes:]
     # the key word, hashed once per pool word, mixed into that word
@@ -171,6 +180,14 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", (da, db))
+
+    @classmethod
+    def _valid(cls, matrix: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
+        """Wrap a fresh complex matrix that is valid by construction: frozen, not copied or checked."""
+        matrix.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(matrix=matrix, dims=dims)
+        return state
 
     @property
     def dim(self) -> int:

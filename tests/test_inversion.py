@@ -6,7 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmoment import inversion, protocols, sampling, states
@@ -360,10 +360,20 @@ moment_floats = st.one_of(st.floats(-4, 4), st.floats(allow_nan=False, allow_inf
 moment_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(st.lists(moment_floats, min_size=1, max_size=9),
-                 st.lists(moment_fractions, min_size=1, max_size=9),
-                 st.lists(st.one_of(moment_floats, moment_fractions), min_size=1, max_size=9)))
+# the power sums of a real spectrum take the whole chain, to n = 25
+spectrum_power_sums = st.integers(2, 25).flatmap(lambda n: st.lists(st.floats(-1, 1), min_size=n, max_size=n)).map(
+    lambda lam: [sum(x**m for x in lam) for m in range(1, len(lam) + 1)])
+
+
+# n = 25 is the length of d = 5 sampled moments.  The example budget comes
+# from the hypothesis profile (--hypothesis-profile=ci runs more).
+@settings(deadline=None)
+@example(power_sums_of(np.linspace(-0.9, 0.9, 25), 25))
+@example(power_sums_of([0.3] * 12 + [0.02 * i for i in range(13)], 25))
+@given(st.one_of(st.lists(moment_floats, min_size=1, max_size=25),
+                 st.lists(moment_fractions, min_size=1, max_size=25),
+                 st.lists(st.one_of(moment_floats, moment_fractions), min_size=1, max_size=25),
+                 spectrum_power_sums))
 def test_integer_chain_matches_fraction_chain_property(psums):
     assert_setup_matches_reference(psums)
 

@@ -286,6 +286,17 @@ def test_ledger_tomography():
     assert protocols.QUOTED_TOMOGRAPHY_R == 165
 
 
+@pytest.mark.parametrize("protocol", ["spectrum", "tomography"])
+@pytest.mark.parametrize("d", [2.5, 3.0, 1, -2, "3", None])
+def test_ledger_rejects_a_dimension_that_is_not_an_integer_of_at_least_2(protocol, d):
+    with pytest.raises(ValueError, match="local dimension must be an integer of at least 2"):
+        protocols.resource_ledger(protocol, d)
+
+
+def test_ledger_takes_numpy_integer_dimensions():
+    assert protocols.resource_ledger("spectrum", np.int64(3)) == protocols.resource_ledger("spectrum", 3)
+
+
 def test_ledger_unknown_protocol():
     with pytest.raises(ValueError):
         protocols.resource_ledger("teleportation")

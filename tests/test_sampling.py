@@ -206,6 +206,8 @@ def test_batched_tomography_matches_per_observable_reference(state, mode, shots,
     # repr tells -0.0 from 0.0 and shows every float to the last bit
     assert repr(got.expectations) == repr(expected.expectations)
     assert got.rho_hat.matrix.tobytes() == expected.rho_hat.matrix.tobytes()
+    # rho_hat skips the constructor's check: it must pass it all the same
+    assert states.validate_state(got.rho_hat.matrix).ok
     assert repr(got.breakdown) == repr(expected.breakdown)
     # an ideal run draws nothing (the loop kept the count it was given)
     assert got.shots == (expected.shots if mode == "sampled" else 0)
@@ -293,6 +295,23 @@ def test_bad_shots_rejected_where_nothing_is_drawn(shots):
     # d = 1: the channel has no order n >= 2 to draw, the count is still checked
     with pytest.raises(ValueError, match="whole number of at least 1"):
         sampling.run_spectrum_protocol(states.DensityMatrix(np.array([[1.0]]), (1, 1)), shots=shots, seed=3)
+
+
+# ---------------------------------------------------------------- seeds
+
+SAMPLED_RUNS = {
+    "concurrence": lambda seed: sampling.run_concurrence_protocol(states.werner_state(0.8), shots=100, seed=seed),
+    "spectrum": lambda seed: sampling.run_spectrum_protocol(states.isotropic_state(3, 0.5), shots=100, seed=seed),
+    "tomography": lambda seed: sampling.run_tomography_baseline(states.werner_state(0.8), shots=100, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+@pytest.mark.parametrize("entry", sorted(SAMPLED_RUNS))
+def test_sampled_runs_reject_seeds_that_are_not_non_negative_integers(entry, seed):
+    # None would otherwise draw OS entropy: two runs would differ
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer.*got {seed!r}"):
+        SAMPLED_RUNS[entry](seed)
 
 
 def test_integral_float_shots_match_int_shots():

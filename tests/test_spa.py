@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from entmoment import linalg, measures, spa, states
 
@@ -19,14 +21,64 @@ def test_spa_bell_output_spectrum():
     assert abs(w[0] - 1 / 6) < 1e-14
 
 
+# apply_spa_pt does not re-check its output.  For a valid input with
+# residuals h (Hermiticity), t (trace) the output's are s h and s t, and its
+# smallest eigenvalue is at least (1-s)/D - s/2 = s (d - 1/2), s = 1/(d^3+1):
+# the properties below hold that, also for inputs whose residuals sit just
+# inside the constructor's 1e-9 tolerances.
+
+EDGES = (None, "hermiticity", "trace", "positivity")
+
+
+def near_tolerance(state, edge, sign):
+    """``state`` with one residual pushed to 0.9e-9, the constructor's check passed."""
+    m = np.array(state.matrix)
+    dim = m.shape[0]
+    if edge == "hermiticity":
+        m[0, -1] += sign * 0.9e-9j
+    elif edge == "trace":
+        m += sign * 0.9e-9 / dim * np.eye(dim)
+    elif edge == "positivity":
+        w, v = np.linalg.eigh(m)
+        shift = w[0] + 0.9e-9
+        m += shift * (np.outer(v[:, -1], v[:, -1].conj()) - np.outer(v[:, 0], v[:, 0].conj()))
+    return states.DensityMatrix(m, state.dims)
+
+
+def assert_spa_output_valid(state):
+    d = state.dims[0]
+    s = spa.spa_shrink(d)
+    before = state.diagnostics()
+    after = states.validate_state(spa.apply_spa_pt(state).matrix)
+    assert after.ok
+    assert after.hermiticity_defect <= s * before.hermiticity_defect + 1e-15
+    assert after.trace_defect <= s * before.trace_defect + 1e-14
+    assert after.min_eigenvalue >= s * (d - 0.5 - 1e-8)
+
+
+def make_spa_input(family, d, p, seed):
+    p = p if family in ("werner", "isotropic") else None
+    return states.make_state(family, (d, d), p=p, rng=states.rng_stream(seed, 0))
+
+
 def test_spa_output_is_valid_state():
+    for family in states.FAMILIES:
+        for d in (2,) if family in ("bell", "werner") else (2, 3, 4):
+            for edge in EDGES:
+                for sign in (-1.0, 1.0):
+                    assert_spa_output_valid(near_tolerance(make_spa_input(family, d, 0.3, d), edge, sign))
     rng = states.rng_stream(300, 0)
     for _ in range(100):
-        st = states.random_mixed_state((2, 2), rng)
-        out = spa.apply_spa_pt(st)
-        assert out.diagnostics().ok
-        assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-10
+        assert_spa_output_valid(states.random_mixed_state((2, 2), rng))
+
+
+# the example budget comes from the hypothesis profile (--hypothesis-profile=ci runs more)
+@settings(deadline=None)
+@given(strategies.sampled_from(states.FAMILIES), strategies.sampled_from([2, 3, 4]), strategies.floats(0, 1),
+       strategies.integers(0, 2**32 - 1), strategies.sampled_from(EDGES), strategies.sampled_from([-1.0, 1.0]))
+def test_spa_output_validity_property(family, d, p, seed, edge, sign):
+    d = 2 if family in ("bell", "werner") else d
+    assert_spa_output_valid(near_tolerance(make_spa_input(family, d, p, seed), edge, sign))
 
 
 def test_spa_spectrum_is_affine_image_of_pt_spectrum():

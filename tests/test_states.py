@@ -99,13 +99,13 @@ def test_rng_streams_match_rng_stream(seed, streams):
         assert rng.binomial(10**6, 0.3) == expected.binomial(10**6, 0.3)
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**40), 0.5, 3.0, np.float64(2.0)])
+@pytest.mark.parametrize("seed", [None, -1, -(2**40), 0.5, 1.5, 3.0, np.float64(2.0), [3, -1], [2.0], "7"])
 def test_rng_streams_reject_the_seeds_rng_stream_rejects(seed):
-    with pytest.raises(Exception) as expected:
+    with pytest.raises(ValueError, match="seed must be a non-negative integer") as expected:
         states.rng_stream(seed, 1)
-    with pytest.raises(Exception) as got:
+    with pytest.raises(ValueError) as got:
         states._rng_streams(seed, [1])
-    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("stream", [-1, 2**32])
