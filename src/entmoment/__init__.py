@@ -35,7 +35,6 @@ from .measures import (
     spin_flip,
 )
 from .protocols import (
-    AMPLIFICATION_FACTORS,
     MomentVector,
     QUOTED_TOMOGRAPHY_R,
     ResourceLedger,
@@ -46,7 +45,6 @@ from .protocols import (
     concurrence_from_moments,
     exact_moments,
     moment_from_channel,
-    moment_observable_spec,
     newton_invert,
     resource_ledger,
     spectrum_protocol,
@@ -66,11 +64,13 @@ from .sampling import (
     sample_moment_povm,
 )
 from .spa import (
+    AMPLIFICATION_FACTORS,
     GroupChannelOutput,
     affine_map,
     apply_spa_pt,
     group_channel_output,
     inverse_affine,
+    moment_observable_spec,
     spa_shrink,
     spa_threshold_by_choi,
 )

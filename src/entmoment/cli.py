@@ -131,14 +131,14 @@ def cmd_protocol(args) -> int:
             "groups": [],
         }
         for out in spa.group_channel_outputs(state):
-            spec = protocols.moment_observable_spec(out.k)
+            spec = spa.moment_observable_spec(out.k)
             group = {
                 "k": out.k,
                 "copies": spec.copies,
                 "amplification": spec.amplification,
                 "offset_applied": spec.offset,
                 "offset_d_cubed_variant": spec.d_cubed_offset,
-                "p_plus": sampling._success_probability(out),
+                "p_plus": sampling.success_probability(out.shift_trace()),
             }
             if run.samples is not None:
                 s = run.samples[out.k - 1]
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="run an estimation pipeline")
     p.add_argument("pipeline", choices=("concurrence", "negativity", "two-stage"))
     _add_state_args(p)
-    _add_run_args(p, ("ideal", "sampled"))
+    _add_run_args(p, sampling.MODES)
     p.set_defaults(mode=None, shots=None)  # None: not given, which two-stage requires
     p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
     p.set_defaults(fn=cmd_protocol)

@@ -229,7 +229,8 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     raw = _companion_roots(coeffs)
     y = np.sort(raw.real)
     ymax = max(1.0, float(np.max(np.abs(y))))
-    weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
+    with np.errstate(over="ignore"):  # roots too large for float64 powers: inf weights, unwarned
+        weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
     ys, fast_targets, fast_weights = y.tolist(), targets.tolist(), weights.tolist()
     bounds, sizes, means = [0, n], [n], [_mean(ys)]

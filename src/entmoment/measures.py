@@ -26,12 +26,6 @@ SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y).real.astype(complex)
 #: a partial-transpose eigenvalue below -NPT_TOL counts as negative
 NPT_TOL = 1e-9
 
-#: empirical constant in  min eig(gamma) = GAMMA_PROPORTIONALITY * C^2 / 4.
-#: A 500-state calibration sweep over entangled two-qubit mixed states finds
-#: the ratio constant to ~1e-10, so the constant is frozen at exactly 1 and
-#: regression-tested rather than refitted per build.
-GAMMA_PROPORTIONALITY = 1.0
-
 #: imaginary part tolerated on the smallest gamma eigenvalue
 GAMMA_IMAG_GUARD = 1e-6
 
@@ -172,9 +166,10 @@ def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:
     gamma is a product of Hermitian matrices and need not be Hermitian, so
     the spectrum is taken with a general eigensolver and the eigenvalue of
     smallest real part is used; an imaginary residual above GAMMA_IMAG_GUARD
-    is flagged.  The relation min eig = C^2/4 holds for entangled states;
-    on separable input the estimate is not meaningful and the caller is
-    expected to have established entanglement first.
+    is flagged.  The relation min eig = C^2/4 holds for entangled states (a
+    500-state calibration sweep finds the ratio 1 to ~1e-10; the tests pin
+    it); on separable input the estimate is not meaningful and the caller
+    is expected to have established entanglement first.
     """
     spec = general_eigenvalues(gamma_matrix(state))
     idx = int(np.argmin(spec.real))
@@ -182,8 +177,7 @@ def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:
     flags: list[str] = []
     if abs(lam_min.imag) > GAMMA_IMAG_GUARD:
         flags.append("gamma-imaginary-residual")
-    ratio = 4.0 * float(lam_min.real) / GAMMA_PROPORTIONALITY
-    c_hat = math.sqrt(max(0.0, ratio))
+    c_hat = math.sqrt(max(0.0, 4.0 * float(lam_min.real)))
     return GammaReport(
         lambda_min=float(lam_min.real),
         imag_residual=float(abs(lam_min.imag)),

@@ -33,12 +33,9 @@ from .measures import (
     report_from_pt_eigenvalues,
     spin_flip,
 )
-from .spa import GroupChannelOutput, apply_spa_pt, group_channel_outputs, inverse_affine, ladder_power_sums
+from .spa import (GroupChannelOutput, apply_spa_pt, group_channel_outputs, inverse_affine, ladder_power_sums,
+                  moment_observable_spec)
 from .states import DensityMatrix
-
-#: d_k^3 + 1 for the four copy groups; the factor by which shot noise on the
-#: binary observable is amplified into the k-th moment estimate
-AMPLIFICATION_FACTORS = {k: 4 ** (3 * k) + 1 for k in (1, 2, 3, 4)}
 
 #: negative inverted eigenvalues beyond this magnitude are flagged, not silent
 NEGATIVE_ROOT_GUARD = 1e-10
@@ -66,38 +63,6 @@ class MomentVector(NamedTuple):
         return () if ordered and p[-1] >= -1e-12 else (MOMENT_ORDER_FLAG,)
 
 
-class MomentObservableSpec(NamedTuple):
-    """Scale and offset turning the binary-observable mean into p_k.
-
-    The offset applied is 4 * d_k, the unique constant for which the group
-    observable's mean reproduces the power sum exactly (the identity block
-    of the channel output contributes Tr V = 4 per shift trace).  The d_k^3
-    variant that appears in some derivations misses the identity by
-    d_k^3 - 4 d_k and is carried along for reporting only.
-    """
-
-    k: int
-    copies: int
-    d: int
-    amplification: int
-    offset: int
-    d_cubed_offset: int
-
-
-def moment_observable_spec(k: int) -> MomentObservableSpec:
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"group index must be 1..4, got {k}")
-    d = 4**k
-    return MomentObservableSpec(
-        k=k,
-        copies=2 * k,
-        d=d,
-        amplification=AMPLIFICATION_FACTORS[k],
-        offset=4 * d,
-        d_cubed_offset=d**3,
-    )
-
-
 def exact_moments(state: DensityMatrix) -> MomentVector:
     """p_k = Tr((rho rho~)^k) for k = 1..4 via the cyclic product trace."""
     return MomentVector(p=ladder_power_sums(state))
@@ -121,8 +86,7 @@ def moment_from_channel(output: GroupChannelOutput) -> float:
     (d_k^3 + 1) * Re Tr(V rho_k) - 4 d_k; the shift trace is the single
     parameter a binary measurement estimates.
     """
-    spec = moment_observable_spec(output.k)
-    return spec.amplification * output.shift_trace() - spec.offset
+    return moment_observable_spec(output.k).moment(output.shift_trace())
 
 
 def channel_moments(state: DensityMatrix) -> MomentVector:
@@ -190,15 +154,12 @@ def spectrum_power_sums(state: DensityMatrix) -> list[Fraction]:
 def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
     """Invert channel-output power sums into a PT spectrum estimate.
 
-    The first power sum is the trace, known rather than measured: for
-    measured (float) moments it is pinned to 1.  Exact rational moments are
-    left alone; they are consistent with the stored matrix, whose exact
-    trace differs from 1 by representation rounding, and pinning would
-    inject an inconsistency the exact inversion is sharp enough to resolve.
+    The first power sum is the trace, known rather than measured, and the
+    caller passes it: 1.0 with measured moments, the exact trace of the
+    stored matrix with exact ones (that trace differs from 1 by
+    representation rounding, and pinning it would inject an inconsistency
+    the exact inversion is sharp enough to resolve).
     """
-    psums = list(psums)
-    if not isinstance(psums[0], Fraction):
-        psums[0] = 1.0
     rec = _clamped_inversion(psums)
     pt = np.array([inverse_affine(x, d) for x in rec.values])
     return SpectrumEstimate(

@@ -14,9 +14,10 @@ independent seed streams, stream k being ``states.rng_stream(seed, k)``.
 A run builds all its streams from one mix of its seed.
 
 Every sampled entry point rejects shot counts that are not whole numbers in
-[1, 2**63) before any draw; one helper draws every binary run.  A ladder run
-reads its four p+ off one product chain; tomography takes its 15 Pauli
-expectations from one batched product and trace.
+[1, 2**63) before any draw; one helper draws every binary run from the
+observable's exact +-1 mean, and only :func:`success_probability` forms p+.
+A ladder run reads its four means off one product chain; tomography takes
+its 15 Pauli expectations from one batched product and trace.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .protocols import (
     exact_moment_fractions,
     SpectrumEstimate,
     concurrence_from_moments,
-    moment_observable_spec,
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import GroupChannelOutput, apply_spa_pt, group_channel_output, group_channel_outputs
+from .spa import (GroupChannelOutput, apply_spa_pt, group_channel_output, group_channel_outputs,
+                  moment_observable_spec)
 from .states import DensityMatrix, _rng_streams
 
 MODES = ("ideal", "sampled")
@@ -70,23 +71,24 @@ def _shot_count(shots) -> int:
     return int(shots)
 
 
-def _binary_run(p_plus: float, shots: int, rng: np.random.Generator) -> tuple[ShotRecord, float]:
-    """One binomial run of ``shots`` (already checked) outcomes: its record and
-    the +-1 mean.  p+ is clamped into [0, 1] against float dust first.
-    """
-    p_plus = min(max(p_plus, 0.0), 1.0)
+def success_probability(mean: float) -> float:
+    """p+ = (1 + mean) / 2 of a binary observable with +-1 mean ``mean``,
+    clamped into [0, 1] against float dust."""
+    return min(max((1.0 + mean) / 2.0, 0.0), 1.0)
+
+
+def _binary_run(mean: float, shots: int, rng: np.random.Generator) -> tuple[ShotRecord, float]:
+    """One binomial run of ``shots`` (already checked) outcomes of the
+    observable with exact +-1 mean ``mean``: its record and the sampled mean."""
+    p_plus = success_probability(mean)
     successes = int(rng.binomial(shots, p_plus))
     record = ShotRecord(shots=shots, successes=successes, target_mean=p_plus)
     return record, 2.0 * record.estimate - 1.0
 
 
-def _success_probability(output: GroupChannelOutput) -> float:
-    return (1.0 + output.shift_trace()) / 2.0
-
-
 def moment_success_probability(state: DensityMatrix, k: int) -> float:
     """Exact p+ for group k via the implicit channel output."""
-    return _success_probability(group_channel_output(state, k))
+    return success_probability(group_channel_output(state, k).shift_trace())
 
 
 def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
@@ -98,14 +100,15 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
     binary-outcome shot noise unit costs 2 * 16777217 moment units.
     """
     spec = moment_observable_spec(k)
-    return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / shots)
+    if not 0.0 <= p_plus <= 1.0:
+        raise ValueError(f"p_plus must be a probability in [0, 1], got {p_plus!r}")
+    return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / _shot_count(shots))
 
 
 def _moment_sample(output: GroupChannelOutput, shots: int, rng: np.random.Generator) -> MomentSample:
     spec = moment_observable_spec(output.k)
-    record, shift_hat = _binary_run(_success_probability(output), shots, rng)
-    moment_hat = spec.amplification * shift_hat - spec.offset
-    return MomentSample(k=output.k, record=record, moment_estimate=moment_hat,
+    record, shift_hat = _binary_run(output.shift_trace(), shots, rng)
+    return MomentSample(k=output.k, record=record, moment_estimate=spec.moment(shift_hat),
                         copies_consumed=shots * spec.copies)
 
 
@@ -199,7 +202,7 @@ def run_spectrum_protocol(
     # every channel power sum Tr(sigma^n) from one table, row n = lam**n
     traces = _power_table(np.linalg.eigvalsh(sigma.matrix), sigma.dim).sum(axis=1).tolist()
     orders = range(2, sigma.dim + 1)
-    runs = [_binary_run((1.0 + traces[n]) / 2.0, shots, rng)
+    runs = [_binary_run(traces[n], shots, rng)
             for n, rng in zip(orders, _rng_streams(seed, orders))]
     estimate = spectrum_from_channel_moments([1.0] + [psum for _, psum in runs], state.dims[0])
     return SpectrumRun(samples=tuple(record for record, _ in runs), estimate=estimate)
@@ -256,7 +259,7 @@ def run_tomography_baseline(
         shots = 0
     else:
         shots = _shot_count(shots)
-        values = [_binary_run((1.0 + v) / 2.0, shots, rng)[1]
+        values = [_binary_run(v, shots, rng)[1]
                   for v, rng in zip(values, _rng_streams(seed, range(len(values))))]
     # I + v_1 P_1 + ... + v_15 P_15, summed left to right along axis 0
     terms = np.concatenate((np.eye(4, dtype=complex)[None], np.array(values)[:, None, None] * _PAULI_OPS))

@@ -122,7 +122,7 @@ def _measures_checks(seed: int) -> list[dict]:
         n_checked += 1
         c = measures.concurrence(st)
         report = measures.gamma_concurrence_report(st)
-        worst = max(worst, abs(4.0 * report.lambda_min / (c * c) - measures.GAMMA_PROPORTIONALITY))
+        worst = max(worst, abs(4.0 * report.lambda_min / (c * c) - 1.0))
     out.append(_check("gamma ratio regression", worst <= 1e-6, worst))
     return out
 

@@ -121,6 +121,44 @@ def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]
     return tuple(sums)
 
 
+#: d_k^3 + 1 for the four copy groups; the factor by which shot noise on the
+#: binary observable is amplified into the k-th moment estimate
+AMPLIFICATION_FACTORS = {k: 4 ** (3 * k) + 1 for k in (1, 2, 3, 4)}
+
+
+class MomentObservableSpec(NamedTuple):
+    """Scale and offset turning the binary-observable mean into p_k.
+
+    The offset applied is 4 * d_k, the unique constant for which the group
+    observable's mean reproduces the power sum exactly (the identity block
+    of the channel output contributes Tr V = 4 per shift trace).  The d_k^3
+    variant that appears in some derivations misses the identity by
+    d_k^3 - 4 d_k and is carried along for reporting only.
+    """
+
+    k: int
+    copies: int
+    d: int
+    amplification: int
+    offset: int
+    d_cubed_offset: int
+
+    def moment(self, mean: float) -> float:
+        """p_k = (d_k^3 + 1) * mean - 4 d_k from the observable's +-1 mean."""
+        return self.amplification * mean - self.offset
+
+
+#: the four group read-outs, built once (d_k = 4^k)
+_SPECS = {k: MomentObservableSpec(k, copies=2 * k, d=4**k, amplification=amp, offset=4 * 4**k,
+                                  d_cubed_offset=4 ** (3 * k)) for k, amp in AMPLIFICATION_FACTORS.items()}
+
+
+def moment_observable_spec(k: int) -> MomentObservableSpec:
+    if k not in (1, 2, 3, 4):
+        raise ValueError(f"group index must be 1..4, got {k}")
+    return _SPECS[k]
+
+
 class GroupChannelOutput(NamedTuple):
     """Implicit value object for the k-th group channel output.
 
@@ -143,8 +181,8 @@ class GroupChannelOutput(NamedTuple):
         The identity block contributes Tr(V) = 4 (constant basis strings of
         one four-level factor), the signal block contributes p_k.
         """
-        d = 4**self.k
-        return (4.0 * d + self.p_k) / (d**3 + 1.0)
+        spec = moment_observable_spec(self.k)
+        return (spec.offset + self.p_k) / spec.amplification
 
 
 def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...]:
@@ -153,6 +191,5 @@ def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...
 
 
 def group_channel_output(state: DensityMatrix, k: int) -> GroupChannelOutput:
-    if not 1 <= k <= 4:
-        raise ValueError(f"group index must be 1..4, got {k}")
-    return group_channel_outputs(state)[k - 1]
+    index = moment_observable_spec(k).k - 1  # the spec rejects k outside 1..4
+    return group_channel_outputs(state)[index]

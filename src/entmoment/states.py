@@ -51,7 +51,10 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 def _seed_sequence(seed, *spawn_key) -> np.random.SeedSequence:
     """``SeedSequence(seed, spawn_key)``; ValueError unless seed is a non-negative int or a list of them."""
-    if not all(isinstance(w, int) and w >= 0 for w in np.ravel(seed).tolist()):
+    words = np.ravel(seed)
+    if words.dtype.kind == "f":  # numpy reads a list like [0, 2**63] as floats; keep its ints
+        words = np.ravel(np.array(seed, dtype=object))
+    if not all(isinstance(w, int) and w >= 0 for w in words.tolist()):
         raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
     return np.random.SeedSequence(seed, spawn_key=spawn_key)
 

@@ -214,7 +214,7 @@ def test_criterion_8_shot_noise_statistics():
     se_mean = expected_std / math.sqrt(reps)
     assert abs(float(np.mean(estimates)) - 1.0) <= 5 * se_mean
 
-    assert protocols.AMPLIFICATION_FACTORS == {1: 65, 2: 4097, 3: 262145, 4: 16777217}
+    assert spa.AMPLIFICATION_FACTORS == {1: 65, 2: 4097, 3: 262145, 4: 16777217}
 
     # k = 4 at the same budget: one shot-noise unit costs > 1 moment unit,
     # i.e. the fourth moment is not estimable at desk scale (a finding)
@@ -240,9 +240,9 @@ def test_criterion_9_gamma_calibration_sweep():
         ratios.append(4.0 * rep.lambda_min / (c * c))
     ratios = np.array(ratios)
     spread = float(np.max(ratios) - np.min(ratios))
-    # constant to 1e-6: frozen as GAMMA_PROPORTIONALITY = 1 and regression-tested
+    # constant to 1e-6: frozen at exactly 1 and regression-tested
     assert spread <= 1e-6
-    assert float(np.max(np.abs(ratios - measures.GAMMA_PROPORTIONALITY))) <= 1e-6
+    assert float(np.max(np.abs(ratios - 1.0))) <= 1e-6
     elapsed = time.monotonic() - t0
     report(9, elapsed, f"500-state ratio spread {spread:.2e} about frozen constant 1.0")
 

@@ -492,9 +492,11 @@ def test_companion_roots_match_np_roots(data):
 # Any finite moment list: an overflow error, or n finite values sorted
 # descending whose only possible flag says the roots came out complex.
 
-@settings(max_examples=100, deadline=None)
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None)
 @given(st.one_of(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
                  st.lists(st.fractions(), min_size=1, max_size=16)))
+@example([1.7194804702922655, 3.2758965023665247, 1e+191, -1e-06, -2.7194566202145722])
 def test_any_finite_moments_give_sorted_finite_values_or_overflow(psums):
     try:
         rec = spectrum_from_power_sums(psums)

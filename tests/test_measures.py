@@ -284,13 +284,13 @@ def test_gamma_bell_quarter():
 
 
 def test_gamma_ratio_constant_on_entangled_states():
-    # the empirical calibration behind GAMMA_PROPORTIONALITY = 1
+    # the empirical calibration behind min eig(gamma) = C^2 / 4, ratio exactly 1
     rng = states.rng_stream(208, 0)
     for _ in range(100):
         st = random_entangled(rng)
         c = measures.concurrence(st)
         rep = measures.gamma_concurrence_report(st)
-        assert abs(4 * rep.lambda_min / (c * c) - measures.GAMMA_PROPORTIONALITY) < 1e-6
+        assert abs(4 * rep.lambda_min / (c * c) - 1.0) < 1e-6
 
 
 def test_gamma_estimate_matches_concurrence():

@@ -18,7 +18,6 @@ FIELDS = {
     "measures.PptVerdict": ("verdict", "min_pt_eigenvalue"),
     "measures.GammaReport": ("lambda_min", "imag_residual", "concurrence_estimate", "flags"),
     "protocols.MomentVector": ("p",),
-    "protocols.MomentObservableSpec": ("k", "copies", "d", "amplification", "offset", "d_cubed_offset"),
     "protocols.InversionResult": ("lambdas", "flags"),
     "protocols.SpectrumEstimate": ("report", "channel_eigenvalues", "flags"),
     "protocols.TwoStageResult": (
@@ -31,6 +30,7 @@ FIELDS = {
     "sampling.SpectrumRun": ("samples", "estimate"),
     "sampling.TomographyRun": ("expectations", "shots", "rho_hat", "breakdown"),
     "spa.GroupChannelOutput": ("k", "p_k"),
+    "spa.MomentObservableSpec": ("k", "copies", "d", "amplification", "offset", "d_cubed_offset"),
     "states.StateDiagnostics": ("hermiticity_defect", "trace_defect", "min_eigenvalue"),
 }
 

@@ -105,10 +105,25 @@ def test_k4_amplification_dwarfs_desk_budgets():
     assert se > 1.0
 
 
+@pytest.mark.parametrize("p_plus, shots, match", [
+    (0.5, 0, "shots"), (0.5, -4, "shots"), (0.5, 2.5, "shots"), (0.5, 2**63, "shots"),
+    (1.5, 100, "p_plus"), (-0.1, 100, "p_plus"), (math.nan, 100, "p_plus"),
+])
+def test_moment_standard_error_rejects_bad_input(p_plus, shots, match):
+    with pytest.raises(ValueError, match=match):
+        sampling.moment_standard_error(1, p_plus, shots)
+
+
+def test_success_probability_clamps_float_dust():
+    assert sampling.success_probability(0.25) == 0.625
+    assert sampling.success_probability(1.0 + 1e-15) == 1.0
+    assert sampling.success_probability(-1.0 - 1e-15) == 0.0
+
+
 def test_moment_estimates_recompute_from_records():
     st = states.werner_state(0.9)
     run = sampling.run_concurrence_protocol(st, shots=2000, seed=5, mode="sampled")
-    from entmoment.protocols import moment_observable_spec
+    from entmoment.spa import moment_observable_spec
 
     for s in run.samples:
         spec = moment_observable_spec(s.k)
@@ -176,7 +191,7 @@ def reference_tomography_baseline(state, shots, seed, mode):
     for idx, (label, op) in enumerate(zip(sampling._PAULI_LABELS, sampling._PAULI_OPS)):
         value = float(np.trace(rho @ op).real)
         if mode == "sampled":
-            _, value = sampling._binary_run((1.0 + value) / 2.0, shots, states.rng_stream(seed, stream=idx))
+            _, value = sampling._binary_run(value, shots, states.rng_stream(seed, stream=idx))
         expectations[label] = value
         rebuilt = rebuilt + value * op
     rebuilt /= 4.0

@@ -169,10 +169,23 @@ def test_group_channel_bell_shift_trace():
 
 
 def test_group_channel_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="group index must be 1..4, got 5"):
         spa.group_channel_output(states.bell_state(), 5)
     with pytest.raises(ValueError):
         spa.group_channel_output(states.random_mixed_state((3, 3), states.rng_stream(1, 1)), 1)
+
+
+def test_shift_trace_and_spec_moment_invert_each_other():
+    # the spec's integer constants give the bits of the float read-out
+    # (4.0 d + p_k) / (d^3 + 1.0): every int below 2**53 converts exactly
+    rng = states.rng_stream(305, 0)
+    for _ in range(20):
+        st = states.random_mixed_state((2, 2), rng)
+        for out in spa.group_channel_outputs(st):
+            d = 4**out.k
+            assert out.shift_trace() == (4.0 * d + out.p_k) / (d**3 + 1.0)
+            spec = spa.moment_observable_spec(out.k)
+            assert abs(spec.moment(out.shift_trace()) - out.p_k) < 1e-9
 
 
 def materialized_shift_trace(state, k):
