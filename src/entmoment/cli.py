@@ -130,20 +130,24 @@ def cmd_protocol(args) -> int:
             "copies_consumed": run.copies_consumed,
             "groups": [],
         }
-        for out in spa.group_channel_outputs(state):
-            spec = spa.moment_observable_spec(out.k)
-            group = {
-                "k": out.k,
+        # a sampled run's records hold p+ already; only ideal mode reads it off the chain
+        if run.samples is None:
+            groups = [(out.k, sampling.success_probability(out.shift_trace()), {})
+                      for out in spa.group_channel_outputs(state)]
+        else:
+            groups = [(s.k, s.record.target_mean, {"successes": s.record.successes, "shots": s.record.shots})
+                      for s in run.samples]
+        for k, p_plus, counts in groups:
+            spec = spa.moment_observable_spec(k)
+            results["groups"].append({
+                "k": k,
                 "copies": spec.copies,
                 "amplification": spec.amplification,
                 "offset_applied": spec.offset,
                 "offset_d_cubed_variant": spec.d_cubed_offset,
-                "p_plus": sampling.success_probability(out.shift_trace()),
-            }
-            if run.samples is not None:
-                s = run.samples[out.k - 1]
-                group.update({"successes": s.record.successes, "shots": s.record.shots})
-            results["groups"].append(group)
+                "p_plus": p_plus,
+                **counts,
+            })
         results["offset_note"] = (
             "offsets are 4*d_k, fixed by the ladder identity mean(M_k) = p_k; "
             "the d_k^3 variant is listed for reference only"

@@ -108,12 +108,12 @@ def _centered_setup(psums):
     denom, q = n * (odd << g) << max(s, 0), [x << max(-s, 0) * m for m, x in enumerate(q, 1)]
     denom_pow = list(accumulate([denom] * n, mul, initial=1))
 
-    qs = np.array([x / y for x, y in zip(q, denom_pow[1:])])
+    qs = [x / y for x, y in zip(q, denom_pow[1:])]
 
     # Rounding floor of the standardized moments: each float input p_j
     # carries ~eps relative error which the shift amplifies by the binomial
     # weights; exact Fraction inputs only pay the final float conversion.
-    noise = np.empty(n)
+    noise = []
     magnitude = [abs(a / b) for a, b in p]
     cf_pow = [abs(cf) ** i for i in range(n + 1)]
     for m in range(1, n + 1):
@@ -122,7 +122,7 @@ def _centered_setup(psums):
             for j in range(m + 1):
                 propagated += comb(m, j) * magnitude[j] * cf_pow[m - j]
             propagated *= _FLOAT_NOISE_FACTOR * _EPS / sf**m
-        noise[m - 1] = propagated + _FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(qs[m - 1]))
+        noise.append(propagated + _FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(qs[m - 1])))
 
     # Newton's identities with e_k = E_k / (k! D**k), f = (-1)**(i-1) (k-1)!/(k-i)!
     e = [1]
@@ -132,7 +132,7 @@ def _centered_setup(psums):
             acc, f = acc + f * e[k - i] * q[i - 1], f * (i - k)
         e.append(acc)
     coeffs = [(-x if k % 2 else x) / (factorial(k) * y) for k, (x, y) in enumerate(zip(e, denom_pow))]
-    return cf, sf, coeffs, qs, noise
+    return cf, sf, coeffs, np.array(qs), np.array(noise)
 
 
 def _power_table(z: np.ndarray, n: int) -> np.ndarray:
@@ -170,26 +170,27 @@ def _companion_roots(coeffs: list) -> np.ndarray:
     companion = np.eye(degree, k=-1)
     companion[:1] = [-c for c in coeffs[1:degree + 1]]
     roots = np.linalg.eigvals(companion)
+    if degree == len(coeffs) - 1:
+        return roots
     return np.concatenate((roots, np.zeros(len(coeffs) - 1 - degree, roots.dtype)))
 
 
 def _gauss_newton(z0, mult, targets, weights):
     """Refine distinct values z (with multiplicities) against the moments."""
-    z = z0.astype(float).copy()
+    z = z0.astype(float)
     n = len(targets)
-    ms = np.arange(1, n + 1)[:, None]
     best, best_res = z.copy(), math.inf
     for i in range(_GAUSS_NEWTON_ITERS + 1):  # the last pass only evaluates
         pw = _power_table(z, n)
         r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
-        res = float(np.max(np.abs(r)))
+        res = float(abs(r).max())
         if res < best_res:
             best_res, best = res, z.copy()
         if res < 0.5 or i == _GAUSS_NEWTON_ITERS:
             break
-        jac = ms * mult * pw[:-1]
+        jac = np.arange(1, n + 1)[:, None] * mult * pw[:-1]
         step, *_ = np.linalg.lstsq(jac / weights[:, None], r, rcond=None)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         z = z - step
     return best, best_res
@@ -227,8 +228,9 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         return SpectrumRecovery(np.full(n, center), ())
 
     raw = _companion_roots(coeffs)
-    y = np.sort(raw.real)
-    ymax = max(1.0, float(np.max(np.abs(y))))
+    y = raw.real.copy()
+    y.sort()
+    ymax = max(1.0, float(abs(y).max()))
     with np.errstate(over="ignore"):  # roots too large for float64 powers: inf weights, unwarned
         weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
@@ -236,7 +238,7 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     bounds, sizes, means = [0, n], [n], [_mean(ys)]
     # single linkage: n_clusters groups split the sorted roots at their widest
     # gaps; each count adds one cut to the previous split
-    for cut in [0] + (np.argsort(-np.diff(y), kind="stable") + 1).tolist():
+    for cut in [0] + ((-(y[1:] - y[:-1])).argsort(kind="stable") + 1).tolist():
         if cut:
             i = bisect.bisect(bounds, cut)
             a, b = bounds[i - 1], bounds[i]
@@ -248,10 +250,13 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         mult = np.array(sizes, dtype=float)
         z, res = _gauss_newton(np.array(means), mult, targets, weights)
         if res <= 1.0:
-            values = np.repeat(z, mult.astype(int))
-            return SpectrumRecovery(np.sort(center + scale * values)[::-1], ())
+            values = center + scale * z.repeat(mult.astype(int))
+            values.sort()
+            return SpectrumRecovery(values[::-1], ())
 
     flags = []
-    if scale * float(np.max(np.abs(raw.imag))) > _IMAG_GUARD:
+    if scale * float(abs(raw.imag).max()) > _IMAG_GUARD:
         flags.append(COMPLEX_ROOTS_FLAG)
-    return SpectrumRecovery(np.sort(center + scale * y)[::-1], tuple(flags))
+    values = center + scale * y
+    values.sort()
+    return SpectrumRecovery(values[::-1], tuple(flags))

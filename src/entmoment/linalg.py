@@ -142,7 +142,7 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:  # a finite and already checked Herm
     w, v = np.linalg.eigh(a)
     if w[0] < -PSD_CLAMP:
         raise ValueError(f"matrix has significantly negative spectrum (min {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
+    w = w.clip(0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -112,10 +112,12 @@ class NegativityReport(NamedTuple):
 
 
 def report_from_pt_eigenvalues(eigenvalues) -> NegativityReport:
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    tn = float(np.sum(np.abs(lam)))
+    lam = np.array(eigenvalues, dtype=float)  # a copy: sorted in place
+    lam.sort()
+    lam = lam[::-1]
+    tn = float(abs(lam).sum())
     return NegativityReport(
-        pt_eigenvalues=tuple(float(x) for x in lam),
+        pt_eigenvalues=tuple(lam.tolist()),
         trace_norm_pt=tn,
         negativity=max(0.0, (tn - 1.0) / 2.0),
         ec=max(0.0, math.log2(tn)),
@@ -172,7 +174,7 @@ def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:
     is expected to have established entanglement first.
     """
     spec = general_eigenvalues(gamma_matrix(state))
-    idx = int(np.argmin(spec.real))
+    idx = int(spec.real.argmin())
     lam_min = spec[idx]
     flags: list[str] = []
     if abs(lam_min.imag) > GAMMA_IMAG_GUARD:

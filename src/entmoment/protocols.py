@@ -105,22 +105,23 @@ def _clamped_inversion(psums) -> SpectrumRecovery:
     flags = rec.flags
     if float(rec.values.min()) < -NEGATIVE_ROOT_GUARD:
         flags += (NEGATIVE_ROOTS_FLAG,)
-    return SpectrumRecovery(np.clip(rec.values, 0.0, None), flags)
+    return SpectrumRecovery(rec.values.clip(0.0), flags)
 
 
 def newton_invert(moments) -> InversionResult:
     """Eigenvalue estimates from a 4-sequence of power sums, sorted descending.
 
     The flags are the inversion's; a caller holding a MomentVector passes
-    its ``.p`` and appends its order flag after them.  Complex root residuals are projected out with a flag; negative values
-    are clamped to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy
-    input yields a flagged estimate, never an exception.  Fraction inputs
-    are inverted exactly.
+    its ``.p`` and appends its order flag after them.  Complex root
+    residuals are projected out with a flag; negative values are clamped
+    to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy input yields
+    a flagged estimate, never an exception.  Fraction inputs are inverted
+    exactly.
     """
     if len(moments) != 4:
         raise ValueError("expected four moments")
     rec = _clamped_inversion(moments)
-    return InversionResult(tuple(float(x) for x in rec.values), rec.flags)
+    return InversionResult(tuple(rec.values.tolist()), rec.flags)
 
 
 def concurrence_from_moments(moments) -> tuple[ConcurrenceBreakdown, tuple[str, ...]]:
@@ -161,10 +162,9 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
     the exact inversion is sharp enough to resolve).
     """
     rec = _clamped_inversion(psums)
-    pt = np.array([inverse_affine(x, d) for x in rec.values])
     return SpectrumEstimate(
-        report=report_from_pt_eigenvalues(pt),
-        channel_eigenvalues=tuple(float(x) for x in rec.values),
+        report=report_from_pt_eigenvalues(inverse_affine(rec.values, d)),
+        channel_eigenvalues=tuple(rec.values.tolist()),
         flags=rec.flags,
     )
 

@@ -254,7 +254,7 @@ def run_tomography_baseline(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if state.dims != (2, 2):
         raise ValueError("the tomography baseline is two-qubit only")
-    values = np.trace(state.matrix @ _PAULI_OPS, axis1=1, axis2=2).real.tolist()
+    values = (state.matrix @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
     if mode == "ideal":
         shots = 0
     else:
@@ -265,8 +265,8 @@ def run_tomography_baseline(
     terms = np.concatenate((np.eye(4, dtype=complex)[None], np.array(values)[:, None, None] * _PAULI_OPS))
     rebuilt = np.add.reduce(terms, axis=0) / 4.0
     w, v = np.linalg.eigh((rebuilt + rebuilt.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    w /= np.sum(w)
+    w = w.clip(0.0)
+    w /= w.sum()
     rho_hat = DensityMatrix._valid((v * w) @ v.conj().T, (2, 2))
     return TomographyRun(expectations=dict(zip(_PAULI_LABELS, values)), shots=shots,
                          rho_hat=rho_hat, breakdown=concurrence_breakdown(rho_hat))

@@ -38,7 +38,7 @@ def affine_map(pt_eigenvalue: float, d: int) -> float:
 
 
 def inverse_affine(channel_eigenvalue: float, d: int) -> float:
-    """Exact inverse of :func:`affine_map`."""
+    """Exact inverse of :func:`affine_map`; elementwise on an array."""
     return (d**3 + 1.0) * channel_eigenvalue - d
 
 
@@ -114,10 +114,10 @@ def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]
     """
     rho, rho_tilde = state.matrix, spin_flip(state)
     prod = rho @ rho_tilde
-    sums = [complex(np.trace(prod)).real]
+    sums = [float(prod.trace().real)]
     for _ in range(3):
         prod = prod @ rho @ rho_tilde
-        sums.append(complex(np.trace(prod)).real)
+        sums.append(float(prod.trace().real))
     return tuple(sums)
 
 

@@ -49,14 +49,27 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))
 
 
-def _seed_sequence(seed, *spawn_key) -> np.random.SeedSequence:
-    """``SeedSequence(seed, spawn_key)``; ValueError unless seed is a non-negative int or a list of them."""
+def _seed_ints(seed) -> list[int]:
+    """The integers of a seed, flattened; ValueError unless seed is a non-negative int or a list of them."""
     words = np.ravel(seed)
     if words.dtype.kind == "f":  # numpy reads a list like [0, 2**63] as floats; keep its ints
         words = np.ravel(np.array(seed, dtype=object))
-    if not all(isinstance(w, int) and w >= 0 for w in words.tolist()):
+    ints = words.tolist()
+    if not all(isinstance(w, int) and w >= 0 for w in ints):
         raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
+    return ints
+
+
+def _seed_sequence(seed, *spawn_key) -> np.random.SeedSequence:
+    """``SeedSequence(seed, spawn_key)``; ValueError unless seed is a non-negative int or a list of them."""
+    _seed_ints(seed)
     return np.random.SeedSequence(seed, spawn_key=spawn_key)
+
+
+def _entropy_words(seed) -> int:
+    """How many 32-bit words ``SeedSequence`` hashes for a valid seed: each
+    integer is split into its little-endian words, at least one."""
+    return sum(max(1, -(-w.bit_length() // 32)) for w in _seed_ints(seed))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words
@@ -67,6 +80,15 @@ _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = np.array([0xCA01F9DD, 0x4973F715, 16], dtype
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """init * mult**j mod 2**32 for j = 0..count, as uint32."""
     return np.multiply.accumulate(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)
+
+
+@functools.cache
+def _key_hash_constants(hashes: int) -> np.ndarray:
+    """The five INIT_A * MULT_A**j, j = hashes..hashes + 4, read-only: the
+    constants that mix a key word in after ``hashes`` pool hashes."""
+    out = _hash_constants(_INIT_A, _MULT_A, hashes + 4)[hashes:].copy()
+    out.setflags(write=False)
+    return out
 
 
 #: generate_state xors word i with INIT_B * MULT_B**i, then multiplies it by
@@ -104,14 +126,11 @@ def _rng_streams(seed, streams) -> list[np.random.Generator]:
     on uint32 words only.  The generators cannot ``spawn()``.  Stream ids
     outside [0, 2**32) and seeds ``rng_stream`` rejects raise ValueError.
     """
-    from numpy.random.bit_generator import _coerce_to_uint32_array
-
     keys = list(streams)
     if not all(0 <= k < 2**32 for k in keys):
         raise ValueError(f"stream ids must lie in [0, 2**32), got {keys!r}")
     run = _seed_sequence(seed)
-    hashes = 4 * max(4, len(_coerce_to_uint32_array(run.entropy)))
-    hash_const = _hash_constants(_INIT_A, _MULT_A, hashes + 4)[hashes:]
+    hash_const = _key_hash_constants(4 * max(4, _entropy_words(seed)))
     # the key word, hashed once per pool word, mixed into that word
     key = (np.array(keys, dtype=np.uint32)[:, None] ^ hash_const[:4]) * hash_const[1:]
     key ^= key >> _XSHIFT
@@ -158,15 +177,19 @@ def validate_state(matrix) -> StateDiagnostics:
 def _diagnostics(m: np.ndarray) -> StateDiagnostics:
     """validate_state of a matrix already coerced by as_complex_matrix."""
     herm = hermiticity_defect(m)
-    trace = float(abs(np.trace(m) - 1.0))
+    trace = float(abs(m.trace() - 1.0))
     sym = (m + m.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     return StateDiagnostics(herm, trace, min_eig)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A bipartite quantum state: complex matrix plus (dimA, dimB) split."""
+    """A bipartite quantum state: complex matrix plus (dimA, dimB) split.
+
+    Equality and hashing are by identity: the generated field comparison
+    would ask an ndarray for one truth value and raise.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, int]

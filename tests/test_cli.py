@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from entmoment import sampling, states
+import pytest
+
+from entmoment import sampling, spa, states
 from entmoment.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,6 +85,20 @@ def test_protocol_concurrence_ideal(tmp_path, capsys):
     assert [g["offset_applied"] for g in groups] == [16, 64, 256, 1024]
     assert [g["offset_d_cubed_variant"] for g in groups] == [64, 4096, 262144, 16777216]
     assert abs(groups[0]["p_plus"] - 41 / 65) < 1e-12
+
+
+@pytest.mark.parametrize("mode_args", [["--mode", "ideal"], ["--mode", "sampled", "--shots", "500"]])
+def test_protocol_concurrence_builds_the_ladder_chain_once(monkeypatch, mode_args):
+    calls = []
+    real = spa.ladder_power_sums
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(spa, "ladder_power_sums", counted)
+    assert run_cli(["protocol", "concurrence", "--family", "werner", "--p", "0.8", *mode_args]) == 0
+    assert len(calls) == 1
 
 
 def test_protocol_negativity_ideal(capsys):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmoment import measures, protocols, spa, states
+from entmoment.inversion import SpectrumRecovery
 
 
 def eigen_moments(state):
@@ -130,6 +133,21 @@ def test_newton_invert_noisy_flags():
     assert all(x >= 0 for x in inv.lambdas)
 
 
+@pytest.mark.parametrize("values, flags", [
+    ([0.5, -0.0, -1e-300, np.nan], ()),
+    ([-1e-3, -0.0, 0.25, 1.0], ("complex-roots",)),
+])
+def test_clamp_matches_np_clip_on_signed_zero_and_nan(monkeypatch, values, flags):
+    values = np.array(values)
+    monkeypatch.setattr(protocols, "spectrum_from_power_sums", lambda psums: SpectrumRecovery(values.copy(), flags))
+    rec = protocols._clamped_inversion([1.0] * 4)
+    assert rec.values.tobytes() == np.clip(values, 0.0, None).tobytes()
+    assert not np.signbit(rec.values[1])  # -0.0 comes back as +0.0
+    assert np.isnan(rec.values).tolist() == np.isnan(values).tolist()
+    guarded = float(values.min()) < -protocols.NEGATIVE_ROOT_GUARD
+    assert rec.flags == flags + ((protocols.NEGATIVE_ROOTS_FLAG,) if guarded else ())
+
+
 def test_newton_invert_needs_four():
     with pytest.raises(ValueError):
         protocols.newton_invert((1.0, 1.0))
@@ -214,6 +232,17 @@ def test_spectrum_protocol_d5_channel_values_match_eigvalsh(make):
     est = protocols.spectrum_protocol(st)
     ref = np.linalg.eigvalsh(spa.apply_spa_pt(st).matrix)
     assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pt_values_are_the_inverse_affine_of_every_channel_value(d, data):
+    xs = np.array(data.draw(st.lists(st.floats(-0.05, 1.0), min_size=d * d, max_size=d * d)))
+    psums = [float((xs**m).sum()) for m in range(1, d * d + 1)]
+    est = protocols.spectrum_from_channel_moments(psums, d)
+    expected = sorted((spa.inverse_affine(x, d) for x in est.channel_eigenvalues), reverse=True)
+    assert np.array(est.report.pt_eigenvalues).tobytes() == np.array(expected).tobytes()
 
 
 def test_spectrum_protocol_rejects_rectangular():

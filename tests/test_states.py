@@ -109,6 +109,15 @@ def test_rng_streams_reject_the_seeds_rng_stream_rejects(seed):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 5, [], [0, 2**63], np.array([0, 5, 2**64 - 1], dtype=np.uint64),
+                                  [[1, 2**40], [0, 2**100]], np.int64(7), np.uint32(2**32 - 1)])
+def test_entropy_words_match_numpys_word_split(seed):
+    # numpy's private coercion, as SeedSequence uses it, is the oracle only here
+    from numpy.random.bit_generator import _coerce_to_uint32_array
+
+    assert states._entropy_words(seed) == len(_coerce_to_uint32_array(seed))
+
+
 @pytest.mark.parametrize("stream", [-1, 2**32])
 def test_rng_streams_reject_stream_ids_beyond_one_word(stream):
     with pytest.raises(ValueError, match="stream ids"):
@@ -150,6 +159,13 @@ def test_density_matrix_coerces_and_scans_once(monkeypatch):
     monkeypatch.setattr(states, "as_complex_matrix", lambda m: calls.append(1) or real(m))
     states.DensityMatrix(np.eye(4) / 4, (2, 2))
     assert len(calls) == 1
+
+
+def test_density_matrix_compares_and_hashes_by_identity():
+    a, b = states.werner_state(0.5), states.werner_state(0.5)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2 and a in {a} and b not in {a}
 
 
 def test_density_matrix_is_read_only():
