@@ -13,9 +13,7 @@ from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .linalg import (
     cyclic_shift_matrix,
     general_eigenvalues,
-    herm_eigen,
     herm_eigenvalues,
-    matrix_sqrt_psd,
     partial_transpose,
     tensor,
 )
@@ -64,7 +62,6 @@ from .sampling import (
     sample_moment_povm,
 )
 from .spa import (
-    AMPLIFICATION_FACTORS,
     GroupChannelOutput,
     affine_map,
     apply_spa_pt,

@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_state_args(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=states.FAMILIES, help="named state family")
     p.add_argument("--p", type=float, default=None, help="family mixing weight")
-    p.add_argument("--dims", type=int, nargs=2, default=(2, 2), metavar=("DA", "DB"))
+    p.add_argument("--dims", type=int, nargs=2, default=None, metavar=("DA", "DB"))
     p.add_argument("--in", dest="infile", type=Path, default=None, help="state record file")
     p.add_argument("--seed", type=int, default=0)
 
@@ -43,6 +43,9 @@ def _add_run_args(p: argparse.ArgumentParser, modes: tuple[str, ...]):
 
 def _load_state(args) -> states.DensityMatrix:
     if args.infile is not None:
+        given = [opt for opt in ("--family", "--p", "--dims") if getattr(args, opt[2:]) is not None]
+        if given:
+            raise ValueError(f"--in takes the whole state from its file; drop {', '.join(given)}")
         try:
             text = args.infile.read_text()
         except OSError as exc:
@@ -50,15 +53,17 @@ def _load_state(args) -> states.DensityMatrix:
         return states.state_from_json(text)
     if args.family is None:
         raise ValueError("give either --family or --in FILE")
+    if args.p is not None and args.family not in ("werner", "isotropic"):
+        raise ValueError(f"--p is the mixing weight of werner and isotropic states; {args.family} takes none")
     rng = states.rng_stream(args.seed, stream=0)
-    return states.make_state(args.family, dims=tuple(args.dims), p=args.p, rng=rng)
+    return states.make_state(args.family, dims=tuple(args.dims or (2, 2)), p=args.p, rng=rng)
 
 
-def _state_config(args) -> dict:
+def _state_config(args, state: states.DensityMatrix) -> dict:
     return {
         "family": args.family,
         "p": args.p,
-        "dims": list(args.dims),
+        "dims": list(state.dims),
         "infile": str(args.infile) if args.infile else None,
         "seed": args.seed,
     }
@@ -80,7 +85,7 @@ def _emit(command: str, config: dict, results, out: Path | None):
 def cmd_exact(args) -> int:
     state = _load_state(args)
     neg = measures.negativity_report(state)
-    verdict = measures.ppt_verdict(state)
+    verdict = neg.verdict
     results = {
         "dims": list(state.dims),
         **neg._asdict(),
@@ -95,7 +100,7 @@ def cmd_exact(args) -> int:
         results.update(br._asdict())
         print(f"C        : {br.concurrence:.6f}   E_f: {br.ef:.6f}")
         print("lambdas  : " + "  ".join(f"{x:.6f}" for x in br.lambdas))
-    _emit("exact", _state_config(args), results, args.out)
+    _emit("exact", _state_config(args, state), results, args.out)
     return 0
 
 
@@ -114,7 +119,7 @@ def cmd_protocol(args) -> int:
     mode = args.mode or "ideal"
     state = _load_state(args)
     shots = _shots_single(DEFAULT_SHOTS if args.shots is None else args.shots)
-    config = {**_state_config(args), "mode": mode, "shots": shots}
+    config = {**_state_config(args, state), "mode": mode, "shots": shots}
 
     if args.pipeline == "concurrence":
         run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=mode)
@@ -179,7 +184,7 @@ def cmd_protocol(args) -> int:
 
     else:  # two-stage
         res = protocols.two_stage_protocol(state)
-        config = _state_config(args)
+        config = _state_config(args, state)
         flags = res.stage_two.flags if res.stage_two is not None else ()
         results = {
             "verdict": res.verdict,
@@ -236,7 +241,7 @@ def cmd_compare(args) -> int:
                     "shots": shots,
                     "median_abs_error_c": float(np.median(err_c)),
                     "median_abs_error_ef": float(np.median(err_ef)),
-                    "copies_consumed": shots * ledger.r_c,
+                    "copies_consumed": run.copies_consumed,
                     "r_p": ledger.r_p,
                     "r_c": ledger.r_c,
                     "r": ledger.r,

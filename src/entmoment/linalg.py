@@ -71,44 +71,25 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
-def partial_transpose(m, dims: tuple[int, int], subsystem: str = "B") -> np.ndarray:
-    """Transpose the indices of one tensor factor only.
+def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
+    """Transpose the indices of the second tensor factor (B) only.
 
     Parameters
     ----------
     m : array_like
         Square matrix on a dimA*dimB space, A the slow index.
     dims : (dimA, dimB)
-    subsystem : "A" or "B"
-        Which factor's indices are transposed.
 
     The operation is a pure index permutation: on exact (binary rational)
     inputs it is bit-exact, trace preserving, Hermiticity preserving and an
-    involution.
+    involution.  The partial transpose on A is the full transpose of this
+    one.
     """
     a = as_complex_matrix(m)
     da, db = int(dims[0]), int(dims[1])
     if da * db != a.shape[0]:
         raise ValueError(f"dims {dims} do not match matrix dimension {a.shape[0]}")
-    t = a.reshape(da, db, da, db)
-    if subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError("subsystem must be 'A' or 'B'")
-    return t.reshape(da * db, da * db)
-
-
-def herm_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  The input is
-    rejected if it deviates from Hermiticity by more than HERMITICITY_TOL.
-    """
-    a = require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return a.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
 
 
 def herm_eigenvalues(m) -> np.ndarray:
@@ -127,15 +108,6 @@ def general_eigenvalues(m) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise ValueError(f"eigenvalue iteration failed to converge: {exc}") from exc
-
-
-def matrix_sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything more
-    negative is an error.
-    """
-    return _psd_sqrt(require_hermitian(m))
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:  # a finite and already checked Hermitian

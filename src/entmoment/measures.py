@@ -103,12 +103,18 @@ def concurrence(state: DensityMatrix) -> float:
 
 
 class NegativityReport(NamedTuple):
-    """Partial-transpose spectrum and the measures derived from it."""
+    """Partial-transpose spectrum, descending, and the measures derived from it."""
 
     pt_eigenvalues: tuple[float, ...]
     trace_norm_pt: float
     negativity: float
     ec: float
+
+    @property
+    def verdict(self) -> PptVerdict:
+        """Sign test on the smallest partial-transpose eigenvalue."""
+        min_eig = self.pt_eigenvalues[-1]
+        return PptVerdict("npt" if min_eig < -NPT_TOL else "ppt", min_eig)
 
 
 def report_from_pt_eigenvalues(eigenvalues) -> NegativityReport:
@@ -126,7 +132,7 @@ def report_from_pt_eigenvalues(eigenvalues) -> NegativityReport:
 
 def negativity_report(state: DensityMatrix) -> NegativityReport:
     """Eigenvalues of rho^T_B, their absolute sum, negativity and E_c."""
-    pt = partial_transpose(state.matrix, state.dims, "B")
+    pt = partial_transpose(state.matrix, state.dims)
     return report_from_pt_eigenvalues(herm_eigenvalues(pt))
 
 
@@ -141,9 +147,7 @@ class PptVerdict(NamedTuple):
 
 def ppt_verdict(state: DensityMatrix) -> PptVerdict:
     """Sign test on the partial-transpose spectrum."""
-    pt = partial_transpose(state.matrix, state.dims, "B")
-    min_eig = float(herm_eigenvalues(pt)[0])
-    return PptVerdict("npt" if min_eig < -NPT_TOL else "ppt", min_eig)
+    return negativity_report(state).verdict
 
 
 class GammaReport(NamedTuple):
@@ -157,8 +161,8 @@ class GammaReport(NamedTuple):
 
 def gamma_matrix(state: DensityMatrix) -> np.ndarray:
     rho = _require_two_qubit(state)
-    ta = partial_transpose(rho, (2, 2), "A")
-    tb = partial_transpose(rho, (2, 2), "B")
+    tb = partial_transpose(rho, (2, 2))
+    ta = np.ascontiguousarray(tb.T)  # rho^T_A = (rho^T_B)^T
     return SPIN_FLIP @ ta @ SPIN_FLIP @ tb
 
 

@@ -234,12 +234,14 @@ class ResourceLedger(NamedTuple):
 def resource_ledger(protocol: str, d: int = 2) -> ResourceLedger:
     """Accounting for the moment ladder, the spectrum pipeline on d (x) d,
     and the full-reconstruction baseline."""
-    if protocol == "concurrence-moments":
-        return ResourceLedger(protocol, r_p=4, r_c=2 + 4 + 6 + 8)
-    if protocol not in ("spectrum", "tomography"):
+    if protocol not in ("concurrence-moments", "spectrum", "tomography"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"local dimension must be an integer of at least 2, got {d!r}")
+    if protocol == "concurrence-moments":
+        if d != 2:
+            raise ValueError(f"the moment ladder is for two qubits (d = 2), got d = {d}")
+        return ResourceLedger(protocol, r_p=4, r_c=2 + 4 + 6 + 8)
     if protocol == "spectrum":
         return ResourceLedger(protocol, r_p=d**2 - 1, r_c=(d**4 + d**2 - 2) // 2)
     return ResourceLedger(protocol, r_p=d**4 - 1, r_c=d**4 - 1)

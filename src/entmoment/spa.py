@@ -12,7 +12,7 @@ spectrum, so measuring the output spectrum measures the PT spectrum.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,38 +56,23 @@ def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
         )
     dim = state.dim
     s = spa_shrink(da)
-    pt = partial_transpose(state.matrix, state.dims, "B")
+    pt = partial_transpose(state.matrix, state.dims)
     return DensityMatrix._valid((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
 
 
-def choi_matrix(map_fn: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Choi operator: apply the map to one half of the unnormalized
-    maximally entangled projector on the doubled input space."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    basis = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            basis[i, j] = 1.0
-            block = map_fn(basis.copy())
-            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = block
-            basis[i, j] = 0.0
-    return out
+def spa_threshold_by_choi(dims: tuple[int, int]) -> float:
+    """Largest weight of the partial transpose on B that keeps the mixture a channel.
 
-
-def spa_threshold_by_choi(
-    dims: tuple[int, int],
-    target: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> float:
-    """Largest weight of the target map that keeps the mixture a channel.
-
-    Bisects the mixing weight p of  (1-p) * white-noise + p * target  until
+    Bisects the mixing weight p of  (1-p) * white-noise + p * rho^T_B  until
     the Choi matrix stops being PSD (min eigenvalue >= -CHOI_PSD_TOL), to
-    precision CHOI_BISECT_TOL.  ``target`` is a map on matrices, the partial
-    transpose on B by default.  For the partial transpose on d (x) d the
-    result is 1/(d^3 + 1); an already-CP target returns 1.
+    precision CHOI_BISECT_TOL.  On d (x) d the result is 1/(d^3 + 1); where
+    the partial transpose is completely positive (dimB = 1) it is 1.
     """
     dim = dims[0] * dims[1]
-    choi_target = choi_matrix(target or (lambda m: partial_transpose(m, dims, "B")), dim)
+    # the map on one half of the unnormalized maximally entangled projector,
+    # sum_ij |i><j| (x) |i><j|^T_B: the partial transpose on its last factor
+    omega = np.eye(dim).ravel()
+    choi_target = partial_transpose(np.outer(omega, omega), (dim * dims[0], dims[1]))
     choi_noise = np.eye(dim * dim, dtype=complex) / dim
 
     def psd_at(p: float) -> bool:
@@ -121,11 +106,6 @@ def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]
     return tuple(sums)
 
 
-#: d_k^3 + 1 for the four copy groups; the factor by which shot noise on the
-#: binary observable is amplified into the k-th moment estimate
-AMPLIFICATION_FACTORS = {k: 4 ** (3 * k) + 1 for k in (1, 2, 3, 4)}
-
-
 class MomentObservableSpec(NamedTuple):
     """Scale and offset turning the binary-observable mean into p_k.
 
@@ -148,9 +128,9 @@ class MomentObservableSpec(NamedTuple):
         return self.amplification * mean - self.offset
 
 
-#: the four group read-outs, built once (d_k = 4^k)
-_SPECS = {k: MomentObservableSpec(k, copies=2 * k, d=4**k, amplification=amp, offset=4 * 4**k,
-                                  d_cubed_offset=4 ** (3 * k)) for k, amp in AMPLIFICATION_FACTORS.items()}
+#: the four group read-outs, built once (d_k = 4^k); amplification d_k^3 + 1 scales shot noise into p_k
+_SPECS = {k: MomentObservableSpec(k, copies=2 * k, d=4**k, amplification=4 ** (3 * k) + 1, offset=4 * 4**k,
+                                  d_cubed_offset=4 ** (3 * k)) for k in (1, 2, 3, 4)}
 
 
 def moment_observable_spec(k: int) -> MomentObservableSpec:

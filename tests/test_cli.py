@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from entmoment import sampling, spa, states
+from entmoment import measures, sampling, spa, states
 from entmoment.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +58,59 @@ def test_exact_from_file_qutrit(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "E_c" in text
     assert "C        :" not in text  # concurrence is two-qubit only
+
+
+def test_exact_takes_the_pt_spectrum_once(tmp_path, monkeypatch):
+    calls = []
+    real = measures.herm_eigenvalues
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(measures, "herm_eigenvalues", counted)
+    path = tmp_path / "state.json"
+    path.write_text(states.state_to_json(states.random_mixed_state((3, 3), states.rng_stream(2, 0))))
+    assert run_cli(["exact", "--in", str(path)]) == 0
+    assert calls == [(9, 9)]
+
+
+def test_in_records_the_files_dims(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(states.state_to_json(states.random_mixed_state((3, 3), states.rng_stream(2, 0))))
+    out = tmp_path / "report.json"
+    assert run_cli(["exact", "--in", str(path), "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["family"], config["p"], config["dims"]) == (None, None, [3, 3])
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--family", "werner", "--p", "0.3"], "--family, --p"),
+    (["--p", "0.3"], "--p"),
+    (["--dims", "3", "3"], "--dims"),
+])
+def test_in_rejects_the_state_options_it_would_ignore(tmp_path, capsys, extra, named):
+    path = tmp_path / "state.json"
+    path.write_text(states.state_to_json(states.random_mixed_state((3, 3), states.rng_stream(2, 0))))
+    out = tmp_path / "report.json"
+    for argv in (["exact"], ["protocol", "negativity"], ["protocol", "two-stage"]):
+        assert run_cli([*argv, "--in", str(path), *extra, "--out", str(out)]) == 1
+        assert f"error: --in takes the whole state from its file; drop {named}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["bell", "product-pure", "random-pure", "random-mixed"])
+def test_p_is_rejected_where_the_family_ignores_it(capsys, family):
+    assert run_cli(["exact", "--family", family, "--p", "0.3"]) == 1
+    assert f"error: --p is the mixing weight of werner and isotropic states; {family} takes none" in (
+        capsys.readouterr().err)
+
+
+def test_seed_is_accepted_everywhere(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(states.state_to_json(states.bell_state()))
+    assert run_cli(["exact", "--in", str(path), "--seed", "5"]) == 0
+    assert run_cli(["exact", "--family", "bell", "--seed", "5"]) == 0
 
 
 def test_exact_invalid_file_exits_one(tmp_path, capsys):

@@ -83,11 +83,25 @@ def test_partial_transpose_involution_bit_exact():
     im = rng.integers(-8, 8, size=(6, 6)) / 16.0
     m = re + 1j * im
     m = m + m.conj().T
-    for sub in ("A", "B"):
-        pt = linalg.partial_transpose(m, (2, 3), sub)
-        assert np.array_equal(linalg.partial_transpose(pt, (2, 3), sub), m)
+
+    def pt_a(x):  # the partial transpose on A, the full transpose of the one on B
+        return linalg.partial_transpose(x, (2, 3)).T
+
+    for transpose in (lambda x: linalg.partial_transpose(x, (2, 3)), pt_a):
+        pt = transpose(m)
+        assert np.array_equal(transpose(pt), m)
         assert np.trace(pt) == np.trace(m)
         assert linalg.hermiticity_defect(pt) == 0.0
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 4), (4, 4)])
+def test_partial_transpose_on_a_is_the_transpose_of_the_one_on_b(dims):
+    # oracle: the index permutation that transposes the A factor only
+    da, db = dims
+    rng = rng_stream(7, da * 10 + db)
+    m = random_complex(da * db, rng)
+    want = m.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    assert np.array_equal(np.ascontiguousarray(linalg.partial_transpose(m, dims).T), want)
 
 
 def test_partial_transpose_shape_mismatch():
@@ -98,19 +112,20 @@ def test_partial_transpose_shape_mismatch():
 # ---------------------------------------------------------------- eigen ops
 
 def test_herm_eigen_diagonal_sorted_ascending():
-    w, _ = linalg.herm_eigen(np.diag([3.0, 1.0, 2.0]))
+    w = linalg.herm_eigenvalues(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_herm_eigen_pauli_y():
-    w, _ = linalg.herm_eigen(SY)
+    w = linalg.herm_eigenvalues(SY)
     np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
 
 def test_herm_eigen_trace_and_reconstruction():
     rng = rng_stream(3, 0)
     m = random_hermitian(8, rng)
-    w, v = linalg.herm_eigen(m)
+    w = linalg.herm_eigenvalues(m)
+    _, v = np.linalg.eigh(m)
     assert abs(np.sum(w) - np.trace(m).real) < 1e-10
     resid = np.max(np.abs(m - (v * w) @ v.conj().T))
     assert resid <= 1e-9 * np.max(np.abs(m))
@@ -118,7 +133,7 @@ def test_herm_eigen_trace_and_reconstruction():
 
 def test_herm_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        linalg.herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.herm_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_herm_eigen_unitary_invariance():
@@ -168,24 +183,27 @@ def test_general_eigenvalues_match_characteristic_polynomial():
 # ----------------------------------------------------------- sqrt and norm
 
 def test_matrix_sqrt_psd_identity_and_diag():
-    np.testing.assert_allclose(linalg.matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(linalg._psd_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
     np.testing.assert_allclose(
-        linalg.matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
+        linalg._psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
     )
+    # eigenvalues in [-PSD_CLAMP, 0) are clamped to zero
+    np.testing.assert_array_equal(linalg._psd_sqrt(np.diag([-0.5 * linalg.PSD_CLAMP, 4.0])),
+                                  np.diag([0.0, 2.0]))
 
 
 def test_matrix_sqrt_psd_squares_back():
     rng = rng_stream(6, 0)
     g = random_complex(5, rng)
     m = g @ g.conj().T
-    s = linalg.matrix_sqrt_psd(m)
+    s = linalg._psd_sqrt(m)
     np.testing.assert_allclose(s @ s, m, atol=1e-8 * np.max(np.abs(m)))
     assert linalg.hermiticity_defect(s) < 1e-10
 
 
 def test_matrix_sqrt_psd_rejects_negative():
     with pytest.raises(ValueError):
-        linalg.matrix_sqrt_psd(np.diag([1.0, -0.5]))
+        linalg._psd_sqrt(np.diag([1.0, -0.5]))
 
 
 # -------------------------------------------------------- shift operators

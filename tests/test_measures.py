@@ -252,6 +252,20 @@ def test_ppt_verdict_werner():
     assert not measures.ppt_verdict(states.werner_state(0.0)).entangled
 
 
+def test_ppt_verdict_reads_the_negativity_reports_spectrum():
+    # the minimum is the last of the descending report's eigenvalues, bit for
+    # bit the first of an ascending eigvalsh
+    rng = states.rng_stream(208, 0)
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        for _ in range(50):
+            st = states.random_mixed_state(dims, rng)
+            want = float(np.linalg.eigvalsh(linalg.partial_transpose(st.matrix, dims))[0])
+            res = measures.ppt_verdict(st)
+            assert res.min_pt_eigenvalue.hex() == want.hex()
+            assert res == measures.negativity_report(st).verdict
+            assert res.verdict == ("npt" if want < -measures.NPT_TOL else "ppt")
+
+
 def test_npt_iff_concurrence_positive():
     rng = states.rng_stream(207, 0)
     for _ in range(500):
@@ -266,7 +280,7 @@ def test_pt_trace_norm_at_least_one_with_ppt_equality():
     for dims in ((2, 2), (2, 3)):
         for _ in range(100):
             st = states.random_mixed_state(dims, rng)
-            pt = linalg.partial_transpose(st.matrix, dims, "B")
+            pt = linalg.partial_transpose(st.matrix, dims)
             tn = measures.negativity_report(st).trace_norm_pt
             assert tn >= 1.0 - 1e-9
             ppt = np.linalg.eigvalsh(pt)[0] >= -1e-9

@@ -45,7 +45,7 @@ def test_exact_moments_match_eigendecomposition():
 # --------------------------------------------------------- channel moments
 
 def test_observable_spec_constants():
-    assert spa.AMPLIFICATION_FACTORS == {1: 65, 2: 4097, 3: 262145, 4: 16777217}
+    assert [spa.moment_observable_spec(k).amplification for k in (1, 2, 3, 4)] == [65, 4097, 262145, 16777217]
     for k in (1, 2, 3, 4):
         spec = spa.moment_observable_spec(k)
         assert spec.d == 4**k
@@ -315,11 +315,17 @@ def test_ledger_tomography():
     assert protocols.QUOTED_TOMOGRAPHY_R == 165
 
 
-@pytest.mark.parametrize("protocol", ["spectrum", "tomography"])
+@pytest.mark.parametrize("protocol", ["spectrum", "tomography", "concurrence-moments"])
 @pytest.mark.parametrize("d", [2.5, 3.0, 1, -2, "3", None])
 def test_ledger_rejects_a_dimension_that_is_not_an_integer_of_at_least_2(protocol, d):
     with pytest.raises(ValueError, match="local dimension must be an integer of at least 2"):
         protocols.resource_ledger(protocol, d)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ladder_ledger_is_two_qubit_only(d):
+    with pytest.raises(ValueError, match="moment ladder is for two qubits"):
+        protocols.resource_ledger("concurrence-moments", d)
 
 
 def test_ledger_takes_numpy_integer_dimensions():

@@ -88,7 +88,7 @@ def test_spa_spectrum_is_affine_image_of_pt_spectrum():
             st = states.random_mixed_state(dims, rng)
             out = spa.apply_spa_pt(st)
             pt_eigs = linalg.herm_eigenvalues(
-                linalg.partial_transpose(st.matrix, dims, "B")
+                linalg.partial_transpose(st.matrix, dims)
             )
             mapped = np.sort([spa.affine_map(x, dims[0]) for x in pt_eigs])
             got = np.sort(np.linalg.eigvalsh(out.matrix))
@@ -107,7 +107,7 @@ def test_channel_descriptor_weights():
     assert abs(spa.spa_shrink(3) - 1 / 28) < 1e-15
     st = states.random_mixed_state((3, 3), states.rng_stream(303, 0))
     s = spa.spa_shrink(3)
-    want = (1.0 - s) * np.eye(9) / 9 + s * linalg.partial_transpose(st.matrix, (3, 3), "B")
+    want = (1.0 - s) * np.eye(9) / 9 + s * linalg.partial_transpose(st.matrix, (3, 3))
     assert np.array_equal(spa.apply_spa_pt(st).matrix, want)
 
 
@@ -137,7 +137,8 @@ def test_choi_threshold_qutrit_pt():
 
 
 def test_choi_threshold_identity_map_is_one():
-    assert spa.spa_threshold_by_choi((2, 2), lambda m: m) == 1.0
+    # the partial transpose on a one-dimensional B is the identity map
+    assert spa.spa_threshold_by_choi((2, 1)) == 1.0
 
 
 def test_choi_threshold_matches_closed_form_on_2x3():
@@ -149,13 +150,20 @@ def test_choi_threshold_matches_closed_form_on_2x3():
 
     def mixture(p):
         def fn(m):
-            return (1 - p) * np.trace(m) * np.eye(dim) / dim + p * linalg.partial_transpose(
-                m, (2, 3), "B"
-            )
+            return (1 - p) * np.trace(m) * np.eye(dim) / dim + p * linalg.partial_transpose(m, (2, 3))
         return fn
 
-    lo = np.linalg.eigvalsh(spa.choi_matrix(mixture(thr * 0.999), dim))[0]
-    hi = np.linalg.eigvalsh(spa.choi_matrix(mixture(thr * 1.1), dim))[0]
+    def choi_matrix(map_fn):  # the map applied to each |i><j| block, an oracle independent of spa
+        out = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for i in range(dim):
+            for j in range(dim):
+                basis = np.zeros((dim, dim), dtype=complex)
+                basis[i, j] = 1.0
+                out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = map_fn(basis)
+        return out
+
+    lo = np.linalg.eigvalsh(choi_matrix(mixture(thr * 0.999)))[0]
+    hi = np.linalg.eigvalsh(choi_matrix(mixture(thr * 1.1)))[0]
     assert lo >= -1e-9
     assert hi < -1e-9
 
