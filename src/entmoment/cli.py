@@ -53,8 +53,6 @@ def _load_state(args) -> states.DensityMatrix:
         return states.state_from_json(text)
     if args.family is None:
         raise ValueError("give either --family or --in FILE")
-    if args.p is not None and args.family not in ("werner", "isotropic"):
-        raise ValueError(f"--p is the mixing weight of werner and isotropic states; {args.family} takes none")
     rng = states.rng_stream(args.seed, stream=0)
     return states.make_state(args.family, dims=tuple(args.dims or (2, 2)), p=args.p, rng=rng)
 
@@ -264,20 +262,14 @@ def cmd_compare(args) -> int:
 
 def cmd_resources(args) -> int:
     d = args.d
-    rows = []
-    if d == 2:
-        ledger = protocols.resource_ledger("concurrence-moments")
-        rows.append(("concurrence-moments", ledger.r_p, ledger.r_c, ledger.r, ""))
-    spec = protocols.resource_ledger("spectrum", d)
-    rows.append(("spectrum", spec.r_p, spec.r_c, spec.r, ""))
-    tomo = protocols.resource_ledger("tomography", d)
-    quoted = protocols.QUOTED_TOMOGRAPHY_R if d == 2 else ""
-    rows.append(("tomography", tomo.r_p, tomo.r_c, tomo.r, quoted))
+    names = ("concurrence-moments", "spectrum", "tomography") if d == 2 else ("spectrum", "tomography")
+    ledgers = [protocols.resource_ledger(name, d) for name in names]
+    quoted = {"tomography": protocols.QUOTED_TOMOGRAPHY_R} if d == 2 else {}
     print(f"{'protocol':<22}{'r_p':>6}{'r_c':>7}{'r':>9}  quoted")
-    for name, rp, rc, r, q in rows:
-        print(f"{name:<22}{rp:>6}{rc:>7}{r:>9}  {q}")
-    results = [{"protocol": n, "r_p": rp, "r_c": rc, "r": r, "r_quoted": q or None}
-               for n, rp, rc, r, q in rows]
+    for led in ledgers:
+        print(f"{led.protocol:<22}{led.r_p:>6}{led.r_c:>7}{led.r:>9}  {quoted.get(led.protocol, '')}")
+    results = [{"protocol": led.protocol, "r_p": led.r_p, "r_c": led.r_c, "r": led.r,
+                "r_quoted": quoted.get(led.protocol)} for led in ledgers]
     _emit("resources", {"d": d}, results, args.out)
     return 0
 

@@ -373,9 +373,9 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
         if 2 * j <= n_max:
             traces.append(_row_dots(w, z))
         z_prev = z
-    e, crts, out = sum(scaled.e), res.crts, []
+    e, out = sum(scaled.e), []
     for n, row, kn in zip(range(1, n_max + 1), np.array(traces, dtype=np.int64).tolist(), counts):
-        modulus, weights, check = crts[kn] if kn in crts else res.crt(kn)
+        modulus, weights, check = res.crt(kn)
         t = sum(map(operator.mul, row, weights)) % modulus
         if t > modulus >> 1:
             t -= modulus

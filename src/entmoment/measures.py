@@ -69,12 +69,16 @@ class ConcurrenceBreakdown(NamedTuple):
 
 
 def breakdown_from_lambdas(lambdas) -> ConcurrenceBreakdown:
-    """Assemble C and E_f from (possibly estimated) eigenvalues of rho rho~."""
+    """Assemble C and E_f from (possibly estimated) eigenvalues of rho rho~;
+    ValueError unless there are four of them, all finite."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (4,):
         raise ValueError("expected four eigenvalues")
-    # in plain floats: negatives and -0.0 clip to +0.0, NaN stays and sorts first
-    lam = sorted((x if x > 0.0 or x != x else 0.0 for x in lam.tolist()), key=lambda x: (x == x, -x))
+    lam = lam.tolist()
+    if not all(map(math.isfinite, lam)):
+        raise ValueError(f"eigenvalues must be finite, got {lam}")
+    # in plain floats: negatives and -0.0 clip to +0.0
+    lam = sorted((x if x > 0.0 else 0.0 for x in lam), reverse=True)
     # rounding dust must not leak through the square roots: an eigenvalue of
     # 1e-17 would otherwise shift C by 3e-9
     cut = 1e-13 * lam[0]

@@ -202,20 +202,13 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     sigma = apply_spa_pt(state)
     min_channel = float(np.linalg.eigvalsh(sigma.matrix)[0])
     min_pt = inverse_affine(min_channel, 2)
-    if min_pt >= -NPT_TOL:
-        return TwoStageResult(
-            verdict="ppt",
-            min_channel_eigenvalue=min_channel,
-            min_pt_eigenvalue_estimate=min_pt,
-            message=SECOND_STAGE_ABANDONED,
-            stage_two=None,
-        )
+    ppt = min_pt >= -NPT_TOL
     return TwoStageResult(
-        verdict="npt",
+        verdict="ppt" if ppt else "npt",
         min_channel_eigenvalue=min_channel,
         min_pt_eigenvalue_estimate=min_pt,
-        message=None,
-        stage_two=gamma_concurrence_report(state),
+        message=SECOND_STAGE_ABANDONED if ppt else None,
+        stage_two=None if ppt else gamma_concurrence_report(state),
     )
 
 

@@ -236,21 +236,19 @@ def max_entangled_ket(d: int) -> np.ndarray:
 
 
 def bell_state() -> DensityMatrix:
-    return DensityMatrix(_ket_projector(max_entangled_ket(2)), (2, 2))
+    return isotropic_state(2, 1.0)
 
 
 def werner_state(p: float) -> DensityMatrix:
     """p |Phi+><Phi+| + (1-p) I/4; entangled iff p > 1/3."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner weight must lie in [0, 1], got {p}")
-    m = p * _ket_projector(max_entangled_ket(2)) + (1.0 - p) * np.eye(4) / 4.0
-    return DensityMatrix(m, (2, 2))
+    return isotropic_state(2, p)
 
 
 def isotropic_state(d: int, p: float) -> DensityMatrix:
-    """p |Phi+_d><Phi+_d| + (1-p) I/d^2 on d (x) d."""
+    """p |Phi+_d><Phi+_d| + (1-p) I/d^2 on d (x) d: the werner state at
+    d = 2, the bell state at d = 2 and p = 1."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"isotropic weight must lie in [0, 1], got {p}")
+        raise ValueError(f"the mixing weight p must lie in [0, 1], got {p}")
     m = p * _ket_projector(max_entangled_ket(d)) + (1.0 - p) * np.eye(d * d) / (d * d)
     return DensityMatrix(m, (d, d))
 
@@ -286,37 +284,34 @@ def product_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> Densi
     return DensityMatrix(_ket_projector(np.kron(kets[0], kets[1])), dims)
 
 
+_RANDOM_FAMILIES = {"product-pure": product_pure_state, "random-pure": random_pure_state,
+                    "random-mixed": random_mixed_state}
+
+
 def make_state(
     family: str,
     dims: tuple[int, int] = (2, 2),
     p: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> DensityMatrix:
-    """Dispatch constructor over the named state families."""
+    """Dispatch constructor over the named state families and the one owner of
+    their rules, each broken one a ValueError: bell and werner are two-qubit;
+    werner and isotropic need the mixing weight p, the others refuse it;
+    isotropic needs equal local dimensions; the random families need an rng."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown state family {family!r}; known: {', '.join(FAMILIES)}")
     if family in ("bell", "werner") and tuple(dims) != (2, 2):
         raise ValueError(f"{family} states are two-qubit, got dims {tuple(dims)}; use isotropic for d (x) d")
-    if family == "bell":
-        return bell_state()
-    if family == "werner":
-        if p is None:
-            raise ValueError("werner family needs the mixing weight p")
-        return werner_state(p)
-    if family == "isotropic":
-        if p is None:
-            raise ValueError("isotropic family needs the mixing weight p")
-        if dims[0] != dims[1]:
-            raise ValueError("isotropic states need equal local dimensions")
-        return isotropic_state(dims[0], p)
-    if family in ("product-pure", "random-pure", "random-mixed"):
-        if rng is None:
-            raise ValueError(f"{family} family needs an rng")
-        fn = {
-            "product-pure": product_pure_state,
-            "random-pure": random_pure_state,
-            "random-mixed": random_mixed_state,
-        }[family]
-        return fn(dims, rng)
-    raise ValueError(f"unknown state family {family!r}; known: {', '.join(FAMILIES)}")
+    if (p is None) == (family in ("werner", "isotropic")):
+        raise ValueError(f"{family} family needs the mixing weight p" if p is None
+                         else f"p is the mixing weight of werner and isotropic states; {family} takes none")
+    if family == "isotropic" and dims[0] != dims[1]:
+        raise ValueError("isotropic states need equal local dimensions")
+    if family not in _RANDOM_FAMILIES:
+        return isotropic_state(dims[0], 1.0 if p is None else p)
+    if rng is None:
+        raise ValueError(f"{family} family needs an rng")
+    return _RANDOM_FAMILIES[family](dims, rng)
 
 
 # ----------------------------------------------------------------- file format

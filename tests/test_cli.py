@@ -102,7 +102,7 @@ def test_in_rejects_the_state_options_it_would_ignore(tmp_path, capsys, extra, n
 @pytest.mark.parametrize("family", ["bell", "product-pure", "random-pure", "random-mixed"])
 def test_p_is_rejected_where_the_family_ignores_it(capsys, family):
     assert run_cli(["exact", "--family", family, "--p", "0.3"]) == 1
-    assert f"error: --p is the mixing weight of werner and isotropic states; {family} takes none" in (
+    assert f"error: p is the mixing weight of werner and isotropic states; {family} takes none" in (
         capsys.readouterr().err)
 
 

@@ -1,0 +1,69 @@
+"""Source conventions of the package, checked on its syntax trees.
+
+- ``src/`` uses no underscore-prefixed numpy name: the library stays on
+  numpy's public API (dunders such as ``__version__`` are public).
+- Every public module-level name under ``src/entmoment`` has a caller: a
+  use in ``src/``, ``demos/`` or ``perfbench/`` counts; the package's
+  re-export and the tests do not.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_underscore_prefixed_numpy_name_under_src():
+    bad = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # names bound to numpy or to anything imported from it
+        aliases = {a.asname or ("numpy" if isinstance(node, ast.Import) else a.name)
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for a in node.names
+                   if (a.name if isinstance(node, ast.Import) else node.module or "").split(".")[0] == "numpy"}
+        for node in ast.walk(tree):
+            hits = []
+            if isinstance(node, ast.Import):
+                hits = [a.name for a in node.names
+                        if a.name.split(".")[0] == "numpy" and any(map(_private, a.name.split(".")))]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                hits = [f"{node.module}.{a.name}" for a in node.names
+                        if any(map(_private, [*node.module.split("."), a.name]))]
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                hits = [node.attr] if isinstance(root, ast.Name) and root.id in aliases else []
+            bad += [f"{path.relative_to(ROOT)}:{node.lineno}: {h}" for h in hits]
+    assert not bad, "\n".join(bad)
+
+
+def test_every_public_name_under_src_has_a_caller():
+    defined = []
+    for path in sorted((ROOT / "src" / "entmoment").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(n, f"{path.stem}.{n}") for n in names if not n.startswith("_")]
+    used = set()
+    for root in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                    used.update(a.name for a in node.names)
+    bad = sorted(q for n, q in defined if n not in used)
+    assert not bad, "\n".join(f"no caller: {q}" for q in bad)

@@ -28,6 +28,18 @@ def test_ideal_d4_random_pure_channel_values_match_eigvalsh(seed):
     assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= IDEAL_TOL
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="d = 4 ideal inversion merges eigenvalues 1e-6 apart without a flag (ROADMAP F9)")
+@pytest.mark.parametrize("seed", [0, 19, 42])
+def test_ideal_d4_noisy_pure_channel_values_match_eigvalsh(seed):
+    # (1 - w) psi + w I/16 at w = 0.5, outside the seed lists: 9.6e-7, 4.2e-6 and 2.3e-6 off today
+    w = 0.5
+    psi = states.random_pure_state((4, 4), states.rng_stream(seed, 1))
+    state = states.DensityMatrix((1 - w) * psi.matrix + w * np.eye(16) / 16, (4, 4))
+    est = protocols.spectrum_protocol(state)
+    ref = np.linalg.eigvalsh(spa.apply_spa_pt(state).matrix)
+    assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= IDEAL_TOL
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="d = 5 ideal inversion is 6.6e-8 off without a flag")
 def test_ideal_d5_random_pure_channel_values_match_eigvalsh():
     # no merged root here: the refined structure has all 25 values distinct

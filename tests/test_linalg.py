@@ -406,7 +406,8 @@ def assert_traces_match_reference(m, n_max):
 def family_states(d):
     rng = rng_stream(12, d)
     families = ("bell", "werner", "isotropic", "product-pure", "random-pure", "random-mixed")
-    return [make_state(f, (d, d), p=0.7, rng=rng) for f in families if d == 2 or f not in ("bell", "werner")]
+    return [make_state(f, (d, d), p=0.7 if f in ("werner", "isotropic") else None, rng=rng)
+            for f in families if d == 2 or f not in ("bell", "werner")]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -165,13 +165,14 @@ def test_breakdown_from_lambdas_matches_numpy_reference(lambdas):
     assert_breakdown_matches_reference(lambdas)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")  # numpy's inf - inf
 @pytest.mark.parametrize("lambdas", [
     [math.nan, 0.3, 0.1, 0.0], [0.3, math.nan, math.nan, -0.1], [math.inf, 0.3, 1e-20, 0.0],
     [0.2, -math.inf, 0.1, 0.05], [math.inf, math.nan, -1.0, 0.2], [math.inf, math.inf, 0.0, -0.0],
 ])
 def test_breakdown_from_lambdas_keeps_non_finite_behaviour(lambdas):
-    assert_breakdown_matches_reference(lambdas)
+    # refused: NaN would read as C = 0 and +inf as C = 1, with no flag
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        measures.breakdown_from_lambdas(lambdas)
 
 
 @pytest.mark.parametrize("lambdas", [[], [0.5, 0.2, 0.1], [0.4, 0.3, 0.2, 0.1, 0.0], np.eye(2), 0.5])

@@ -273,6 +273,17 @@ def test_make_state_dispatch_errors():
         states.make_state("random-mixed")
 
 
+@pytest.mark.parametrize("with_p", [True, False])
+@pytest.mark.parametrize("family", states.FAMILIES)
+def test_make_state_takes_p_exactly_for_weighted_families(family, with_p):
+    kwargs = dict(p=0.3 if with_p else None, rng=states.rng_stream(5, 0))
+    if with_p == (family in ("werner", "isotropic")):
+        assert states.make_state(family, **kwargs).diagnostics().ok
+    else:
+        with pytest.raises(ValueError, match="mixing weight"):
+            states.make_state(family, **kwargs)
+
+
 def test_two_qubit_families_reject_other_dims():
     for family in ("bell", "werner"):
         with pytest.raises(ValueError, match="use isotropic"):
