@@ -14,9 +14,8 @@ import numpy as np
 from entmoment import (
     concurrence_breakdown,
     concurrence_from_moments,
-    exact_moments,
     group_channel_output,
-    moment_from_channel,
+    ladder_power_sums,
     moment_observable_spec,
     moment_success_probability,
     newton_invert,
@@ -38,18 +37,18 @@ for k in (1, 2, 3, 4):
     spec = moment_observable_spec(k)
     out = group_channel_output(state, k)
     p_plus = moment_success_probability(state, k)
-    p_k = moment_from_channel(out)
+    p_k = spec.moment(out.shift_trace())
     print(f"{k:2d} {spec.copies:7d} {16**k:10d} {spec.amplification:10d} "
           f"{p_plus:12.8f} {p_k:12.8f}")
 
 print()
-moments = exact_moments(state)
-print("power sums from the direct cyclic trace:", np.round(moments.p, 10))
-inv = newton_invert(moments.p)
-print("Newton inversion  ->  lambdas:", np.round(inv.lambdas, 10))
+moments = ladder_power_sums(state)
+print("power sums from the direct cyclic trace:", np.round(moments, 10))
+inv = newton_invert(moments)
+print("Newton inversion  ->  lambdas:", np.round(inv.values, 10))
 print("eigendecomposition reference :", np.round(exact.lambdas, 10))
 
-estimate, flags = concurrence_from_moments(moments.p)
+estimate, flags = concurrence_from_moments(moments)
 print()
 print("concurrence from moments:", round(estimate.concurrence, 10), "flags:", flags)
 print("E_f from moments        :", round(estimate.ef, 10))

@@ -35,7 +35,7 @@ for k in (1, 2, 3, 4):
     p_plus = moment_success_probability(bell, k)
     predicted = moment_standard_error(k, p_plus, shots)
     draws = [
-        sample_moment_povm(bell, k, shots, rng_stream(99, 100 * k + r)).moment_estimate
+        sample_moment_povm(bell, k, shots, rng_stream(99, 100 * k + r))[1]
         for r in range(60)
     ]
     print(f"{k:2d} {p_plus:10.6f} {predicted:14.4g} {np.std(draws, ddof=1):14.4g}")

@@ -33,16 +33,12 @@ from .measures import (
     spin_flip,
 )
 from .protocols import (
-    MomentVector,
     QUOTED_TOMOGRAPHY_R,
     ResourceLedger,
     SECOND_STAGE_ABANDONED,
     SpectrumEstimate,
     TwoStageResult,
-    channel_moments,
     concurrence_from_moments,
-    exact_moments,
-    moment_from_channel,
     newton_invert,
     resource_ledger,
     spectrum_protocol,
@@ -50,7 +46,6 @@ from .protocols import (
 )
 from .sampling import (
     EstimatorRun,
-    MomentSample,
     ShotRecord,
     SpectrumRun,
     TomographyRun,
@@ -67,6 +62,7 @@ from .spa import (
     apply_spa_pt,
     group_channel_output,
     inverse_affine,
+    ladder_power_sums,
     moment_observable_spec,
     spa_shrink,
     spa_threshold_by_choi,

@@ -125,7 +125,7 @@ def cmd_protocol(args) -> int:
         flags = run.flags
         results = {
             "mode": mode,
-            "moments": list(run.moments.p),
+            "moments": list(run.moments),
             **run.breakdown._asdict(),
             "exact_concurrence": exact.concurrence,
             "exact_ef": exact.ef,
@@ -138,8 +138,8 @@ def cmd_protocol(args) -> int:
             groups = [(out.k, sampling.success_probability(out.shift_trace()), {})
                       for out in spa.group_channel_outputs(state)]
         else:
-            groups = [(s.k, s.record.target_mean, {"successes": s.record.successes, "shots": s.record.shots})
-                      for s in run.samples]
+            groups = [(k, rec.target_mean, {"successes": rec.successes, "shots": rec.shots})
+                      for k, rec in enumerate(run.samples, start=1)]
         for k, p_plus, counts in groups:
             spec = spa.moment_observable_spec(k)
             results["groups"].append({

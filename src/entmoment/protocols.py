@@ -33,8 +33,7 @@ from .measures import (
     report_from_pt_eigenvalues,
     spin_flip,
 )
-from .spa import (GroupChannelOutput, apply_spa_pt, group_channel_outputs, inverse_affine, ladder_power_sums,
-                  moment_observable_spec)
+from .spa import apply_spa_pt, inverse_affine
 from .states import DensityMatrix
 
 #: negative inverted eigenvalues beyond this magnitude are flagged, not silent
@@ -50,24 +49,6 @@ SECOND_STAGE_ABANDONED = "no entanglement detected, second stage abandoned"
 QUOTED_TOMOGRAPHY_R = 165
 
 
-class MomentVector(NamedTuple):
-    """Power sums p_k of the rho rho~ spectrum for k = 1..4."""
-
-    p: tuple[float, float, float, float]
-
-    @property
-    def flags(self) -> tuple[str, ...]:
-        """MOMENT_ORDER_FLAG unless p_1 >= p_2 >= p_3 >= p_4 >= 0 (to 1e-12)."""
-        p = self.p
-        ordered = all(p[i] >= p[i + 1] - 1e-12 for i in range(len(p) - 1))
-        return () if ordered and p[-1] >= -1e-12 else (MOMENT_ORDER_FLAG,)
-
-
-def exact_moments(state: DensityMatrix) -> MomentVector:
-    """p_k = Tr((rho rho~)^k) for k = 1..4 via the cyclic product trace."""
-    return MomentVector(p=ladder_power_sums(state))
-
-
 def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
     """The four moments as exact rationals (the shot-noise-free limit).
 
@@ -80,25 +61,6 @@ def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
     return exact_product_power_traces(state.matrix, spin_flip(state), 4)
 
 
-def moment_from_channel(output: GroupChannelOutput) -> float:
-    """Moment p_k read off the group channel output.
-
-    (d_k^3 + 1) * Re Tr(V rho_k) - 4 d_k; the shift trace is the single
-    parameter a binary measurement estimates.
-    """
-    return moment_observable_spec(output.k).moment(output.shift_trace())
-
-
-def channel_moments(state: DensityMatrix) -> MomentVector:
-    """All four moments through the (implicit) group channel route."""
-    return MomentVector(p=tuple(moment_from_channel(out) for out in group_channel_outputs(state)))
-
-
-class InversionResult(NamedTuple):
-    lambdas: tuple[float, float, float, float]
-    flags: tuple[str, ...]
-
-
 def _clamped_inversion(psums) -> SpectrumRecovery:
     """Inverted values clamped at zero, flagged beyond NEGATIVE_ROOT_GUARD."""
     rec = spectrum_from_power_sums(psums)
@@ -108,26 +70,29 @@ def _clamped_inversion(psums) -> SpectrumRecovery:
     return SpectrumRecovery(rec.values.clip(0.0), flags)
 
 
-def newton_invert(moments) -> InversionResult:
+def newton_invert(moments) -> SpectrumRecovery:
     """Eigenvalue estimates from a 4-sequence of power sums, sorted descending.
 
-    The flags are the inversion's; a caller holding a MomentVector passes
-    its ``.p`` and appends its order flag after them.  Complex root
-    residuals are projected out with a flag; negative values are clamped
-    to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy input yields
-    a flagged estimate, never an exception.  Fraction inputs are inverted
-    exactly.
+    Complex root residuals are projected out with a flag; negative values
+    are clamped to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy
+    input yields a flagged estimate, never an exception.  Fraction inputs
+    are inverted exactly.
     """
     if len(moments) != 4:
         raise ValueError("expected four moments")
-    rec = _clamped_inversion(moments)
-    return InversionResult(tuple(rec.values.tolist()), rec.flags)
+    return _clamped_inversion(moments)
 
 
 def concurrence_from_moments(moments) -> tuple[ConcurrenceBreakdown, tuple[str, ...]]:
-    """Moments -> eigenvalues -> concurrence and entanglement of formation."""
-    inv = newton_invert(moments)
-    return breakdown_from_lambdas(inv.lambdas), inv.flags
+    """Moments -> eigenvalues -> concurrence and entanglement of formation.
+
+    The flags are the inversion's, then MOMENT_ORDER_FLAG unless
+    p_1 >= p_2 >= p_3 >= p_4 >= 0 holds to 1e-12 on the moments as floats.
+    """
+    rec = newton_invert(moments)
+    p = [float(x) for x in moments]
+    ordered = all(a >= b - 1e-12 for a, b in zip(p, p[1:])) and p[-1] >= -1e-12
+    return breakdown_from_lambdas(rec.values), rec.flags + (() if ordered else (MOMENT_ORDER_FLAG,))
 
 
 class SpectrumEstimate(NamedTuple):

@@ -17,7 +17,8 @@ Every sampled entry point rejects shot counts that are not whole numbers in
 [1, 2**63) before any draw; one helper draws every binary run from the
 observable's exact +-1 mean, and only :func:`success_probability` forms p+.
 A ladder run reads its four means off one product chain; tomography takes
-its 15 Pauli expectations from one batched product and trace.
+its 15 Pauli expectations from one batched product and trace.  Ladder and
+spectrum runs keep their draws as plain ShotRecords, in moment order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .inversion import _power_table
 from .measures import ConcurrenceBreakdown, concurrence_breakdown
 from .protocols import (
-    MomentVector,
     exact_moment_fractions,
     SpectrumEstimate,
     concurrence_from_moments,
@@ -54,15 +54,6 @@ class ShotRecord(NamedTuple):
     @property
     def estimate(self) -> float:
         return self.successes / self.shots
-
-
-class MomentSample(NamedTuple):
-    """One sampled moment: counts, derived estimate, copy accounting."""
-
-    k: int
-    record: ShotRecord
-    moment_estimate: float
-    copies_consumed: int  # protocol copies: shots * 2k
 
 
 def _shot_count(shots) -> int:
@@ -105,31 +96,28 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
     return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / _shot_count(shots))
 
 
-def _moment_sample(output: GroupChannelOutput, shots: int, rng: np.random.Generator) -> MomentSample:
-    spec = moment_observable_spec(output.k)
+def _moment_run(output: GroupChannelOutput, shots: int, rng: np.random.Generator) -> tuple[ShotRecord, float]:
     record, shift_hat = _binary_run(output.shift_trace(), shots, rng)
-    return MomentSample(k=output.k, record=record, moment_estimate=spec.moment(shift_hat),
-                        copies_consumed=shots * spec.copies)
+    return record, moment_observable_spec(output.k).moment(shift_hat)
 
 
-def sample_moment_povm(state: DensityMatrix, k: int, shots: int, rng: np.random.Generator) -> MomentSample:
-    """Draw one binomial run for group k and push it through the estimate chain."""
-    return _moment_sample(group_channel_output(state, k), _shot_count(shots), rng)
+def sample_moment_povm(state: DensityMatrix, k: int, shots: int,
+                       rng: np.random.Generator) -> tuple[ShotRecord, float]:
+    """Draw one binomial run for group k: its record and the moment estimate p_k it yields."""
+    return _moment_run(group_channel_output(state, k), _shot_count(shots), rng)
 
 
 class EstimatorRun(NamedTuple):
-    """One run of the concurrence pipeline."""
+    """One run of the concurrence pipeline; ``samples[k - 1]`` is group k's record."""
 
-    samples: tuple[MomentSample, ...] | None  # None in ideal mode
-    moments: MomentVector
+    samples: tuple[ShotRecord, ...] | None  # None in ideal mode
+    moments: tuple[float, float, float, float]
     breakdown: ConcurrenceBreakdown
     flags: tuple[str, ...]
 
     @property
     def copies_consumed(self) -> int:
-        if self.samples is None:
-            return 0
-        return sum(s.copies_consumed for s in self.samples)
+        return sum(moment_observable_spec(k).copies * r.shots for k, r in enumerate(self.samples or (), 1))
 
 
 def run_concurrence_protocol(
@@ -152,22 +140,15 @@ def run_concurrence_protocol(
         # noise-free limit: the expectation values themselves, held exactly
         # (float64 storage of the k = 3, 4 means already costs ~1e-9)
         fractions = exact_moment_fractions(state)
-        moments = MomentVector(p=tuple(float(x) for x in fractions))
-        samples = None
+        samples, moments = None, tuple(float(x) for x in fractions)
         breakdown, flags = concurrence_from_moments(fractions)
     else:
         shots = _shot_count(shots)
         outputs = group_channel_outputs(state)
         rngs = _rng_streams(seed, [out.k for out in outputs])
-        samples = tuple(_moment_sample(out, shots, rng) for out, rng in zip(outputs, rngs))
-        moments = MomentVector(p=tuple(s.moment_estimate for s in samples))
-        breakdown, flags = concurrence_from_moments(moments.p)
-    return EstimatorRun(
-        samples=samples,
-        moments=moments,
-        breakdown=breakdown,
-        flags=flags + moments.flags,
-    )
+        samples, moments = zip(*(_moment_run(out, shots, rng) for out, rng in zip(outputs, rngs)))
+        breakdown, flags = concurrence_from_moments(moments)
+    return EstimatorRun(samples, moments, breakdown, flags)
 
 
 class SpectrumRun(NamedTuple):

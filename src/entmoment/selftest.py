@@ -162,8 +162,9 @@ def _protocols_checks(seed: int) -> list[dict]:
     for _ in range(50):
         st = states.random_mixed_state((2, 2), rng)
         exact = protocols.exact_moment_fractions(st)  # exact: a fault in the float chain shows
-        cv = protocols.channel_moments(st)
-        worst = max(worst, max(abs(float(a) - b) for a, b in zip(exact, cv.p)))
+        outputs = spa.group_channel_outputs(st)
+        channel = [spa.moment_observable_spec(out.k).moment(out.shift_trace()) for out in outputs]
+        worst = max(worst, max(abs(float(a) - b) for a, b in zip(exact, channel)))
     out.append(_check("moment identity (channel vs direct)", worst <= 1e-9, worst))
 
     worst = 0.0
@@ -171,7 +172,7 @@ def _protocols_checks(seed: int) -> list[dict]:
         lam = np.sort(rng.uniform(0.0, 1.0, 4))[::-1]
         psums = [float(np.sum(lam**k)) for k in (1, 2, 3, 4)]
         inv = protocols.newton_invert(psums)
-        worst = max(worst, float(np.max(np.abs(np.array(inv.lambdas) - lam))))
+        worst = max(worst, float(np.max(np.abs(inv.values - lam))))
     out.append(_check("inversion round trip", worst <= 1e-8, worst))
 
     worst = 0.0
@@ -212,14 +213,14 @@ def _sampling_checks(seed: int) -> list[dict]:
 
     a = sampling.run_concurrence_protocol(st, shots=2000, seed=seed, mode="sampled")
     b = sampling.run_concurrence_protocol(st, shots=2000, seed=seed, mode="sampled")
-    same = a.moments.p == b.moments.p and a.breakdown == b.breakdown
+    same = a.moments == b.moments and a.breakdown == b.breakdown
     out.append(_check("sampled-run determinism", same, "bit-identical" if same else "mismatch"))
 
     bell = states.bell_state()
     n, reps = 10**4, 50
     p_plus = sampling.moment_success_probability(bell, 1)
     estimates = [
-        sampling.sample_moment_povm(bell, 1, n, states.rng_stream(seed, stream=200 + r)).moment_estimate
+        sampling.sample_moment_povm(bell, 1, n, states.rng_stream(seed, stream=200 + r))[1]
         for r in range(reps)
     ]
     se = sampling.moment_standard_error(1, p_plus, n) / math.sqrt(reps)

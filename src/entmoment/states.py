@@ -295,13 +295,14 @@ def make_state(
     rng: np.random.Generator | None = None,
 ) -> DensityMatrix:
     """Dispatch constructor over the named state families and the one owner of
-    their rules, each broken one a ValueError: bell and werner are two-qubit;
-    werner and isotropic need the mixing weight p, the others refuse it;
-    isotropic needs equal local dimensions; the random families need an rng."""
+    their rules, each broken one a ValueError: dims are two integers >= 1; bell
+    and werner are two-qubit; werner and isotropic need the mixing weight p, the
+    others refuse it; isotropic needs equal local dims; random ones need an rng."""
     if family not in FAMILIES:
         raise ValueError(f"unknown state family {family!r}; known: {', '.join(FAMILIES)}")
-    if family in ("bell", "werner") and tuple(dims) != (2, 2):
-        raise ValueError(f"{family} states are two-qubit, got dims {tuple(dims)}; use isotropic for d (x) d")
+    dims = _local_dims(dims, "dims")
+    if family in ("bell", "werner") and dims != (2, 2):
+        raise ValueError(f"{family} states are two-qubit, got dims {dims}; use isotropic for d (x) d")
     if (p is None) == (family in ("werner", "isotropic")):
         raise ValueError(f"{family} family needs the mixing weight p" if p is None
                          else f"p is the mixing weight of werner and isotropic states; {family} takes none")
@@ -332,7 +333,15 @@ def state_to_json(state: DensityMatrix) -> str:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false load as bool
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)  # JSON true/false load as bool
+
+
+def _local_dims(dims, name: str) -> tuple[int, int]:
+    """``dims`` as a (dimA, dimB) tuple; ValueError, naming ``name``, unless
+    they are two integers of at least 1 (bool excluded)."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(_is_int(d) and d >= 1 for d in dims)):
+        raise ValueError(f"{name} must be [dimA, dimB], integers of at least 1, got {dims!r}")
+    return int(dims[0]), int(dims[1])
 
 
 def _parse_grid(raw, name: str, dim: int) -> np.ndarray:
@@ -362,10 +371,7 @@ def state_from_json(text: str) -> DensityMatrix:
     for key in ("dims", "re", "im"):
         if key not in payload:
             raise ValueError(f"state record is missing '{key}'")
-    dims = payload["dims"]
-    if not isinstance(dims, list) or len(dims) != 2 or not all(_is_int(d) and d >= 1 for d in dims):
-        raise ValueError(f"state record: 'dims' must be [dimA, dimB], integers of at least 1, got {dims!r}")
-    da, db = dims
+    da, db = _local_dims(payload["dims"], "state record: 'dims'")
     dim = da * db
     re = _parse_grid(payload["re"], "re", dim)
     im = _parse_grid(payload["im"], "im", dim)

@@ -50,7 +50,7 @@ def test_criterion_2_moment_identity_suite():
         s = linalg._psd_sqrt(st.matrix)
         lam = np.clip(np.linalg.eigvalsh(s @ measures.spin_flip(st) @ s), 0.0, None)
         for k in (1, 2, 3, 4):
-            channel_side = protocols.moment_from_channel(spa.group_channel_output(st, k))
+            channel_side = spa.moment_observable_spec(k).moment(spa.group_channel_output(st, k).shift_trace())
             worst_identity = max(worst_identity, abs(channel_side - float(np.sum(lam**k))))
     assert worst_identity <= 1e-9
 
@@ -90,7 +90,7 @@ def test_criterion_3_inversion_round_trip():
         lam = np.sort(lam)[::-1]
         psums = [float(np.sum(lam**k)) for k in (1, 2, 3, 4)]
         inv = protocols.newton_invert(psums)
-        worst = max(worst, float(np.max(np.abs(np.array(inv.lambdas) - lam))))
+        worst = max(worst, float(np.max(np.abs(inv.values - lam))))
     assert worst <= 1e-8
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
@@ -198,7 +198,7 @@ def test_criterion_8_shot_noise_statistics():
     assert abs(p_plus - 41 / 65) <= 1e-12
 
     estimates = np.array([
-        sampling.sample_moment_povm(bell, 1, n, states.rng_stream(20240208, r)).moment_estimate
+        sampling.sample_moment_povm(bell, 1, n, states.rng_stream(20240208, r))[1]
         for r in range(reps)
     ])
     # propagated binomial error of the estimate chain; the +-1 relabeling

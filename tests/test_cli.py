@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,15 @@ def test_p_is_rejected_where_the_family_ignores_it(capsys, family):
     assert run_cli(["exact", "--family", family, "--p", "0.3"]) == 1
     assert f"error: p is the mixing weight of werner and isotropic states; {family} takes none" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("dims", [["0", "0"], ["-1", "-1"]])
+def test_local_dims_below_one_exit_one_with_one_error_line(capsys, dims):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning ahead of the check would raise here
+        assert run_cli(["exact", "--family", "isotropic", "--dims", *dims, "--p", "0.5"]) == 1
+    expected = f"error: dims must be [dimA, dimB], integers of at least 1, got {tuple(map(int, dims))}\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_seed_is_accepted_everywhere(tmp_path):

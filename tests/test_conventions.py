@@ -5,6 +5,11 @@
 - Every public module-level name under ``src/entmoment`` has a caller: a
   use in ``src/``, ``demos/`` or ``perfbench/`` counts; the package's
   re-export and the tests do not.
+- The estimators are reconstruction-free by construction: they take
+  moments, and neither they nor the module-private helpers they call name
+  the state type, read a ``.matrix`` or apply a map or eigensolver that
+  needs the state.  ``two_stage_protocol`` still diagonalizes the SPA
+  output and is not an estimator here.
 """
 
 import ast
@@ -67,3 +72,38 @@ def test_every_public_name_under_src_has_a_caller():
                     used.update(a.name for a in node.names)
     bad = sorted(q for n, q in defined if n not in used)
     assert not bad, "\n".join(f"no caller: {q}" for q in bad)
+
+
+#: moments in, estimates out: (module, top-level functions)
+ESTIMATORS = {
+    "protocols": ("newton_invert", "concurrence_from_moments", "spectrum_from_channel_moments"),
+    "inversion": ("spectrum_from_power_sums",),
+}
+#: names that reach the state: its type, and the maps and eigensolvers applied to it
+STATE_NAMES = {"DensityMatrix", "apply_spa_pt", "partial_transpose", "spin_flip", "herm_eigenvalues",
+               "general_eigenvalues"}
+
+
+def _with_private_callees(tree, roots):
+    """The named top-level functions plus every module-private one they use, transitively."""
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached[name] = defs[name]
+            todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and _private(n.id) and n.id in defs]
+    return reached
+
+
+def test_estimators_never_reach_the_state():
+    bad = []
+    for module, roots in ESTIMATORS.items():
+        path = ROOT / "src" / "entmoment" / f"{module}.py"
+        for name, fn in _with_private_callees(ast.parse(path.read_text(), str(path)), roots).items():
+            for node in ast.walk(fn):
+                is_attr = isinstance(node, ast.Attribute)
+                used = node.attr if is_attr else node.id if isinstance(node, ast.Name) else None
+                if used in STATE_NAMES or (is_attr and used == "matrix"):
+                    bad.append(f"{module}.{name}:{node.lineno}: {used}")
+    assert not bad, "\n".join(bad)

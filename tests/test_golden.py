@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entmoment import __version__, protocols, sampling, states
+from entmoment import __version__, protocols, sampling, spa, states
 from entmoment.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_sampled.json")
@@ -67,10 +67,10 @@ def encode(x):
 
 def ladder(state, shots):
     run = sampling.run_concurrence_protocol(state, shots=shots, seed=SEED, mode="sampled")
-    return {"moments": run.moments.p, "lambdas": run.breakdown.lambdas,
+    return {"moments": run.moments, "lambdas": run.breakdown.lambdas,
             "C": run.breakdown.concurrence, "E_f": run.breakdown.ef, "flags": run.flags,
-            "successes": [s.record.successes for s in run.samples],
-            "p_plus": [s.record.target_mean for s in run.samples]}
+            "successes": [r.successes for r in run.samples],
+            "p_plus": [r.target_mean for r in run.samples]}
 
 
 def tomography(state, shots, mode="sampled"):
@@ -97,8 +97,10 @@ def two_stage(state):
 
 
 def float_moments(state):
-    return {"exact_moments": protocols.exact_moments(state).p,
-            "channel_moments": protocols.channel_moments(state).p,
+    # the float ladder route: the direct cyclic traces, and each read back off its group channel output
+    return {"exact_moments": spa.ladder_power_sums(state),
+            "channel_moments": tuple(spa.moment_observable_spec(out.k).moment(out.shift_trace())
+                                     for out in spa.group_channel_outputs(state)),
             "p_plus": [sampling.moment_success_probability(state, k) for k in (1, 2, 3, 4)]}
 
 

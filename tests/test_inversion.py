@@ -328,7 +328,7 @@ def test_integer_chain_matches_fraction_chain_on_sampled_moments():
             run = sampling.run_spectrum_protocol(states.random_mixed_state((3, 3), rng), shots=shots, seed=seed)
             assert_setup_matches_reference([1.0] + [2.0 * r.estimate - 1.0 for r in run.samples])
             ladder = sampling.run_concurrence_protocol(states.random_mixed_state((2, 2), rng), shots, seed)
-            assert_setup_matches_reference(list(ladder.moments.p))
+            assert_setup_matches_reference(list(ladder.moments))
 
 
 @pytest.mark.parametrize("psums", [

@@ -1,5 +1,7 @@
 """Moment ladder, spectrum pipeline, two-stage scenario, resource ledgers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,24 +24,31 @@ def eigen_moments(state):
 
 # ------------------------------------------------------------ exact moments
 
+def channel_moments(state):
+    """The float ladder route: each p_k read back off its group channel output."""
+    outputs = spa.group_channel_outputs(state)
+    return [spa.moment_observable_spec(out.k).moment(out.shift_trace()) for out in outputs]
+
+
 def test_exact_moments_bell():
-    mv = protocols.exact_moments(states.bell_state())
-    np.testing.assert_allclose(mv.p, [1, 1, 1, 1], atol=1e-12)
-    assert mv.flags == ()
+    p = spa.ladder_power_sums(states.bell_state())
+    np.testing.assert_allclose(p, [1, 1, 1, 1], atol=1e-12)
+    assert protocols.concurrence_from_moments(p)[1] == ()
 
 
 def test_exact_moments_maximally_mixed():
     # rho rho~ = I/16, so p_k = 4 * 16^-k
-    mv = protocols.exact_moments(states.werner_state(0.0))
-    np.testing.assert_allclose(mv.p, [1 / 4, 1 / 64, 1 / 1024, 1 / 16384], atol=1e-15)
+    p = spa.ladder_power_sums(states.werner_state(0.0))
+    np.testing.assert_allclose(p, [1 / 4, 1 / 64, 1 / 1024, 1 / 16384], atol=1e-15)
 
 
 def test_exact_moments_match_eigendecomposition():
     rng = states.rng_stream(500, 0)
     for _ in range(50):
         st = states.random_mixed_state((2, 2), rng)
-        mv = protocols.exact_moments(st)
-        np.testing.assert_allclose(mv.p, eigen_moments(st), atol=1e-10)
+        np.testing.assert_allclose(spa.ladder_power_sums(st), eigen_moments(st), atol=1e-10)
+        np.testing.assert_allclose([float(x) for x in protocols.exact_moment_fractions(st)], eigen_moments(st),
+                                   atol=1e-10)
 
 
 # --------------------------------------------------------- channel moments
@@ -60,23 +69,22 @@ def test_moment_from_channel_bell_k1():
 
     out = group_channel_output(states.bell_state(), 1)
     # 65 * (17/65) - 16 = 1
-    assert abs(protocols.moment_from_channel(out) - 1.0) < 1e-12
+    assert abs(spa.moment_observable_spec(1).moment(out.shift_trace()) - 1.0) < 1e-12
 
 
 def test_moment_from_channel_maximally_mixed_k1():
     from entmoment.spa import group_channel_output
 
     out = group_channel_output(states.werner_state(0.0), 1)
-    assert abs(protocols.moment_from_channel(out) - 0.25) < 1e-12
+    assert abs(spa.moment_observable_spec(1).moment(out.shift_trace()) - 0.25) < 1e-12
 
 
 def test_channel_moments_equal_exact_moments():
     rng = states.rng_stream(501, 0)
     for _ in range(100):
         st = states.random_mixed_state((2, 2), rng)
-        cv = protocols.channel_moments(st)
         exact = [float(x) for x in protocols.exact_moment_fractions(st)]
-        np.testing.assert_allclose(cv.p, exact, atol=1e-9)
+        np.testing.assert_allclose(channel_moments(st), exact, atol=1e-9)
 
 
 def test_d_cubed_offset_breaks_the_ladder_identity():
@@ -97,20 +105,20 @@ def test_d_cubed_offset_breaks_the_ladder_identity():
 
 def test_newton_invert_bell():
     inv = protocols.newton_invert((1.0, 1.0, 1.0, 1.0))
-    np.testing.assert_allclose(inv.lambdas, [1, 0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(inv.values, [1, 0, 0, 0], atol=1e-12)
     assert inv.flags == ()
 
 
 def test_newton_invert_maximally_mixed():
     inv = protocols.newton_invert((1 / 4, 1 / 64, 1 / 1024, 1 / 16384))
-    np.testing.assert_allclose(inv.lambdas, [1 / 16] * 4, atol=1e-12)
+    np.testing.assert_allclose(inv.values, [1 / 16] * 4, atol=1e-12)
 
 
 def test_newton_invert_rank_one_quarter():
     # the vector (1/4, 1/16, 1/64, 1/256) is the power-sum ladder of a
     # single value 1/4, not of the maximally mixed spectrum
     inv = protocols.newton_invert((1 / 4, 1 / 16, 1 / 64, 1 / 256))
-    np.testing.assert_allclose(inv.lambdas, [0.25, 0, 0, 0], atol=1e-10)
+    np.testing.assert_allclose(inv.values, [0.25, 0, 0, 0], atol=1e-10)
 
 
 def test_newton_invert_round_trip():
@@ -124,13 +132,13 @@ def test_newton_invert_round_trip():
         lam = np.sort(lam)[::-1]
         psums = [float(np.sum(lam**k)) for k in (1, 2, 3, 4)]
         inv = protocols.newton_invert(psums)
-        np.testing.assert_allclose(inv.lambdas, lam, atol=1e-8)
+        np.testing.assert_allclose(inv.values, lam, atol=1e-8)
 
 
 def test_newton_invert_noisy_flags():
     inv = protocols.newton_invert((1.02, 0.96, 1.05, 0.9))
     assert "complex-roots" in inv.flags
-    assert all(x >= 0 for x in inv.lambdas)
+    assert all(x >= 0 for x in inv.values)
 
 
 @pytest.mark.parametrize("values, flags", [
@@ -162,15 +170,32 @@ def test_concurrence_from_moments_bell():
     assert flags == ()
 
 
+def test_concurrence_from_moments_flags_moment_order_after_the_inversion_flags():
+    _, flags = protocols.concurrence_from_moments((0.5, 0.6, 0.1, 0.05))
+    assert flags == ("complex-roots", protocols.NEGATIVE_ROOTS_FLAG, protocols.MOMENT_ORDER_FLAG)
+
+
+@pytest.mark.parametrize("moments, flagged", [
+    ((1.0, 1.0, 1.0, 1.0 + 1e-12), False),  # within the 1e-12 allowance
+    ((1.0, 1.0, 1.0, 1.0 + 1e-11), True),
+    ((0.25, 0.0625, 0.0, -1e-11), True),  # p_4 below zero
+    ((Fraction(1), Fraction(1), Fraction(1), Fraction(1) + Fraction(1, 10**13)), False),
+    ((Fraction(1), Fraction(1), Fraction(1), Fraction(1) + Fraction(1, 10**11)), True),
+])
+def test_moment_order_is_checked_on_the_moments_as_floats(moments, flagged):
+    _, flags = protocols.concurrence_from_moments(moments)
+    assert flags.count(protocols.MOMENT_ORDER_FLAG) == int(flagged)
+    assert not flagged or flags[-1] == protocols.MOMENT_ORDER_FLAG
+
+
 def test_concurrence_from_moments_werner():
-    mv = protocols.exact_moments(states.werner_state(0.6))
-    br, _ = protocols.concurrence_from_moments(mv.p)
+    br, _ = protocols.concurrence_from_moments(spa.ladder_power_sums(states.werner_state(0.6)))
     assert abs(br.concurrence - 0.4) < 1e-8
 
 
 def test_concurrence_from_moments_separable_clamps():
     st = states.product_pure_state((2, 2), states.rng_stream(503, 0))
-    br, _ = protocols.concurrence_from_moments(protocols.exact_moments(st).p)
+    br, _ = protocols.concurrence_from_moments(spa.ladder_power_sums(st))
     assert br.concurrence == 0.0
 
 
@@ -178,7 +203,7 @@ def test_moment_pipeline_matches_wootters_on_random_states():
     rng = states.rng_stream(504, 0)
     for _ in range(50):
         st = states.random_mixed_state((2, 2), rng)
-        br, flags = protocols.concurrence_from_moments(protocols.channel_moments(st).p)
+        br, flags = protocols.concurrence_from_moments(channel_moments(st))
         assert abs(br.concurrence - measures.concurrence(st)) < 1e-6
 
 
@@ -285,8 +310,7 @@ def test_two_stage_werner_threshold_sweep():
 def test_monotone_concurrence_on_werner_ladder():
     estimates = []
     for p in (0.4, 0.6, 0.8, 1.0):
-        mv = protocols.channel_moments(states.werner_state(p))
-        br, _ = protocols.concurrence_from_moments(mv.p)
+        br, _ = protocols.concurrence_from_moments(channel_moments(states.werner_state(p)))
         estimates.append(br.concurrence)
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
 

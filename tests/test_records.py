@@ -17,15 +17,12 @@ FIELDS = {
     "measures.NegativityReport": ("pt_eigenvalues", "trace_norm_pt", "negativity", "ec"),
     "measures.PptVerdict": ("verdict", "min_pt_eigenvalue"),
     "measures.GammaReport": ("lambda_min", "imag_residual", "concurrence_estimate", "flags"),
-    "protocols.MomentVector": ("p",),
-    "protocols.InversionResult": ("lambdas", "flags"),
     "protocols.SpectrumEstimate": ("report", "channel_eigenvalues", "flags"),
     "protocols.TwoStageResult": (
         "verdict", "min_channel_eigenvalue", "min_pt_eigenvalue_estimate", "message", "stage_two",
     ),
     "protocols.ResourceLedger": ("protocol", "r_p", "r_c"),
     "sampling.ShotRecord": ("shots", "successes", "target_mean"),
-    "sampling.MomentSample": ("k", "record", "moment_estimate", "copies_consumed"),
     "sampling.EstimatorRun": ("samples", "moments", "breakdown", "flags"),
     "sampling.SpectrumRun": ("samples", "estimate"),
     "sampling.TomographyRun": ("expectations", "shots", "rho_hat", "breakdown"),

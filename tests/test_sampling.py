@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies
 
 from entmoment import inversion, measures, sampling, states
+from entmoment.spa import moment_observable_spec
 
 
 def test_bell_k1_success_probability():
@@ -23,10 +24,10 @@ def test_maximally_mixed_k2_success_probability():
 
 
 def test_sample_moment_povm_counts_and_accounting():
-    s = sampling.sample_moment_povm(states.bell_state(), 2, 1000, states.rng_stream(9, 0))
-    assert s.record.shots == 1000
-    assert 0 <= s.record.successes <= 1000
-    assert s.copies_consumed == 4000
+    record, _ = sampling.sample_moment_povm(states.bell_state(), 2, 1000, states.rng_stream(9, 0))
+    assert record.shots == 1000
+    assert 0 <= record.successes <= 1000
+    assert moment_observable_spec(2).copies * record.shots == 4000
 
 
 def test_sample_moment_povm_needs_shots():
@@ -55,17 +56,17 @@ def test_sampled_run_determinism():
     st = states.werner_state(0.7)
     a = sampling.run_concurrence_protocol(st, shots=5000, seed=77, mode="sampled")
     b = sampling.run_concurrence_protocol(st, shots=5000, seed=77, mode="sampled")
-    assert a.moments.p == b.moments.p
+    assert a.moments == b.moments
     assert a.breakdown == b.breakdown
-    assert [s.record.successes for s in a.samples] == [s.record.successes for s in b.samples]
+    assert [r.successes for r in a.samples] == [r.successes for r in b.samples]
     c = sampling.run_concurrence_protocol(st, shots=5000, seed=78, mode="sampled")
-    assert a.moments.p != c.moments.p
+    assert a.moments != c.moments
 
 
 def test_moment_streams_are_independent():
     st = states.bell_state()
     run = sampling.run_concurrence_protocol(st, shots=10000, seed=3, mode="sampled")
-    fractions = [s.record.successes / s.record.shots for s in run.samples]
+    fractions = [r.successes / r.shots for r in run.samples]
     assert len(set(fractions)) == 4  # distinct streams, distinct draws
 
 
@@ -75,7 +76,7 @@ def test_unbiased_linear_stage_k1():
     n, reps = 10**5, 100
     p_plus = sampling.moment_success_probability(bell, 1)
     estimates = [
-        sampling.sample_moment_povm(bell, 1, n, states.rng_stream(601, r)).moment_estimate
+        sampling.sample_moment_povm(bell, 1, n, states.rng_stream(601, r))[1]
         for r in range(reps)
     ]
     se_mean = sampling.moment_standard_error(1, p_plus, n) / math.sqrt(reps)
@@ -88,7 +89,7 @@ def test_error_scaling_matches_propagated_formula(k):
     n, reps = 10**5, 300
     p_plus = sampling.moment_success_probability(bell, k)
     estimates = [
-        sampling.sample_moment_povm(bell, k, n, states.rng_stream(602 + k, r)).moment_estimate
+        sampling.sample_moment_povm(bell, k, n, states.rng_stream(602 + k, r))[1]
         for r in range(reps)
     ]
     expected = sampling.moment_standard_error(k, p_plus, n)
@@ -123,12 +124,12 @@ def test_success_probability_clamps_float_dust():
 def test_moment_estimates_recompute_from_records():
     st = states.werner_state(0.9)
     run = sampling.run_concurrence_protocol(st, shots=2000, seed=5, mode="sampled")
-    from entmoment.spa import moment_observable_spec
-
-    for s in run.samples:
-        spec = moment_observable_spec(s.k)
-        rebuilt = spec.amplification * (2.0 * s.record.successes / s.record.shots - 1.0) - spec.offset
-        assert rebuilt == s.moment_estimate
+    assert len(run.samples) == len(run.moments) == 4
+    for k, (r, moment) in enumerate(zip(run.samples, run.moments), start=1):
+        spec = moment_observable_spec(k)
+        rebuilt = spec.amplification * (2.0 * r.successes / r.shots - 1.0) - spec.offset
+        assert rebuilt == moment
+    assert run.copies_consumed == 2000 * (2 + 4 + 6 + 8)
 
 
 # ------------------------------------------------------------- spectrum runs
@@ -341,7 +342,7 @@ def test_integral_float_shots_match_int_shots():
 
 def test_largest_int64_shot_count_runs():
     run = sampling.run_concurrence_protocol(states.werner_state(0.8), shots=2**63 - 1, seed=3)
-    assert all(s.record.shots == 2**63 - 1 for s in run.samples)
+    assert all(r.shots == 2**63 - 1 for r in run.samples)
 
 
 def test_ideal_mode_ignores_shot_count():

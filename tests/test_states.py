@@ -1,6 +1,7 @@
 """State construction, validation, serialization, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,17 @@ def test_make_state_dispatch_errors():
         states.make_state("werner")
     with pytest.raises(ValueError, match="rng"):
         states.make_state("random-mixed")
+    # local dims are checked before any family code runs: no numpy error or warning first
+    rng = states.rng_stream(5, 0)
+    for family, dims, kwargs in [("isotropic", (0, 0), {"p": 0.5}), ("isotropic", (-1, -1), {"p": 0.5}),
+                                 ("isotropic", (2.5, 2.5), {"p": 0.5}), ("random-mixed", (2.5, 2), {"rng": rng}),
+                                 ("product-pure", (-1, 2), {"rng": rng}), ("random-pure", (True, 2), {"rng": rng}),
+                                 ("bell", (2, 2, 1), {}), ("werner", 4, {"p": 0.5})]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"dims must be \[dimA, dimB\], integers of at least 1"):
+                states.make_state(family, dims, **kwargs)
+    assert states.make_state("isotropic", [np.int64(3), 3], p=0.5).dims == (3, 3)
 
 
 @pytest.mark.parametrize("with_p", [True, False])
