@@ -7,81 +7,52 @@ spectrum of a structural-physical-approximation channel output determines
 the negativity-based computable measure for any d (x) d system.  Exact
 measures, finite-shot sampling and a tomography baseline are included for
 validation and resource comparison.
+
+``import entmoment`` loads no submodule and not numpy: each public name
+below, and each submodule it names, is resolved on first use.
 """
 
-from .inversion import SpectrumRecovery, spectrum_from_power_sums
-from .linalg import (
-    cyclic_shift_matrix,
-    general_eigenvalues,
-    herm_eigenvalues,
-    partial_transpose,
-    tensor,
-)
-from .measures import (
-    ConcurrenceBreakdown,
-    GammaReport,
-    NegativityReport,
-    PptVerdict,
-    SPIN_FLIP,
-    binary_entropy,
-    concurrence,
-    concurrence_breakdown,
-    ef_from_concurrence,
-    gamma_concurrence_report,
-    negativity_report,
-    ppt_verdict,
-    spin_flip,
-)
-from .protocols import (
-    QUOTED_TOMOGRAPHY_R,
-    ResourceLedger,
-    SECOND_STAGE_ABANDONED,
-    SpectrumEstimate,
-    TwoStageResult,
-    concurrence_from_moments,
-    newton_invert,
-    resource_ledger,
-    spectrum_protocol,
-    two_stage_protocol,
-)
-from .sampling import (
-    EstimatorRun,
-    ShotRecord,
-    SpectrumRun,
-    TomographyRun,
-    moment_standard_error,
-    moment_success_probability,
-    run_concurrence_protocol,
-    run_spectrum_protocol,
-    run_tomography_baseline,
-    sample_moment_povm,
-)
-from .spa import (
-    GroupChannelOutput,
-    affine_map,
-    apply_spa_pt,
-    group_channel_output,
-    inverse_affine,
-    ladder_power_sums,
-    moment_observable_spec,
-    spa_shrink,
-    spa_threshold_by_choi,
-)
-from .states import (
-    DensityMatrix,
-    StateDiagnostics,
-    bell_state,
-    isotropic_state,
-    make_state,
-    product_pure_state,
-    random_mixed_state,
-    random_pure_state,
-    random_unitary,
-    rng_stream,
-    state_from_json,
-    state_to_json,
-    validate_state,
-    werner_state,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: the named state families (``states.make_state``) and the run modes of the
+#: sampled entry points, here so the CLI parser reads them without numpy
+FAMILIES = ("bell", "werner", "isotropic", "product-pure", "random-pure", "random-mixed")
+MODES = ("ideal", "sampled")
+
+#: module -> the public names the package root resolves from it
+_EXPORTS = {
+    "inversion": "SpectrumRecovery spectrum_from_power_sums",
+    "ledger": "QUOTED_TOMOGRAPHY_R ResourceLedger resource_ledger",
+    "linalg": "cyclic_shift_matrix general_eigenvalues herm_eigenvalues partial_transpose tensor",
+    "measures": "ConcurrenceBreakdown GammaReport NegativityReport PptVerdict SPIN_FLIP binary_entropy "
+                "concurrence concurrence_breakdown ef_from_concurrence gamma_concurrence_report "
+                "negativity_report ppt_verdict spin_flip",
+    "protocols": "SECOND_STAGE_ABANDONED SpectrumEstimate TwoStageResult concurrence_from_moments "
+                 "newton_invert spectrum_protocol two_stage_protocol",
+    "sampling": "EstimatorRun ShotRecord SpectrumRun TomographyRun moment_standard_error "
+                "moment_success_probability run_concurrence_protocol run_spectrum_protocol "
+                "run_tomography_baseline sample_moment_povm",
+    "spa": "GroupChannelOutput affine_map apply_spa_pt group_channel_output inverse_affine ladder_power_sums "
+           "moment_observable_spec spa_shrink spa_threshold_by_choi",
+    "states": "DensityMatrix StateDiagnostics bell_state isotropic_state make_state product_pure_state "
+              "random_mixed_state random_pure_state random_unitary rng_stream state_from_json state_to_json "
+              "validate_state werner_state",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = ["FAMILIES", "MODES", *_HOME]
+
+
+def __getattr__(name):
+    """Import the submodule ``name``, or the one that defines ``name`` and keep the name here."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))

@@ -14,9 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, measures, protocols, sampling, spa, states
+# numpy-free: each command imports what it computes with, so `resources`,
+# --help and usage errors never load numpy
+from . import FAMILIES, MODES, __version__
 
 DEFAULT_SHOTS = "100000"
 
@@ -28,7 +28,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_state_args(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=states.FAMILIES, help="named state family")
+    p.add_argument("--family", choices=FAMILIES, help="named state family")
     p.add_argument("--p", type=float, default=None, help="family mixing weight")
     p.add_argument("--dims", type=int, nargs=2, default=None, metavar=("DA", "DB"))
     p.add_argument("--in", dest="infile", type=Path, default=None, help="state record file")
@@ -41,7 +41,9 @@ def _add_run_args(p: argparse.ArgumentParser, modes: tuple[str, ...]):
     p.add_argument("--out", type=Path, default=None)
 
 
-def _load_state(args) -> states.DensityMatrix:
+def _load_state(args):
+    from . import states
+
     if args.infile is not None:
         given = [opt for opt in ("--family", "--p", "--dims") if getattr(args, opt[2:]) is not None]
         if given:
@@ -57,7 +59,7 @@ def _load_state(args) -> states.DensityMatrix:
     return states.make_state(args.family, dims=tuple(args.dims or (2, 2)), p=args.p, rng=rng)
 
 
-def _state_config(args, state: states.DensityMatrix) -> dict:
+def _state_config(args, state) -> dict:
     return {
         "family": args.family,
         "p": args.p,
@@ -70,6 +72,8 @@ def _state_config(args, state: states.DensityMatrix) -> dict:
 def _emit(command: str, config: dict, results, out: Path | None):
     """Write the replayable record of one command to ``out``, if given."""
     if out is not None:
+        import numpy as np
+
         report = {
             "command": command,
             "config": config,
@@ -81,6 +85,8 @@ def _emit(command: str, config: dict, results, out: Path | None):
 
 
 def cmd_exact(args) -> int:
+    from . import measures
+
     state = _load_state(args)
     neg = measures.negativity_report(state)
     verdict = neg.verdict
@@ -104,14 +110,18 @@ def cmd_exact(args) -> int:
 
 def _shots_single(text: str) -> int:
     """The one --shots count, checked in every mode so a record never holds a bad one."""
+    from .sampling import _shot_count
+
     try:
         shots = int(text)
     except ValueError as exc:
         raise ValueError(f"--shots must be a single integer here, got {text!r}") from exc
-    return sampling._shot_count(shots)
+    return _shot_count(shots)
 
 
 def cmd_protocol(args) -> int:
+    from . import measures, protocols, sampling, spa
+
     if args.pipeline == "two-stage" and (args.mode, args.shots) != (None, None):
         raise ValueError("protocol two-stage takes no --mode or --shots; it runs in ideal mode only")
     mode = args.mode or "ideal"
@@ -208,6 +218,11 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    import numpy as np
+
+    from . import measures, sampling
+    from .ledger import QUOTED_TOMOGRAPHY_R, resource_ledger
+
     if args.reps < 2:
         raise ValueError("compare needs --reps >= 2")
     state = _load_state(args)
@@ -221,9 +236,8 @@ def cmd_compare(args) -> int:
         raise ValueError("compare needs at least one shot count")
 
     methods = (
-        ("moments", sampling.run_concurrence_protocol, protocols.resource_ledger("concurrence-moments"), ""),
-        ("tomography", sampling.run_tomography_baseline, protocols.resource_ledger("tomography", 2),
-         protocols.QUOTED_TOMOGRAPHY_R),
+        ("moments", sampling.run_concurrence_protocol, resource_ledger("concurrence-moments"), ""),
+        ("tomography", sampling.run_tomography_baseline, resource_ledger("tomography", 2), QUOTED_TOMOGRAPHY_R),
     )
     rows = []
     for shots in shots_list:
@@ -261,10 +275,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_resources(args) -> int:
+    from .ledger import QUOTED_TOMOGRAPHY_R, resource_ledger
+
     d = args.d
     names = ("concurrence-moments", "spectrum", "tomography") if d == 2 else ("spectrum", "tomography")
-    ledgers = [protocols.resource_ledger(name, d) for name in names]
-    quoted = {"tomography": protocols.QUOTED_TOMOGRAPHY_R} if d == 2 else {}
+    ledgers = [resource_ledger(name, d) for name in names]
+    quoted = {"tomography": QUOTED_TOMOGRAPHY_R} if d == 2 else {}
     print(f"{'protocol':<22}{'r_p':>6}{'r_c':>7}{'r':>9}  quoted")
     for led in ledgers:
         print(f"{led.protocol:<22}{led.r_p:>6}{led.r_c:>7}{led.r:>9}  {quoted.get(led.protocol, '')}")
@@ -302,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="run an estimation pipeline")
     p.add_argument("pipeline", choices=("concurrence", "negativity", "two-stage"))
     _add_state_args(p)
-    _add_run_args(p, sampling.MODES)
+    _add_run_args(p, MODES)
     p.set_defaults(mode=None, shots=None)  # None: not given, which two-stage requires
     p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
     p.set_defaults(fn=cmd_protocol)

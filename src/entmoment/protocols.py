@@ -11,7 +11,7 @@ Three pipelines, all reconstruction-free:
 - the two-stage scenario: a cheap sign test on the SPA output spectrum
   gates the quantitative gamma-matrix stage.
 
-Resource ledgers count estimated parameters and consumed copies per round.
+The resource ledgers live in :mod:`entmoment.ledger` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
+from .ledger import QUOTED_TOMOGRAPHY_R, ResourceLedger, resource_ledger  # noqa: F401  (re-exported)
 from .linalg import exact_power_traces, exact_product_power_traces
 from .measures import (
     ConcurrenceBreakdown,
@@ -43,10 +44,6 @@ NEGATIVE_ROOTS_FLAG = "negative-roots-clamped"
 MOMENT_ORDER_FLAG = "moment-order-violated"
 
 SECOND_STAGE_ABANDONED = "no entanglement detected, second stage abandoned"
-
-#: round-count figure commonly quoted for full two-qubit state reconstruction;
-#: the naive product of the ledger entries is 15 * 15 = 225, both are reported
-QUOTED_TOMOGRAPHY_R = 165
 
 
 def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
@@ -175,31 +172,3 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
         message=SECOND_STAGE_ABANDONED if ppt else None,
         stage_two=None if ppt else gamma_concurrence_report(state),
     )
-
-
-class ResourceLedger(NamedTuple):
-    """(parameters estimated, copies per round, product) for one protocol."""
-
-    protocol: str
-    r_p: int
-    r_c: int
-
-    @property
-    def r(self) -> int:
-        return self.r_p * self.r_c
-
-
-def resource_ledger(protocol: str, d: int = 2) -> ResourceLedger:
-    """Accounting for the moment ladder, the spectrum pipeline on d (x) d,
-    and the full-reconstruction baseline."""
-    if protocol not in ("concurrence-moments", "spectrum", "tomography"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"local dimension must be an integer of at least 2, got {d!r}")
-    if protocol == "concurrence-moments":
-        if d != 2:
-            raise ValueError(f"the moment ladder is for two qubits (d = 2), got d = {d}")
-        return ResourceLedger(protocol, r_p=4, r_c=2 + 4 + 6 + 8)
-    if protocol == "spectrum":
-        return ResourceLedger(protocol, r_p=d**2 - 1, r_c=(d**4 + d**2 - 2) // 2)
-    return ResourceLedger(protocol, r_p=d**4 - 1, r_c=d**4 - 1)

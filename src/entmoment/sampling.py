@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import MODES
 from .inversion import _power_table
 from .measures import ConcurrenceBreakdown, concurrence_breakdown
 from .protocols import (
@@ -40,8 +41,6 @@ from .protocols import (
 from .spa import (GroupChannelOutput, apply_spa_pt, group_channel_output, group_channel_outputs,
                   moment_observable_spec)
 from .states import DensityMatrix, _rng_streams
-
-MODES = ("ideal", "sampled")
 
 
 class ShotRecord(NamedTuple):

@@ -24,19 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import FAMILIES
 from .linalg import HERMITICITY_TOL, as_complex_matrix, hermiticity_defect
 
 TRACE_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
-
-FAMILIES = (
-    "bell",
-    "werner",
-    "isotropic",
-    "product-pure",
-    "random-pure",
-    "random-mixed",
-)
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -196,8 +188,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        da, db = int(self.dims[0]), int(self.dims[1])
-        if da < 1 or db < 1 or da * db != m.shape[0]:
+        da, db = _local_dims(self.dims, "dims")
+        if da * db != m.shape[0]:
             raise ValueError(f"dims {self.dims} incompatible with matrix dimension {m.shape[0]}")
         diag = _diagnostics(m)
         if not diag.ok:
@@ -247,6 +239,7 @@ def werner_state(p: float) -> DensityMatrix:
 def isotropic_state(d: int, p: float) -> DensityMatrix:
     """p |Phi+_d><Phi+_d| + (1-p) I/d^2 on d (x) d: the werner state at
     d = 2, the bell state at d = 2 and p = 1."""
+    d = _local_dims((d, d), "isotropic dims")[0]
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"the mixing weight p must lie in [0, 1], got {p}")
     m = p * _ket_projector(max_entangled_ket(d)) + (1.0 - p) * np.eye(d * d) / (d * d)
@@ -263,6 +256,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
+    dims = _local_dims(dims, "dims")
     d = dims[0] * dims[1]
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return DensityMatrix(_ket_projector(psi), dims)
@@ -270,6 +264,7 @@ def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> Densit
 
 def random_mixed_state(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt ensemble: normalized G G^dagger with square Ginibre G."""
+    dims = _local_dims(dims, "dims")
     d = dims[0] * dims[1]
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
@@ -277,6 +272,7 @@ def random_mixed_state(dims: tuple[int, int], rng: np.random.Generator) -> Densi
 
 
 def product_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
+    dims = _local_dims(dims, "dims")
     kets = []
     for d in dims:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

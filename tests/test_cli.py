@@ -308,6 +308,38 @@ def test_cli_import_leaves_selftest_and_csv_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _last_line_of_fresh_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("step", [
+    "import entmoment",
+    "import entmoment.cli",
+    "import entmoment.cli as cli; cli.main(['resources'])",
+    "import entmoment.cli as cli; cli.main(['resources', '--d', '3'])",
+    "import entmoment.cli as cli; cli.main(['--help'])",
+    "import entmoment.cli as cli; cli.main(['protocol', '--help'])",
+    "import entmoment.cli as cli; cli.main(['exact', '--family', 'ghz'])",  # a usage error
+], ids=["import-root", "import-cli", "resources", "resources-d3", "help", "protocol-help", "usage-error"])
+def test_commands_that_compute_nothing_leave_numpy_unloaded(step):
+    assert _last_line_of_fresh_python(f"import sys; {step}; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv", [["resources"], ["exact", "--family", "bell"]], ids=["resources", "exact"])
+def test_out_record_loads_numpy_for_its_versions_block(argv, tmp_path):
+    import numpy as np
+
+    out = tmp_path / "record.json"
+    code = (f"import sys, entmoment.cli as cli; cli.main({argv + ['--out', str(out)]!r}); "
+            "loaded = 'numpy' in sys.modules; import numpy; print(loaded, numpy.__version__)")
+    assert _last_line_of_fresh_python(code) == f"True {np.__version__}"
+    assert json.loads(out.read_text())["versions"] == {"entmoment": "0.1.0", "numpy": np.__version__}
+
+
 def test_selftest_default_seed_is_recorded(tmp_path, capsys):
     out = tmp_path / "st.json"
     run_cli(["selftest", "--out", str(out)])

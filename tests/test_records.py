@@ -13,6 +13,7 @@ from entmoment import sampling, states
 
 FIELDS = {
     "inversion.SpectrumRecovery": ("values", "flags"),
+    "ledger.ResourceLedger": ("protocol", "r_p", "r_c"),
     "measures.ConcurrenceBreakdown": ("lambdas", "concurrence", "ef"),
     "measures.NegativityReport": ("pt_eigenvalues", "trace_norm_pt", "negativity", "ec"),
     "measures.PptVerdict": ("verdict", "min_pt_eigenvalue"),
@@ -21,7 +22,6 @@ FIELDS = {
     "protocols.TwoStageResult": (
         "verdict", "min_channel_eigenvalue", "min_pt_eigenvalue_estimate", "message", "stage_two",
     ),
-    "protocols.ResourceLedger": ("protocol", "r_p", "r_c"),
     "sampling.ShotRecord": ("shots", "successes", "target_mean"),
     "sampling.EstimatorRun": ("samples", "moments", "breakdown", "flags"),
     "sampling.SpectrumRun": ("samples", "estimate"),

@@ -152,6 +152,11 @@ def test_density_matrix_rejects_invalid():
         states.DensityMatrix(np.diag([1.1, -0.1, 0.0, 0.0]), (2, 2))
     with pytest.raises(ValueError):
         states.DensityMatrix(np.eye(4) / 4, (2, 3))
+    # malformed dims are refused, not truncated to (2, 2) or read as (1, 4)
+    for dims in [(2.9, 2.1), (True, 4), (0, 4), (2, 2, 1)]:
+        with pytest.raises(ValueError, match="integers of at least 1"):
+            states.DensityMatrix(np.eye(4) / 4, dims)
+    assert states.DensityMatrix(np.eye(4) / 4, [np.int64(2), 2]).dims == (2, 2)
 
 
 def test_density_matrix_coerces_and_scans_once(monkeypatch):
@@ -283,6 +288,20 @@ def test_make_state_dispatch_errors():
             with pytest.raises(ValueError, match=r"dims must be \[dimA, dimB\], integers of at least 1"):
                 states.make_state(family, dims, **kwargs)
     assert states.make_state("isotropic", [np.int64(3), 3], p=0.5).dims == (3, 3)
+
+
+def test_family_constructors_check_dims_at_entry():
+    # called directly, not through make_state: the same refusal, no numpy error or warning first
+    rng = states.rng_stream(5, 0)
+    for build in [lambda: states.isotropic_state(-1, 0.5), lambda: states.isotropic_state(0, 0.5),
+                  lambda: states.isotropic_state(2.5, 0.5), lambda: states.random_mixed_state((2.5, 2), rng),
+                  lambda: states.product_pure_state((0, 2), rng), lambda: states.random_pure_state((-1, 2), rng),
+                  lambda: states.random_pure_state((True, 2), rng)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integers of at least 1"):
+                build()
+    assert states.isotropic_state(np.int64(3), 0.5).dims == (3, 3)
 
 
 @pytest.mark.parametrize("with_p", [True, False])
