@@ -13,6 +13,7 @@ below, and each submodule it names, is resolved on first use.
 """
 
 import importlib
+import numbers
 
 __version__ = "0.1.0"
 
@@ -20,6 +21,25 @@ __version__ = "0.1.0"
 #: sampled entry points, here so the CLI parser reads them without numpy
 FAMILIES = ("bell", "werner", "isotropic", "product-pure", "random-pure", "random-mixed")
 MODES = ("ideal", "sampled")
+
+
+def _whole(x, name: str, lo: int, hi: int | None = None) -> int:
+    """``x`` as an int; ValueError, naming ``name``, unless an integer in lo..hi (numpy's too, not bool)."""
+    if not ((type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool))
+            and lo <= x and (hi is None or x <= hi)):
+        rule = f"an integer of at least {lo}" if hi is None else f"{lo}..{hi}"
+        raise ValueError(f"{name} must be {rule}, got {x!r}")
+    return int(x)
+
+
+def _local_dims(dims, name: str = "dims") -> tuple[int, int]:
+    """``dims`` as a (dimA, dimB) tuple; ValueError, naming ``name``, unless two integers of at least 1."""
+    try:
+        da, db = dims if isinstance(dims, (tuple, list)) else ()
+        return _whole(da, name, 1), _whole(db, name, 1)
+    except ValueError:
+        raise ValueError(f"{name} must be [dimA, dimB], integers of at least 1, got {dims!r}") from None
+
 
 #: module -> the public names the package root resolves from it
 _EXPORTS = {

@@ -16,7 +16,7 @@ from pathlib import Path
 
 # numpy-free: each command imports what it computes with, so `resources`,
 # --help and usage errors never load numpy
-from . import FAMILIES, MODES, __version__
+from . import FAMILIES, MODES, __version__, _whole
 
 DEFAULT_SHOTS = "100000"
 
@@ -223,8 +223,7 @@ def cmd_compare(args) -> int:
     from . import measures, sampling
     from .ledger import QUOTED_TOMOGRAPHY_R, resource_ledger
 
-    if args.reps < 2:
-        raise ValueError("compare needs --reps >= 2")
+    _whole(args.reps, "--reps", 2)
     state = _load_state(args)
     exact = measures.concurrence_breakdown(state)
     try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -203,8 +204,8 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     ----------
     power_sums : sequence of float or Fraction
         The n power sums of the n sought values.  Fractions are treated as
-        exact; floats carry a rounding-floor allowance.  Empty, non-finite or
-        float64-overflowing input raises ValueError.
+        exact; floats carry a rounding-floor allowance.  Empty, non-real,
+        non-finite or float64-overflowing input raises ValueError.
 
     Returns
     -------
@@ -217,8 +218,9 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     if n == 0:
         raise ValueError("need at least one power sum")
     for i, x in enumerate(psums):
-        # compared rather than converted: a huge int is finite, if unusable
-        if not isinstance(x, Fraction) and not abs(x) < math.inf:
+        if type(x) is not float and not isinstance(x, numbers.Real):  # the ABC check costs 0.1-0.5 us
+            raise ValueError(f"power sum at index {i} is not a real number: {x!r}")
+        if not isinstance(x, Fraction) and not abs(x) < math.inf:  # compared: a huge int is finite, if unusable
             raise ValueError(f"power sum at index {i} is not finite: {x!r}")
     try:
         center, scale, coeffs, targets, noise = _centered_setup(psums)

@@ -6,8 +6,9 @@ nothing numerical.
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
+
+from . import _whole
 
 #: round-count figure commonly quoted for full two-qubit state reconstruction;
 #: the naive product of the ledger entries is 15 * 15 = 225, both are reported
@@ -31,8 +32,7 @@ def resource_ledger(protocol: str, d: int = 2) -> ResourceLedger:
     and the full-reconstruction baseline."""
     if protocol not in ("concurrence-moments", "spectrum", "tomography"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if not isinstance(d, numbers.Integral) or d < 2:
-        raise ValueError(f"local dimension must be an integer of at least 2, got {d!r}")
+    d = _whole(d, "local dimension", 2)
     if protocol == "concurrence-moments":
         if d != 2:
             raise ValueError(f"the moment ladder is for two qubits (d = 2), got d = {d}")

@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _local_dims, _whole
+
 #: max absolute deviation from m == m.conj().T accepted as "Hermitian"
 HERMITICITY_TOL = 1e-9
 
@@ -78,7 +80,7 @@ def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
     ----------
     m : array_like
         Square matrix on a dimA*dimB space, A the slow index.
-    dims : (dimA, dimB)
+    dims : (dimA, dimB), two integers of at least 1
 
     The operation is a pure index permutation: on exact (binary rational)
     inputs it is bit-exact, trace preserving, Hermiticity preserving and an
@@ -86,7 +88,7 @@ def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
     one.
     """
     a = as_complex_matrix(m)
-    da, db = int(dims[0]), int(dims[1])
+    da, db = _local_dims(dims)
     if da * db != a.shape[0]:
         raise ValueError(f"dims {dims} do not match matrix dimension {a.shape[0]}")
     return a.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
@@ -125,8 +127,7 @@ def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:
     one for which Tr(V (x)_i A_i) equals the left-to-right product trace
     Tr(A_1 ... A_n); the opposite rotation yields the reversed product.
     """
-    if n < 1 or local_dim < 1:
-        raise ValueError("n and local_dim must be positive")
+    n, local_dim = _whole(n, "n", 1), _whole(local_dim, "local_dim", 1)
     dim = local_dim**n
     if dim > SHIFT_DIM_CAP:
         raise ValueError(f"shift operator dimension {dim} exceeds cap {SHIFT_DIM_CAP}")
@@ -340,9 +341,7 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
     mats = [require_hermitian(m) for m in mats]
     if mats[-1].shape != mats[0].shape:
         raise ValueError(f"factor shapes {mats[0].shape} and {mats[-1].shape} differ")
-    if n_max < 1:
-        if n_max < 0:
-            raise ValueError(f"n_max must be at least 0, got {n_max}")
+    if _whole(n_max, "n_max", 0) == 0:
         return []
     factors, dim = len(mats), mats[0].shape[0]
     res = _residues(dim)

@@ -30,16 +30,15 @@ NPT_TOL = 1e-9
 GAMMA_IMAG_GUARD = 1e-6
 
 
-def _require_two_qubit(state: DensityMatrix) -> np.ndarray:
+def _require_two_qubit(state: DensityMatrix, operation: str) -> np.ndarray:
     if state.dims != (2, 2):
-        raise ValueError(f"operation defined for 2 (x) 2 states only, got dims {state.dims}")
+        raise ValueError(f"{operation} needs a two-qubit state, got state dims {state.dims}")
     return state.matrix
 
 
 def spin_flip(state: DensityMatrix) -> np.ndarray:
     """Spin-flipped two-qubit state Sigma rho* Sigma (same spectrum as rho)."""
-    rho = _require_two_qubit(state)
-    return SPIN_FLIP @ rho.conj() @ SPIN_FLIP
+    return SPIN_FLIP @ _require_two_qubit(state, "the spin flip").conj() @ SPIN_FLIP
 
 
 def binary_entropy(x: float) -> float:
@@ -96,10 +95,8 @@ def concurrence_breakdown(state: DensityMatrix) -> ConcurrenceBreakdown:
     guarantees real nonnegative output by construction.  rho, a state's
     matrix, is a valid density matrix already and is not re-checked.
     """
-    rho = _require_two_qubit(state)
-    rho_tilde = spin_flip(state)
-    s = _psd_sqrt(rho)
-    return breakdown_from_lambdas(herm_eigenvalues(s @ rho_tilde @ s))
+    s = _psd_sqrt(_require_two_qubit(state, "the concurrence"))
+    return breakdown_from_lambdas(herm_eigenvalues(s @ spin_flip(state) @ s))
 
 
 def concurrence(state: DensityMatrix) -> float:
@@ -164,8 +161,7 @@ class GammaReport(NamedTuple):
 
 
 def gamma_matrix(state: DensityMatrix) -> np.ndarray:
-    rho = _require_two_qubit(state)
-    tb = partial_transpose(rho, (2, 2))
+    tb = partial_transpose(_require_two_qubit(state, "the gamma matrix"), (2, 2))
     ta = np.ascontiguousarray(tb.T)  # rho^T_A = (rho^T_B)^T
     return SPIN_FLIP @ ta @ SPIN_FLIP @ tb
 

@@ -29,6 +29,7 @@ from .measures import (
     GammaReport,
     NegativityReport,
     NPT_TOL,
+    _require_two_qubit,
     breakdown_from_lambdas,
     gamma_concurrence_report,
     report_from_pt_eigenvalues,
@@ -159,8 +160,7 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     negative; a yes-no answer needing far less precision than estimation.
     On a PPT verdict the quantitative stage is skipped entirely.
     """
-    if state.dims != (2, 2):
-        raise ValueError("the two-stage scenario is defined for two-qubit states")
+    _require_two_qubit(state, "the two-stage scenario")
     sigma = apply_spa_pt(state)
     min_channel = float(np.linalg.eigvalsh(sigma.matrix)[0])
     min_pt = inverse_affine(min_channel, 2)

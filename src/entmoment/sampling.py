@@ -24,13 +24,14 @@ spectrum runs keep their draws as plain ShotRecords, in moment order.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from . import MODES
 from .inversion import _power_table
-from .measures import ConcurrenceBreakdown, concurrence_breakdown
+from .measures import ConcurrenceBreakdown, _require_two_qubit, concurrence_breakdown
 from .protocols import (
     exact_moment_fractions,
     SpectrumEstimate,
@@ -56,9 +57,16 @@ class ShotRecord(NamedTuple):
 
 
 def _shot_count(shots) -> int:
-    if not 1 <= shots < 2**63 or shots != int(shots):
+    real = type(shots) is int or isinstance(shots, numbers.Real) and not isinstance(shots, bool)
+    if not (real and 1 <= shots < 2**63 and shots == int(shots)):
         raise ValueError(f"shots must be a whole number of at least 1 and below 2**63, got {shots!r}")
     return int(shots)
+
+
+def _is_ideal(mode: str) -> bool:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode == "ideal"
 
 
 def success_probability(mean: float) -> float:
@@ -133,21 +141,17 @@ def run_concurrence_protocol(
     Every moment gets the same ``shots``, which ideal mode ignores.  The
     four p+ come from one product chain.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "ideal":
+    if _is_ideal(mode):
         # noise-free limit: the expectation values themselves, held exactly
         # (float64 storage of the k = 3, 4 means already costs ~1e-9)
-        fractions = exact_moment_fractions(state)
-        samples, moments = None, tuple(float(x) for x in fractions)
-        breakdown, flags = concurrence_from_moments(fractions)
+        samples, moments = None, exact_moment_fractions(state)
     else:
         shots = _shot_count(shots)
         outputs = group_channel_outputs(state)
         rngs = _rng_streams(seed, [out.k for out in outputs])
         samples, moments = zip(*(_moment_run(out, shots, rng) for out, rng in zip(outputs, rngs)))
-        breakdown, flags = concurrence_from_moments(moments)
-    return EstimatorRun(samples, moments, breakdown, flags)
+    breakdown, flags = concurrence_from_moments(moments)
+    return EstimatorRun(samples, tuple(map(float, moments)), breakdown, flags)
 
 
 class SpectrumRun(NamedTuple):
@@ -173,9 +177,7 @@ def run_spectrum_protocol(
     p+(n) = (1 + Tr(sigma^n))/2 computed from the channel output spectrum;
     the trace itself is known, not measured.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "ideal":
+    if _is_ideal(mode):
         return SpectrumRun(samples=None, estimate=spectrum_protocol(state))
     shots = _shot_count(shots)
     sigma = apply_spa_pt(state)
@@ -230,15 +232,10 @@ def run_tomography_baseline(
     cone by clamping negative eigenvalues and renormalizing.  ideal mode
     takes the exact expectations, draws nothing and ignores ``shots``.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if state.dims != (2, 2):
-        raise ValueError("the tomography baseline is two-qubit only")
-    values = (state.matrix @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
-    if mode == "ideal":
-        shots = 0
-    else:
-        shots = _shot_count(shots)
+    rho = _require_two_qubit(state, "the tomography baseline")
+    values = (rho @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
+    shots = 0 if _is_ideal(mode) else _shot_count(shots)
+    if shots:
         values = [_binary_run(v, shots, rng)[1]
                   for v, rng in zip(values, _rng_streams(seed, range(len(values))))]
     # I + v_1 P_1 + ... + v_15 P_15, summed left to right along axis 0

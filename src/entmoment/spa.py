@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _local_dims, _whole
 from .linalg import partial_transpose
 from .measures import spin_flip
 from .states import DensityMatrix
@@ -50,10 +51,8 @@ def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     """
     da, db = state.dims
     if da != db:
-        raise ValueError(
-            f"closed-form SPA needs equal local dimensions, got {state.dims}; "
-            "use spa_threshold_by_choi for the general weight"
-        )
+        raise ValueError(f"closed-form SPA needs equal local dimensions, got {state.dims}; "
+                         "use spa_threshold_by_choi for the general weight")
     dim = state.dim
     s = spa_shrink(da)
     pt = partial_transpose(state.matrix, state.dims)
@@ -68,11 +67,12 @@ def spa_threshold_by_choi(dims: tuple[int, int]) -> float:
     precision CHOI_BISECT_TOL.  On d (x) d the result is 1/(d^3 + 1); where
     the partial transpose is completely positive (dimB = 1) it is 1.
     """
-    dim = dims[0] * dims[1]
+    da, db = _local_dims(dims)
+    dim = da * db
     # the map on one half of the unnormalized maximally entangled projector,
     # sum_ij |i><j| (x) |i><j|^T_B: the partial transpose on its last factor
     omega = np.eye(dim).ravel()
-    choi_target = partial_transpose(np.outer(omega, omega), (dim * dims[0], dims[1]))
+    choi_target = partial_transpose(np.outer(omega, omega), (dim * da, db))
     choi_noise = np.eye(dim * dim, dtype=complex) / dim
 
     def psd_at(p: float) -> bool:
@@ -134,9 +134,7 @@ _SPECS = {k: MomentObservableSpec(k, copies=2 * k, d=4**k, amplification=4 ** (3
 
 
 def moment_observable_spec(k: int) -> MomentObservableSpec:
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"group index must be 1..4, got {k}")
-    return _SPECS[k]
+    return _SPECS[_whole(k, "group index", 1, 4)]
 
 
 class GroupChannelOutput(NamedTuple):
@@ -171,5 +169,4 @@ def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...
 
 
 def group_channel_output(state: DensityMatrix, k: int) -> GroupChannelOutput:
-    index = moment_observable_spec(k).k - 1  # the spec rejects k outside 1..4
-    return group_channel_outputs(state)[index]
+    return group_channel_outputs(state)[moment_observable_spec(k).k - 1]

@@ -24,11 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import FAMILIES
+from . import FAMILIES, _local_dims, _whole
 from .linalg import HERMITICITY_TOL, as_complex_matrix, hermiticity_defect
 
 TRACE_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
+
+#: largest stream id: one 32-bit word, all the seed-hash replay of ``_rng_streams`` takes
+_MAX_STREAM = 2**32 - 1
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -52,10 +55,10 @@ def _seed_ints(seed) -> list[int]:
     return ints
 
 
-def _seed_sequence(seed, *spawn_key) -> np.random.SeedSequence:
-    """``SeedSequence(seed, spawn_key)``; ValueError unless seed is a non-negative int or a list of them."""
+def _seed_sequence(seed, *streams) -> np.random.SeedSequence:
+    """``SeedSequence(seed, spawn_key=streams)``; ValueError on a bad seed or stream id (see ``_MAX_STREAM``)."""
     _seed_ints(seed)
-    return np.random.SeedSequence(seed, spawn_key=spawn_key)
+    return np.random.SeedSequence(seed, spawn_key=[_whole(k, "stream ids", 0, _MAX_STREAM) for k in streams])
 
 
 def _entropy_words(seed) -> int:
@@ -115,12 +118,10 @@ def _rng_streams(seed, streams) -> list[np.random.Generator]:
     its zero padding as it hashes empty pool slots), its hash constant
     advanced ``4 * max(4, entropy words)`` times.  The key word and
     ``generate_state(4, uint64)`` are then redone for all streams at once,
-    on uint32 words only.  The generators cannot ``spawn()``.  Stream ids
-    outside [0, 2**32) and seeds ``rng_stream`` rejects raise ValueError.
+    on uint32 words only.  The generators cannot ``spawn()``.  The stream
+    ids and seeds ``rng_stream`` rejects raise ValueError.
     """
-    keys = list(streams)
-    if not all(0 <= k < 2**32 for k in keys):
-        raise ValueError(f"stream ids must lie in [0, 2**32), got {keys!r}")
+    keys = [_whole(k, "stream ids", 0, _MAX_STREAM) for k in streams]
     run = _seed_sequence(seed)
     hash_const = _key_hash_constants(4 * max(4, _entropy_words(seed)))
     # the key word, hashed once per pool word, mixed into that word
@@ -188,7 +189,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        da, db = _local_dims(self.dims, "dims")
+        da, db = _local_dims(self.dims)
         if da * db != m.shape[0]:
             raise ValueError(f"dims {self.dims} incompatible with matrix dimension {m.shape[0]}")
         diag = _diagnostics(m)
@@ -248,6 +249,7 @@ def isotropic_state(d: int, p: float) -> DensityMatrix:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
+    dim = _whole(dim, "dim", 1)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
@@ -256,7 +258,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
-    dims = _local_dims(dims, "dims")
+    dims = _local_dims(dims)
     d = dims[0] * dims[1]
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return DensityMatrix(_ket_projector(psi), dims)
@@ -264,7 +266,7 @@ def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> Densit
 
 def random_mixed_state(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt ensemble: normalized G G^dagger with square Ginibre G."""
-    dims = _local_dims(dims, "dims")
+    dims = _local_dims(dims)
     d = dims[0] * dims[1]
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
@@ -272,7 +274,7 @@ def random_mixed_state(dims: tuple[int, int], rng: np.random.Generator) -> Densi
 
 
 def product_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> DensityMatrix:
-    dims = _local_dims(dims, "dims")
+    dims = _local_dims(dims)
     kets = []
     for d in dims:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -296,7 +298,7 @@ def make_state(
     others refuse it; isotropic needs equal local dims; random ones need an rng."""
     if family not in FAMILIES:
         raise ValueError(f"unknown state family {family!r}; known: {', '.join(FAMILIES)}")
-    dims = _local_dims(dims, "dims")
+    dims = _local_dims(dims)
     if family in ("bell", "werner") and dims != (2, 2):
         raise ValueError(f"{family} states are two-qubit, got dims {dims}; use isotropic for d (x) d")
     if (p is None) == (family in ("werner", "isotropic")):
@@ -328,18 +330,6 @@ def state_to_json(state: DensityMatrix) -> str:
     return json.dumps(payload)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)  # JSON true/false load as bool
-
-
-def _local_dims(dims, name: str) -> tuple[int, int]:
-    """``dims`` as a (dimA, dimB) tuple; ValueError, naming ``name``, unless
-    they are two integers of at least 1 (bool excluded)."""
-    if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(_is_int(d) and d >= 1 for d in dims)):
-        raise ValueError(f"{name} must be [dimA, dimB], integers of at least 1, got {dims!r}")
-    return int(dims[0]), int(dims[1])
-
-
 def _parse_grid(raw, name: str, dim: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ValueError(f"state record: '{name}' must be a {dim}-row grid")
@@ -347,7 +337,7 @@ def _parse_grid(raw, name: str, dim: int) -> np.ndarray:
     for row in raw:
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"state record: '{name}' grid is not rectangular {dim}x{dim}")
-        if not all(_is_int(x) or isinstance(x, float) for x in row):
+        if not all(type(x) in (int, float) for x in row):  # JSON true/false load as bool
             raise ValueError(f"state record: '{name}' grid holds an entry that is not a number")
         try:
             rows.append([float(x) for x in row])

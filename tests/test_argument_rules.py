@@ -1,0 +1,77 @@
+"""One owner per argument rule: each entry point refuses a malformed argument
+with a ValueError that names it, instead of truncating it, reading a bool as
+an integer, or leaking a raw TypeError.
+
+Integer arguments (local dims, group indices, stream ids, trace orders) go
+through the package root's one integer check; the two-qubit requirement
+through ``measures._require_two_qubit``; the run mode through the one check
+the three ``run_*`` entry points share.  Stream ids of -1 and 2**32 are in
+``tests/test_states.py``, for both stream routes.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from entmoment import _local_dims, _whole, inversion, linalg, measures, protocols, sampling, spa, states
+
+QUTRIT_PAIR = states.isotropic_state(3, 0.5)
+TWO_QUBIT_MESSAGE = r"needs a two-qubit state, got state dims \(3, 3\)"
+
+REFUSALS = {
+    "partial_transpose dims (2.9, 2.1)": (lambda: linalg.partial_transpose(np.eye(4) / 4, (2.9, 2.1)), "dims"),
+    "partial_transpose dims (True, 4)": (lambda: linalg.partial_transpose(np.eye(4) / 4, (True, 4)), "dims"),
+    "cyclic_shift_matrix n 2.5": (lambda: linalg.cyclic_shift_matrix(2.5, 2), "n must be an integer"),
+    "exact_power_traces n_max 2.5": (lambda: linalg.exact_power_traces(np.eye(2) / 2, 2.5), "n_max"),
+    "exact_power_traces n_max True": (lambda: linalg.exact_power_traces(np.eye(2) / 2, True), "n_max"),
+    "spa_threshold_by_choi dims (2.5, 2)": (lambda: spa.spa_threshold_by_choi((2.5, 2)), "dims"),
+    "spa_threshold_by_choi dims (True, 2)": (lambda: spa.spa_threshold_by_choi((True, 2)), "dims"),
+    "random_unitary dim 2.5": (lambda: states.random_unitary(2.5, states.rng_stream(7)), "dim must be an integer"),
+    "rng_stream stream 1.5": (lambda: states.rng_stream(7, 1.5), "stream ids"),
+    "rng_stream stream True": (lambda: states.rng_stream(7, True), "stream ids"),
+    "_rng_streams stream 1.5": (lambda: states._rng_streams(7, [0, 1.5]), "stream ids"),
+    "_rng_streams stream True": (lambda: states._rng_streams(7, [0, True]), "stream ids"),
+    "moment_observable_spec k 1.0": (lambda: spa.moment_observable_spec(1.0), "group index"),
+    "moment_observable_spec k True": (lambda: spa.moment_observable_spec(True), "group index"),
+    "moment_standard_error k 1.0": (lambda: sampling.moment_standard_error(1.0, 0.5, 100), "group index"),
+    "moment_standard_error k True": (lambda: sampling.moment_standard_error(True, 0.5, 100), "group index"),
+    "sample_moment_povm k 1.0": (
+        lambda: sampling.sample_moment_povm(states.bell_state(), 1.0, 100, states.rng_stream(7)), "group index"),
+    "sample_moment_povm k True": (
+        lambda: sampling.sample_moment_povm(states.bell_state(), True, 100, states.rng_stream(7)), "group index"),
+    "run_tomography_baseline 3x3 state": (
+        lambda: sampling.run_tomography_baseline(QUTRIT_PAIR, mode="ideal"), TWO_QUBIT_MESSAGE),
+    "two_stage_protocol 3x3 state": (lambda: protocols.two_stage_protocol(QUTRIT_PAIR), TWO_QUBIT_MESSAGE),
+    "concurrence_breakdown 3x3 state": (lambda: measures.concurrence_breakdown(QUTRIT_PAIR), TWO_QUBIT_MESSAGE),
+    "run_concurrence_protocol mode": (
+        lambda: sampling.run_concurrence_protocol(states.bell_state(), mode="noisy"), "mode must be one of"),
+    "run_spectrum_protocol mode": (
+        lambda: sampling.run_spectrum_protocol(states.bell_state(), mode="noisy"), "mode must be one of"),
+    "run_tomography_baseline mode": (
+        lambda: sampling.run_tomography_baseline(states.bell_state(), mode="noisy"), "mode must be one of"),
+    "shots '10'": (lambda: sampling.run_concurrence_protocol(states.bell_state(), shots="10"), "shots must be"),
+    "shots True": (lambda: sampling.run_concurrence_protocol(states.bell_state(), shots=True), "shots must be"),
+    "power sum 1+0j": (lambda: inversion.spectrum_from_power_sums([1 + 0j, 0.5]), "power sum at index 0"),
+    "power sum '1'": (lambda: inversion.spectrum_from_power_sums(["1", 0.5]), "power sum at index 0"),
+    "power sum None": (lambda: inversion.spectrum_from_power_sums([1.0, None]), "power sum at index 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_entry_point_refuses_with_a_value_error_naming_its_argument(case):
+    call, named = REFUSALS[case]
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+@pytest.mark.parametrize("value", [0, 5, 2.0, True, np.float64(3.0), "3", None])
+def test_integer_check_states_the_rule_and_the_value(value):
+    with pytest.raises(ValueError, match=rf"^group index must be 1\.\.4, got {re.escape(repr(value))}$"):
+        _whole(value, "group index", 1, 4)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint32(3), np.uint64(3)])
+def test_integer_check_returns_python_ints(value):
+    assert type(_whole(value, "group index", 1, 4)) is int and _whole(value, "group index", 1, 4) == 3
+    assert _local_dims([value, value]) == (3, 3) and all(type(d) is int for d in _local_dims([value, value]))

@@ -116,6 +116,11 @@ def test_local_dims_below_one_exit_one_with_one_error_line(capsys, dims):
     assert capsys.readouterr().err == expected
 
 
+def test_two_stage_refuses_a_qutrit_pair_with_one_error_line(capsys):
+    assert run_cli(["protocol", "two-stage", "--dims", "3", "3", "--family", "isotropic", "--p", "0.5"]) == 1
+    assert capsys.readouterr().err == "error: the two-stage scenario needs a two-qubit state, got state dims (3, 3)\n"
+
+
 def test_seed_is_accepted_everywhere(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(states.state_to_json(states.bell_state()))

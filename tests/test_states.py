@@ -84,13 +84,16 @@ seeds = st.one_of(
     st.integers(0, 2**64 - 1).map(np.uint64),
     st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
 )
-stream_ids = st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)), min_size=1, max_size=36)
+one_word = st.integers(0, 2**32 - 1)
+stream_ids = st.lists(st.one_of(st.integers(0, 40), one_word, one_word.map(np.int64), one_word.map(np.uint32)),
+                      min_size=1, max_size=36)
 
 
 @pytest.mark.filterwarnings("error")
 @settings(deadline=None)
 @given(seeds, stream_ids)
 @example([0, 2**63], [0])  # numpy infers float64 for this list
+@example(7, [np.int64(3), np.uint32(2**32 - 1), np.uint64(5)])  # numpy ids, read as the ints they hold
 def test_rng_streams_match_rng_stream(seed, streams):
     rngs = states._rng_streams(seed, streams)
     assert len(rngs) == len(streams)
@@ -119,10 +122,13 @@ def test_entropy_words_match_numpys_word_split(seed):
     assert states._entropy_words(seed) == len(_coerce_to_uint32_array(seed))
 
 
-@pytest.mark.parametrize("stream", [-1, 2**32])
+@pytest.mark.parametrize("stream", [-1, 2**32, np.int64(-1), np.uint64(2**32)])
 def test_rng_streams_reject_stream_ids_beyond_one_word(stream):
+    # rng_stream alone could take 2**32 and more, which the one-mix replay cannot
     with pytest.raises(ValueError, match="stream ids"):
         states._rng_streams(7, [1, stream])
+    with pytest.raises(ValueError, match="stream ids"):
+        states.rng_stream(7, stream)
 
 
 def test_validate_clean_state():
