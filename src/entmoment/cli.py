@@ -18,8 +18,6 @@ from pathlib import Path
 # --help and usage errors never load numpy
 from . import FAMILIES, MODES, __version__, _whole
 
-DEFAULT_SHOTS = "100000"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; keep 2 for --strict only
@@ -33,11 +31,6 @@ def _add_state_args(p: argparse.ArgumentParser):
     p.add_argument("--dims", type=int, nargs=2, default=None, metavar=("DA", "DB"))
     p.add_argument("--in", dest="infile", type=Path, default=None, help="state record file")
     p.add_argument("--seed", type=int, default=0)
-
-
-def _add_run_args(p: argparse.ArgumentParser, modes: tuple[str, ...]):
-    p.add_argument("--mode", choices=modes, default=modes[0])
-    p.add_argument("--shots", type=str, default=DEFAULT_SHOTS, help="shots per observable (compare: comma list)")
     p.add_argument("--out", type=Path, default=None)
 
 
@@ -108,113 +101,108 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def _shots_single(text: str) -> int:
-    """The one --shots count, checked in every mode so a record never holds a bad one."""
+def _run_config(args):
+    """The state, the checked --shots (recorded in both modes) and the config of a ladder or spectrum run."""
     from .sampling import _shot_count
 
-    try:
-        shots = int(text)
-    except ValueError as exc:
-        raise ValueError(f"--shots must be a single integer here, got {text!r}") from exc
-    return _shot_count(shots)
-
-
-def cmd_protocol(args) -> int:
-    from . import measures, protocols, sampling, spa
-
-    if args.pipeline == "two-stage" and (args.mode, args.shots) != (None, None):
-        raise ValueError("protocol two-stage takes no --mode or --shots; it runs in ideal mode only")
-    mode = args.mode or "ideal"
     state = _load_state(args)
-    shots = _shots_single(DEFAULT_SHOTS if args.shots is None else args.shots)
-    config = {**_state_config(args, state), "mode": mode, "shots": shots}
+    shots = _shot_count(args.shots)
+    return state, shots, {**_state_config(args, state), "mode": args.mode, "shots": shots}
 
-    if args.pipeline == "concurrence":
-        run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=mode)
-        exact = measures.concurrence_breakdown(state)
-        flags = run.flags
-        results = {
-            "mode": mode,
-            "moments": list(run.moments),
-            **run.breakdown._asdict(),
-            "exact_concurrence": exact.concurrence,
-            "exact_ef": exact.ef,
-            "flags": list(flags),
-            "copies_consumed": run.copies_consumed,
-            "groups": [],
-        }
-        # a sampled run's records hold p+ already; only ideal mode reads it off the chain
-        if run.samples is None:
-            groups = [(out.k, sampling.success_probability(out.shift_trace()), {})
-                      for out in spa.group_channel_outputs(state)]
-        else:
-            groups = [(k, rec.target_mean, {"successes": rec.successes, "shots": rec.shots})
-                      for k, rec in enumerate(run.samples, start=1)]
-        for k, p_plus, counts in groups:
-            spec = spa.moment_observable_spec(k)
-            results["groups"].append({
-                "k": k,
-                "copies": spec.copies,
-                "amplification": spec.amplification,
-                "offset_applied": spec.offset,
-                "offset_d_cubed_variant": spec.d_cubed_offset,
-                "p_plus": p_plus,
-                **counts,
-            })
-        results["offset_note"] = (
-            "offsets are 4*d_k, fixed by the ladder identity mean(M_k) = p_k; "
-            "the d_k^3 variant is listed for reference only"
-        )
-        print(f"concurrence protocol ({mode}): C = {run.breakdown.concurrence:.6f}  "
-              f"E_f = {run.breakdown.ef:.6f}")
-        print(f"exact reference            : C = {exact.concurrence:.6f}  E_f = {exact.ef:.6f}")
 
-    elif args.pipeline == "negativity":
-        run = sampling.run_spectrum_protocol(state, shots=shots, seed=args.seed, mode=mode)
-        exact = measures.negativity_report(state)
-        flags = run.flags
-        results = {
-            "mode": mode,
-            "pt_eigenvalues": list(run.estimate.report.pt_eigenvalues),
-            "ec": run.estimate.report.ec,
-            "negativity": run.estimate.report.negativity,
-            "exact_ec": exact.ec,
-            "exact_negativity": exact.negativity,
-            "flags": list(flags),
-            "shrink_factor": spa.spa_shrink(state.dims[0]),
-        }
-        if run.samples is not None:
-            results["p_plus_per_order"] = {
-                str(n): rec.target_mean for n, rec in enumerate(run.samples, start=2)
-            }
-        print(f"negativity protocol ({mode}): E_c = {run.estimate.report.ec:.6f}  "
-              f"(exact {exact.ec:.6f})")
-
-    else:  # two-stage
-        res = protocols.two_stage_protocol(state)
-        config = _state_config(args, state)
-        flags = res.stage_two.flags if res.stage_two is not None else ()
-        results = {
-            "verdict": res.verdict,
-            "min_channel_eigenvalue": res.min_channel_eigenvalue,
-            "min_pt_eigenvalue_estimate": res.min_pt_eigenvalue_estimate,
-            "message": res.message,
-            "concurrence_estimate": (
-                res.stage_two.concurrence_estimate if res.stage_two is not None else None
-            ),
-            "flags": list(flags),
-        }
-        if res.entangled:
-            print(f"two-stage: NPT, gamma stage estimate C = "
-                  f"{res.stage_two.concurrence_estimate:.6f}")
-        else:
-            print(f"two-stage: ppt, {res.message}")
-
+def _finish_protocol(args, config: dict, results: dict, flags) -> int:
     _emit(f"protocol {args.pipeline}", config, results, args.out)
     if args.strict and flags:
         print(f"numerical flags raised: {', '.join(flags)}", file=sys.stderr)
         return 2
     return 0
+
+
+def cmd_concurrence(args) -> int:
+    from . import measures, sampling, spa
+
+    state, shots, config = _run_config(args)
+    run = sampling.run_concurrence_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
+    exact = measures.concurrence_breakdown(state)
+    results = {
+        "mode": args.mode,
+        "moments": list(run.moments),
+        **run.breakdown._asdict(),
+        "exact_concurrence": exact.concurrence,
+        "exact_ef": exact.ef,
+        "flags": list(run.flags),
+        "copies_consumed": run.copies_consumed,
+        "groups": [],
+    }
+    # a sampled run's records hold p+ already; only ideal mode reads it off the chain
+    if run.samples is None:
+        groups = [(out.k, sampling.success_probability(out.shift_trace()), {})
+                  for out in spa.group_channel_outputs(state)]
+    else:
+        groups = [(k, rec.target_mean, {"successes": rec.successes, "shots": rec.shots})
+                  for k, rec in enumerate(run.samples, start=1)]
+    for k, p_plus, counts in groups:
+        spec = spa.moment_observable_spec(k)
+        results["groups"].append({
+            "k": k,
+            "copies": spec.copies,
+            "amplification": spec.amplification,
+            "offset_applied": spec.offset,
+            "offset_d_cubed_variant": spec.d_cubed_offset,
+            "p_plus": p_plus,
+            **counts,
+        })
+    results["offset_note"] = (
+        "offsets are 4*d_k, fixed by the ladder identity mean(M_k) = p_k; "
+        "the d_k^3 variant is listed for reference only"
+    )
+    print(f"concurrence protocol ({args.mode}): C = {run.breakdown.concurrence:.6f}  "
+          f"E_f = {run.breakdown.ef:.6f}")
+    print(f"exact reference            : C = {exact.concurrence:.6f}  E_f = {exact.ef:.6f}")
+    return _finish_protocol(args, config, results, run.flags)
+
+
+def cmd_negativity(args) -> int:
+    from . import measures, sampling, spa
+
+    state, shots, config = _run_config(args)
+    run = sampling.run_spectrum_protocol(state, shots=shots, seed=args.seed, mode=args.mode)
+    exact = measures.negativity_report(state)
+    results = {
+        "mode": args.mode,
+        "pt_eigenvalues": list(run.estimate.report.pt_eigenvalues),
+        "ec": run.estimate.report.ec,
+        "negativity": run.estimate.report.negativity,
+        "exact_ec": exact.ec,
+        "exact_negativity": exact.negativity,
+        "flags": list(run.flags),
+        "shrink_factor": spa.spa_shrink(state.dims[0]),
+    }
+    if run.samples is not None:
+        results["p_plus_per_order"] = {str(n): rec.target_mean for n, rec in enumerate(run.samples, start=2)}
+    print(f"negativity protocol ({args.mode}): E_c = {run.estimate.report.ec:.6f}  (exact {exact.ec:.6f})")
+    return _finish_protocol(args, config, results, run.flags)
+
+
+def cmd_two_stage(args) -> int:
+    from . import protocols
+
+    state = _load_state(args)
+    res = protocols.two_stage_protocol(state)
+    flags = res.stage_two.flags if res.stage_two is not None else ()
+    results = {
+        "verdict": res.verdict,
+        "min_channel_eigenvalue": res.min_channel_eigenvalue,
+        "min_pt_eigenvalue_estimate": res.min_pt_eigenvalue_estimate,
+        "message": res.message,
+        "concurrence_estimate": res.stage_two.concurrence_estimate if res.stage_two is not None else None,
+        "flags": list(flags),
+    }
+    if res.entangled:
+        print(f"two-stage: NPT, gamma stage estimate C = {res.stage_two.concurrence_estimate:.6f}")
+    else:
+        print(f"two-stage: ppt, {res.message}")
+    return _finish_protocol(args, _state_config(args, state), results, flags)
 
 
 def cmd_compare(args) -> int:
@@ -227,7 +215,7 @@ def cmd_compare(args) -> int:
     state = _load_state(args)
     exact = measures.concurrence_breakdown(state)
     try:
-        counts = [int(s) for s in str(args.shots).split(",") if s]
+        counts = [int(s) for s in args.shots.split(",") if s]
     except ValueError as exc:
         raise ValueError(f"--shots must be a comma list of integers, got {args.shots!r}") from exc
     shots_list = [sampling._shot_count(s) for s in counts]  # all checked before any run
@@ -243,7 +231,7 @@ def cmd_compare(args) -> int:
         for method, run_fn, ledger, quoted in methods:
             err_c, err_ef = [], []
             for rep in range(args.reps):
-                run = run_fn(state, shots=shots, seed=args.seed + rep, mode=args.mode)
+                run = run_fn(state, shots=shots, seed=args.seed + rep)
                 err_c.append(abs(run.breakdown.concurrence - exact.concurrence))
                 err_ef.append(abs(run.breakdown.ef - exact.ef))
             rows.append(
@@ -311,20 +299,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact measures of one state")
     _add_state_args(p)
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("protocol", help="run an estimation pipeline")
-    p.add_argument("pipeline", choices=("concurrence", "negativity", "two-stage"))
-    _add_state_args(p)
-    _add_run_args(p, MODES)
-    p.set_defaults(mode=None, shots=None)  # None: not given, which two-stage requires
-    p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
-    p.set_defaults(fn=cmd_protocol)
+    pipelines = p.add_subparsers(dest="pipeline", required=True)
+    for name, fn in (("concurrence", cmd_concurrence), ("negativity", cmd_negativity), ("two-stage", cmd_two_stage)):
+        p = pipelines.add_parser(name)
+        _add_state_args(p)
+        if name != "two-stage":  # its stages are exact and draw nothing: no mode, no shots
+            p.add_argument("--mode", choices=MODES, default="ideal")
+            p.add_argument("--shots", type=int, default=100000, help="shots per observable")
+        p.add_argument("--strict", action="store_true", help="exit 2 when estimates carry numerical flags")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("compare", help="moments vs tomography error sweep (CSV)")
+    p = sub.add_parser("compare", help="sampled moments vs tomography error sweep (CSV)")
     _add_state_args(p)
-    _add_run_args(p, ("sampled",))
+    p.add_argument("--shots", default="100000", help="comma list of shots per observable")
     p.add_argument("--reps", type=int, required=True, help="repetitions per shot count, at least 2")
     p.set_defaults(fn=cmd_compare)
 

@@ -14,10 +14,11 @@ independent seed streams, stream k being ``states.rng_stream(seed, k)``.
 A run builds all its streams from one mix of its seed.
 
 Every sampled entry point rejects shot counts that are not whole numbers in
-[1, 2**63) before any draw; one helper draws every binary run from the
+[1, 2**63) before any draw; every binary run is drawn from the
 observable's exact +-1 mean, and only :func:`success_probability` forms p+.
 A ladder run reads its four means off one product chain; tomography takes
-its 15 Pauli expectations from one batched product and trace.  Ladder and
+its 15 Pauli expectations from one batched product and trace.  The three
+runs draw all their means through one helper, one stream each; ladder and
 spectrum runs keep their draws as plain ShotRecords, in moment order.
 """
 
@@ -39,8 +40,7 @@ from .protocols import (
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import (GroupChannelOutput, apply_spa_pt, group_channel_output, group_channel_outputs,
-                  moment_observable_spec)
+from .spa import apply_spa_pt, group_channel_output, group_channel_outputs, moment_observable_spec
 from .states import DensityMatrix, _rng_streams
 
 
@@ -84,6 +84,14 @@ def _binary_run(mean: float, shots: int, rng: np.random.Generator) -> tuple[Shot
     return record, 2.0 * record.estimate - 1.0
 
 
+def _draw(means, streams, shots: int, seed) -> tuple[tuple[ShotRecord, ...], list[float]]:
+    """One binary run of ``shots`` (already checked) outcomes per exact +-1
+    mean, mean i on stream ``streams[i]`` of ``seed``: the records and the
+    sampled means, in the order given."""
+    runs = [_binary_run(mean, shots, rng) for mean, rng in zip(means, _rng_streams(seed, streams))]
+    return tuple(record for record, _ in runs), [sampled for _, sampled in runs]
+
+
 def moment_success_probability(state: DensityMatrix, k: int) -> float:
     """Exact p+ for group k via the implicit channel output."""
     return success_probability(group_channel_output(state, k).shift_trace())
@@ -103,15 +111,12 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
     return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / _shot_count(shots))
 
 
-def _moment_run(output: GroupChannelOutput, shots: int, rng: np.random.Generator) -> tuple[ShotRecord, float]:
-    record, shift_hat = _binary_run(output.shift_trace(), shots, rng)
-    return record, moment_observable_spec(output.k).moment(shift_hat)
-
-
 def sample_moment_povm(state: DensityMatrix, k: int, shots: int,
                        rng: np.random.Generator) -> tuple[ShotRecord, float]:
     """Draw one binomial run for group k: its record and the moment estimate p_k it yields."""
-    return _moment_run(group_channel_output(state, k), _shot_count(shots), rng)
+    output = group_channel_output(state, k)
+    record, shift_hat = _binary_run(output.shift_trace(), _shot_count(shots), rng)
+    return record, moment_observable_spec(output.k).moment(shift_hat)
 
 
 class EstimatorRun(NamedTuple):
@@ -141,6 +146,7 @@ def run_concurrence_protocol(
     Every moment gets the same ``shots``, which ideal mode ignores.  The
     four p+ come from one product chain.
     """
+    _require_two_qubit(state, "the concurrence protocol")
     if _is_ideal(mode):
         # noise-free limit: the expectation values themselves, held exactly
         # (float64 storage of the k = 3, 4 means already costs ~1e-9)
@@ -148,8 +154,8 @@ def run_concurrence_protocol(
     else:
         shots = _shot_count(shots)
         outputs = group_channel_outputs(state)
-        rngs = _rng_streams(seed, [out.k for out in outputs])
-        samples, moments = zip(*(_moment_run(out, shots, rng) for out, rng in zip(outputs, rngs)))
+        samples, shift_hats = _draw([out.shift_trace() for out in outputs], [out.k for out in outputs], shots, seed)
+        moments = [moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)]
     breakdown, flags = concurrence_from_moments(moments)
     return EstimatorRun(samples, tuple(map(float, moments)), breakdown, flags)
 
@@ -183,11 +189,8 @@ def run_spectrum_protocol(
     sigma = apply_spa_pt(state)
     # every channel power sum Tr(sigma^n) from one table, row n = lam**n
     traces = _power_table(np.linalg.eigvalsh(sigma.matrix), sigma.dim).sum(axis=1).tolist()
-    orders = range(2, sigma.dim + 1)
-    runs = [_binary_run(traces[n], shots, rng)
-            for n, rng in zip(orders, _rng_streams(seed, orders))]
-    estimate = spectrum_from_channel_moments([1.0] + [psum for _, psum in runs], state.dims[0])
-    return SpectrumRun(samples=tuple(record for record, _ in runs), estimate=estimate)
+    samples, psums = _draw(traces[2:], range(2, sigma.dim + 1), shots, seed)
+    return SpectrumRun(samples, spectrum_from_channel_moments([1.0, *psums], state.dims[0]))
 
 
 # ------------------------------------------------------------- tomography
@@ -236,8 +239,7 @@ def run_tomography_baseline(
     values = (rho @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
     shots = 0 if _is_ideal(mode) else _shot_count(shots)
     if shots:
-        values = [_binary_run(v, shots, rng)[1]
-                  for v, rng in zip(values, _rng_streams(seed, range(len(values))))]
+        values = _draw(values, range(len(values)), shots, seed)[1]
     # I + v_1 P_1 + ... + v_15 P_15, summed left to right along axis 0
     terms = np.concatenate((np.eye(4, dtype=complex)[None], np.array(values)[:, None, None] * _PAULI_OPS))
     rebuilt = np.add.reduce(terms, axis=0) / 4.0

@@ -45,14 +45,14 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _seed_ints(seed) -> list[int]:
-    """The integers of a seed, flattened; ValueError unless seed is a non-negative int or a list of them."""
-    words = np.ravel(seed)
-    if words.dtype.kind == "f":  # numpy reads a list like [0, 2**63] as floats; keep its ints
-        words = np.ravel(np.array(seed, dtype=object))
-    ints = words.tolist()
-    if not all(isinstance(w, int) and w >= 0 for w in ints):
+    """The integers of a seed, flattened; ValueError unless seed is a non-negative int or a list of them.
+
+    The words are checked as given, before numpy coerces them: a bool,
+    numpy's too, is refused, and a list like [0, 2**63] keeps its ints."""
+    words = [seed] if type(seed) is int else np.ravel(np.array(seed, dtype=object)).tolist()
+    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 0 for w in words):
         raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
-    return ints
+    return [int(w) for w in words]
 
 
 def _seed_sequence(seed, *streams) -> np.random.SeedSequence:

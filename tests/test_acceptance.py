@@ -181,7 +181,7 @@ def test_criterion_7_resource_ledgers(tmp_path):
 
     # the quoted figure must appear verbatim in the comparison output
     out = tmp_path / "cmp.csv"
-    code = cli_main(["compare", "--family", "bell", "--mode", "sampled",
+    code = cli_main(["compare", "--family", "bell",
                      "--shots", "200", "--reps", "2", "--seed", "0", "--out", str(out)])
     assert code == 0
     text = out.read_text()

@@ -18,6 +18,7 @@ from entmoment import _local_dims, _whole, inversion, linalg, measures, protocol
 
 QUTRIT_PAIR = states.isotropic_state(3, 0.5)
 TWO_QUBIT_MESSAGE = r"needs a two-qubit state, got state dims \(3, 3\)"
+LADDER_MESSAGE = "^the concurrence protocol " + TWO_QUBIT_MESSAGE  # the pipeline, not an inner step
 
 REFUSALS = {
     "partial_transpose dims (2.9, 2.1)": (lambda: linalg.partial_transpose(np.eye(4) / 4, (2.9, 2.1)), "dims"),
@@ -43,6 +44,10 @@ REFUSALS = {
     "run_tomography_baseline 3x3 state": (
         lambda: sampling.run_tomography_baseline(QUTRIT_PAIR, mode="ideal"), TWO_QUBIT_MESSAGE),
     "two_stage_protocol 3x3 state": (lambda: protocols.two_stage_protocol(QUTRIT_PAIR), TWO_QUBIT_MESSAGE),
+    "run_concurrence_protocol ideal 3x3 state": (
+        lambda: sampling.run_concurrence_protocol(QUTRIT_PAIR, mode="ideal"), LADDER_MESSAGE),
+    "run_concurrence_protocol sampled 3x3 state": (
+        lambda: sampling.run_concurrence_protocol(QUTRIT_PAIR, mode="sampled"), LADDER_MESSAGE),
     "concurrence_breakdown 3x3 state": (lambda: measures.concurrence_breakdown(QUTRIT_PAIR), TWO_QUBIT_MESSAGE),
     "run_concurrence_protocol mode": (
         lambda: sampling.run_concurrence_protocol(states.bell_state(), mode="noisy"), "mode must be one of"),

@@ -121,6 +121,13 @@ def test_two_stage_refuses_a_qutrit_pair_with_one_error_line(capsys):
     assert capsys.readouterr().err == "error: the two-stage scenario needs a two-qubit state, got state dims (3, 3)\n"
 
 
+@pytest.mark.parametrize("mode", ["ideal", "sampled"])
+def test_concurrence_refuses_a_qutrit_pair_in_its_own_name(capsys, mode):
+    assert run_cli(["protocol", "concurrence", "--dims", "3", "3", "--family", "isotropic", "--p", "0.5",
+                    "--mode", mode]) == 1
+    assert capsys.readouterr().err == "error: the concurrence protocol needs a two-qubit state, got state dims (3, 3)\n"
+
+
 def test_seed_is_accepted_everywhere(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(states.state_to_json(states.bell_state()))
@@ -193,12 +200,12 @@ def test_protocol_two_stage_quantifies(capsys):
 
 
 def test_protocol_two_stage_rejects_sampled_mode(capsys, tmp_path):
-    # any run option is refused, whatever its value: two-stage reads none
+    # any run option is refused, whatever its value: two-stage's parser declares none
     out = tmp_path / "two.json"
     for extra in (["--mode", "sampled", "--shots", "0"], ["--mode", "ideal"], ["--shots", "5"]):
         code = run_cli(["protocol", "two-stage", "--family", "bell", *extra, "--out", str(out)])
         assert code == 1
-        assert "ideal mode only" in capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
     assert not out.exists()
     # the other pipelines keep their defaults: ideal mode, 100000 shots on record
     assert run_cli(["protocol", "concurrence", "--family", "bell", "--out", str(out)]) == 0
@@ -231,7 +238,7 @@ def test_protocol_sampled_needs_positive_shots(capsys):
 
 def test_compare_sweep_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code = run_cli(["compare", "--family", "werner", "--p", "0.8", "--mode", "sampled",
+    code = run_cli(["compare", "--family", "werner", "--p", "0.8",
                     "--shots", "500,2000", "--reps", "3", "--seed", "4", "--out", str(out)])
     assert code == 0
     with open(out) as fh:
@@ -251,13 +258,24 @@ def test_compare_needs_reps(capsys):
 
 
 def test_run_options_per_subcommand(capsys):
-    # protocol takes no --reps; compare takes no --strict and samples only
+    # protocol takes no --reps; compare takes no --strict and samples only, so
+    # it has no --mode; two-stage draws nothing, so it has no --mode either
     assert run_cli(["protocol", "concurrence", "--family", "bell", "--reps", "2"]) == 1
     assert run_cli(["compare", "--family", "bell", "--reps", "2", "--strict"]) == 1
     assert run_cli(["compare", "--family", "bell", "--mode", "ideal", "--reps", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("unrecognized arguments") == 2
-    assert "invalid choice: 'ideal'" in err
+    assert run_cli(["compare", "--family", "bell", "--mode", "sampled", "--reps", "2"]) == 1
+    assert run_cli(["protocol", "two-stage", "--family", "bell", "--mode", "ideal"]) == 1
+    assert capsys.readouterr().err.count("unrecognized arguments") == 5
+
+
+def test_help_lists_only_the_options_a_command_reads(capsys):
+    helps = {}
+    for argv in (["protocol", "two-stage"], ["protocol", "negativity"], ["compare"]):
+        assert run_cli([*argv, "--help"]) == 0
+        helps[argv[-1]] = capsys.readouterr().out
+    assert "--mode" not in helps["two-stage"] and "--shots" not in helps["two-stage"]
+    assert "--mode {ideal,sampled}" in helps["negativity"] and "--shots SHOTS" in helps["negativity"]
+    assert "--mode" not in helps["compare"] and "--shots SHOTS" in helps["compare"]
 
 
 def test_resources_d2(capsys):
@@ -328,8 +346,10 @@ def _last_line_of_fresh_python(code):
     "import entmoment.cli as cli; cli.main(['resources', '--d', '3'])",
     "import entmoment.cli as cli; cli.main(['--help'])",
     "import entmoment.cli as cli; cli.main(['protocol', '--help'])",
+    "import entmoment.cli as cli; cli.main(['protocol', 'concurrence', '--help'])",
     "import entmoment.cli as cli; cli.main(['exact', '--family', 'ghz'])",  # a usage error
-], ids=["import-root", "import-cli", "resources", "resources-d3", "help", "protocol-help", "usage-error"])
+], ids=["import-root", "import-cli", "resources", "resources-d3", "help", "protocol-help", "concurrence-help",
+        "usage-error"])
 def test_commands_that_compute_nothing_leave_numpy_unloaded(step):
     assert _last_line_of_fresh_python(f"import sys; {step}; print('numpy' in sys.modules)") == "False"
 
@@ -371,6 +391,10 @@ def test_protocol_ideal_checks_shots(tmp_path, capsys):
                     "--shots", "-3", "--out", str(out)]) == 1
     assert run_cli(["protocol", "negativity", "--family", "bell", "--mode", "ideal", "--shots", "0"]) == 1
     assert capsys.readouterr().err.count("whole number of at least 1") == 2
+    assert not out.exists()
+    # the parser reads one integer; compare's comma list is compare's own
+    assert run_cli(["protocol", "concurrence", "--family", "bell", "--shots", "100,200", "--out", str(out)]) == 1
+    assert "argument --shots: invalid int value: '100,200'" in capsys.readouterr().err
     assert not out.exists()
 
 

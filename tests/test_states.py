@@ -93,6 +93,9 @@ stream_ids = st.lists(st.one_of(st.integers(0, 40), one_word, one_word.map(np.in
 @settings(deadline=None)
 @given(seeds, stream_ids)
 @example([0, 2**63], [0])  # numpy infers float64 for this list
+@example([np.int64(3)], [0])  # numpy words, an array and a nested list: their ints, unlike a bool
+@example(np.array([0, 5, 2**64 - 1], dtype=np.uint64), [1])
+@example([[1, 2**40], [0, 2**100]], [2])
 @example(7, [np.int64(3), np.uint32(2**32 - 1), np.uint64(5)])  # numpy ids, read as the ints they hold
 def test_rng_streams_match_rng_stream(seed, streams):
     rngs = states._rng_streams(seed, streams)
@@ -104,7 +107,8 @@ def test_rng_streams_match_rng_stream(seed, streams):
         assert rng.binomial(10**6, 0.3) == expected.binomial(10**6, 0.3)
 
 
-@pytest.mark.parametrize("seed", [None, -1, -(2**40), 0.5, 1.5, 3.0, np.float64(2.0), [3, -1], [2.0], "7"])
+@pytest.mark.parametrize("seed", [None, -1, -(2**40), 0.5, 1.5, 3.0, np.float64(2.0), [3, -1], [2.0], "7",
+                                  True, [True, 2], np.bool_(True)])
 def test_rng_streams_reject_the_seeds_rng_stream_rejects(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer") as expected:
         states.rng_stream(seed, 1)
