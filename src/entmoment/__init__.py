@@ -56,9 +56,8 @@ _EXPORTS = {
                 "run_tomography_baseline sample_moment_povm",
     "spa": "GroupChannelOutput affine_map apply_spa_pt group_channel_output inverse_affine ladder_power_sums "
            "moment_observable_spec spa_shrink spa_threshold_by_choi",
-    "states": "DensityMatrix StateDiagnostics bell_state isotropic_state make_state product_pure_state "
-              "random_mixed_state random_pure_state random_unitary rng_stream state_from_json state_to_json "
-              "validate_state werner_state",
+    "states": "DensityMatrix bell_state isotropic_state make_state product_pure_state random_mixed_state "
+              "random_pure_state random_unitary rng_stream state_from_json state_to_json werner_state",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = ["FAMILIES", "MODES", *_HOME]

@@ -213,6 +213,7 @@ def cmd_compare(args) -> int:
 
     _whole(args.reps, "--reps", 2)
     state = _load_state(args)
+    measures._require_two_qubit(state, "compare")
     exact = measures.concurrence_breakdown(state)
     try:
         counts = [int(s) for s in args.shots.split(",") if s]

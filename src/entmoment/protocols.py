@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _whole
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .ledger import QUOTED_TOMOGRAPHY_R, ResourceLedger, resource_ledger  # noqa: F401  (re-exported)
 from .linalg import exact_power_traces, exact_product_power_traces
@@ -122,8 +123,12 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
     caller passes it: 1.0 with measured moments, the exact trace of the
     stored matrix with exact ones (that trace differs from 1 by
     representation rounding, and pinning it would inject an inconsistency
-    the exact inversion is sharp enough to resolve).
+    the exact inversion is sharp enough to resolve).  ValueError unless d
+    is an integer of at least 1 and exactly d * d power sums are given.
     """
+    d = _whole(d, "d", 1)
+    if len(psums) != d * d:
+        raise ValueError(f"expected d * d = {d * d} power sums for d = {d}, got {len(psums)}")
     rec = _clamped_inversion(psums)
     return SpectrumEstimate(
         report=report_from_pt_eigenvalues(inverse_affine(rec.values, d)),

@@ -40,7 +40,7 @@ from .protocols import (
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import apply_spa_pt, group_channel_output, group_channel_outputs, moment_observable_spec
+from .spa import _require_equal_dims, apply_spa_pt, group_channel_output, group_channel_outputs, moment_observable_spec
 from .states import DensityMatrix, _rng_streams
 
 
@@ -183,6 +183,7 @@ def run_spectrum_protocol(
     p+(n) = (1 + Tr(sigma^n))/2 computed from the channel output spectrum;
     the trace itself is known, not measured.
     """
+    _require_equal_dims(state, "the negativity protocol")
     if _is_ideal(mode):
         return SpectrumRun(samples=None, estimate=spectrum_protocol(state))
     shots = _shot_count(shots)

@@ -43,18 +43,22 @@ def inverse_affine(channel_eigenvalue: float, d: int) -> float:
     return (d**3 + 1.0) * channel_eigenvalue - d
 
 
+def _require_equal_dims(state: DensityMatrix, operation: str) -> int:
+    """The local dimension d of a d (x) d state; ValueError naming ``operation`` otherwise."""
+    if state.dims[0] != state.dims[1]:
+        raise ValueError(f"{operation} needs equal local dimensions, got state dims {state.dims}")
+    return state.dims[0]
+
+
 def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     """Approximate partial transpose as a channel on a d (x) d state.
 
     Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B, whose spectrum is the affine
-    image of the PT spectrum: valid by construction, so not re-checked.
+    image of the PT spectrum: valid by construction, so not re-checked.  The
+    weight for unequal local dimensions is :func:`spa_threshold_by_choi`'s.
     """
-    da, db = state.dims
-    if da != db:
-        raise ValueError(f"closed-form SPA needs equal local dimensions, got {state.dims}; "
-                         "use spa_threshold_by_choi for the general weight")
     dim = state.dim
-    s = spa_shrink(da)
+    s = spa_shrink(_require_equal_dims(state, "the closed-form SPA"))
     pt = partial_transpose(state.matrix, state.dims)
     return DensityMatrix._valid((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
 

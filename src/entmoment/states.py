@@ -10,9 +10,9 @@ State families used throughout the test and simulation pipelines:
 - ``random-mixed``  G G^dagger / Tr(G G^dagger), square complex Gaussian G
                     (the Hilbert-Schmidt ensemble)
 
-A caller-supplied matrix is wrapped directly: ``DensityMatrix(matrix, dims)``.
-That, ``make_state`` and ``state_from_json`` check every invariant; SPA channel
-outputs and tomography estimates are valid by construction and skip the check.
+A caller-supplied matrix is wrapped directly: ``DensityMatrix(matrix, dims)``,
+which ``make_state`` and ``state_from_json`` build through too; SPA channel
+outputs and tomography estimates are valid by construction and skip its check.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -139,49 +138,14 @@ def _rng_streams(seed, streams) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(preset(row))) for row in state]
 
 
-class StateDiagnostics(NamedTuple):
-    """Residuals of the three density-matrix invariants."""
-
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-    @property
-    def violations(self) -> tuple[str, ...]:
-        out = []
-        if self.hermiticity_defect > HERMITICITY_TOL:
-            out.append("hermiticity")
-        if self.trace_defect > TRACE_TOL:
-            out.append("trace")
-        if self.min_eigenvalue < -EIGENVALUE_TOL:
-            out.append("positivity")
-        return tuple(out)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_state(matrix) -> StateDiagnostics:
-    """Report hermiticity defect, trace defect and minimum eigenvalue."""
-    return _diagnostics(as_complex_matrix(matrix))
-
-
-def _diagnostics(m: np.ndarray) -> StateDiagnostics:
-    """validate_state of a matrix already coerced by as_complex_matrix."""
-    herm = hermiticity_defect(m)
-    trace = float(abs(m.trace() - 1.0))
-    sym = (m + m.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return StateDiagnostics(herm, trace, min_eig)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A bipartite quantum state: complex matrix plus (dimA, dimB) split.
 
-    Equality and hashing are by identity: the generated field comparison
-    would ask an ndarray for one truth value and raise.
+    Construction is the one check that a matrix is a state: its ValueError
+    names each broken rule (hermiticity, trace, positivity) and the three
+    residuals.  Equality and hashing are by identity: the generated field
+    comparison would ask an ndarray for one truth value and raise.
     """
 
     matrix: np.ndarray
@@ -192,9 +156,14 @@ class DensityMatrix:
         da, db = _local_dims(self.dims)
         if da * db != m.shape[0]:
             raise ValueError(f"dims {self.dims} incompatible with matrix dimension {m.shape[0]}")
-        diag = _diagnostics(m)
-        if not diag.ok:
-            raise ValueError(f"not a density matrix: {', '.join(diag.violations)} violated ({diag})")
+        herm = hermiticity_defect(m)
+        trace = float(abs(m.trace() - 1.0))
+        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        broken = [rule for rule, bad in (("hermiticity", herm > HERMITICITY_TOL), ("trace", trace > TRACE_TOL),
+                                         ("positivity", min_eig < -EIGENVALUE_TOL)) if bad]
+        if broken:
+            raise ValueError(f"not a density matrix: {', '.join(broken)} violated (hermiticity_defect={herm!r}, "
+                             f"trace_defect={trace!r}, min_eigenvalue={min_eig!r})")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -211,9 +180,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def diagnostics(self) -> StateDiagnostics:
-        return validate_state(self.matrix)
 
 
 def _ket_projector(psi: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ an integer, or leaking a raw TypeError.
 
 Integer arguments (local dims, group indices, stream ids, trace orders) go
 through the package root's one integer check; the two-qubit requirement
-through ``measures._require_two_qubit``; the run mode through the one check
-the three ``run_*`` entry points share.  Stream ids of -1 and 2**32 are in
+through ``measures._require_two_qubit``; the equal-local-dims requirement
+through ``spa._require_equal_dims``; the run mode through the one check the
+three ``run_*`` entry points share.  Stream ids of -1 and 2**32 are in
 ``tests/test_states.py``, for both stream routes.
 """
 
@@ -19,6 +20,7 @@ from entmoment import _local_dims, _whole, inversion, linalg, measures, protocol
 QUTRIT_PAIR = states.isotropic_state(3, 0.5)
 TWO_QUBIT_MESSAGE = r"needs a two-qubit state, got state dims \(3, 3\)"
 LADDER_MESSAGE = "^the concurrence protocol " + TWO_QUBIT_MESSAGE  # the pipeline, not an inner step
+RECTANGULAR_PAIR = states.random_mixed_state((2, 3), states.rng_stream(7))
 
 REFUSALS = {
     "partial_transpose dims (2.9, 2.1)": (lambda: linalg.partial_transpose(np.eye(4) / 4, (2.9, 2.1)), "dims"),
@@ -60,6 +62,18 @@ REFUSALS = {
     "power sum 1+0j": (lambda: inversion.spectrum_from_power_sums([1 + 0j, 0.5]), "power sum at index 0"),
     "power sum '1'": (lambda: inversion.spectrum_from_power_sums(["1", 0.5]), "power sum at index 0"),
     "power sum None": (lambda: inversion.spectrum_from_power_sums([1.0, None]), "power sum at index 1"),
+    "spectrum_from_channel_moments 2 sums for d 3": (
+        lambda: protocols.spectrum_from_channel_moments([1.0, 0.5], 3), r"^expected d \* d = 9 power sums"),
+    "spectrum_from_channel_moments 5 sums for d 2": (
+        lambda: protocols.spectrum_from_channel_moments([1.0, 0.5, 0.3, 0.2, 0.1], 2), r"^expected d \* d = 4"),
+    "spectrum_from_channel_moments d 0": (lambda: protocols.spectrum_from_channel_moments([1.0], 0), "^d must be"),
+    "spectrum_from_channel_moments d 2.5": (
+        lambda: protocols.spectrum_from_channel_moments([1.0] * 6, 2.5), "^d must be"),
+    "spectrum_from_channel_moments d True": (
+        lambda: protocols.spectrum_from_channel_moments([1.0], True), "^d must be"),
+    "run_spectrum_protocol 2x3 state": (
+        lambda: sampling.run_spectrum_protocol(RECTANGULAR_PAIR, mode="ideal"),
+        r"^the negativity protocol needs equal local dimensions, got state dims \(2, 3\)$"),
 }
 
 

@@ -128,6 +128,30 @@ def test_concurrence_refuses_a_qutrit_pair_in_its_own_name(capsys, mode):
     assert capsys.readouterr().err == "error: the concurrence protocol needs a two-qubit state, got state dims (3, 3)\n"
 
 
+def test_compare_refuses_a_qutrit_pair_in_its_own_name(capsys):
+    assert run_cli(["compare", "--dims", "3", "3", "--family", "isotropic", "--p", "0.5", "--reps", "2"]) == 1
+    assert capsys.readouterr().err == "error: compare needs a two-qubit state, got state dims (3, 3)\n"
+
+
+@pytest.mark.parametrize("mode", ["ideal", "sampled"])
+def test_negativity_refuses_unequal_local_dims_in_its_own_name(capsys, mode):
+    assert run_cli(["protocol", "negativity", "--dims", "2", "3", "--family", "random-pure", "--mode", mode]) == 1
+    expected = "error: the negativity protocol needs equal local dimensions, got state dims (2, 3)\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("diagonal, expected", [
+    ([0.5, 0.5, 0.5, 0.5], "trace violated (hermiticity_defect=0.0, trace_defect=1.0, min_eigenvalue=0.5)"),
+    ([1.1, -0.1, 0.0, 0.0], "positivity violated (hermiticity_defect=0.0, trace_defect=0.0, min_eigenvalue=-0.1)"),
+], ids=["trace", "positivity"])
+def test_exact_refuses_a_well_formed_file_that_is_not_a_state(tmp_path, capsys, diagonal, expected):
+    grid = [[x if i == j else 0.0 for j in range(4)] for i, x in enumerate(diagonal)]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2], "re": grid, "im": [[0.0] * 4] * 4}))
+    assert run_cli(["exact", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: not a density matrix: {expected}\n"
+
+
 def test_seed_is_accepted_everywhere(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(states.state_to_json(states.bell_state()))

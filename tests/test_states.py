@@ -1,6 +1,7 @@
 """State construction, validation, serialization, determinism."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -44,8 +45,7 @@ def test_random_families_pass_invariants():
     rng = states.rng_stream(100, 0)
     for family in ("product-pure", "random-pure", "random-mixed"):
         for dims in ((2, 2), (2, 3), (3, 3)):
-            st = states.make_state(family, dims=dims, rng=rng)
-            assert st.diagnostics().ok
+            st = states.make_state(family, dims=dims, rng=rng)  # construction checks the invariants
             assert st.dims == dims
 
 
@@ -135,26 +135,47 @@ def test_rng_streams_reject_stream_ids_beyond_one_word(stream):
         states.rng_stream(7, stream)
 
 
+REFUSAL = re.compile(r"^not a density matrix: (?P<rules>[a-z, ]+) violated \(hermiticity_defect=(?P<herm>\S+), "
+                     r"trace_defect=(?P<trace>\S+), min_eigenvalue=(?P<min_eig>\S+)\)$")
+
+
+def refusal(matrix):
+    """The broken rules and the three residuals that construction names for ``matrix``."""
+    with pytest.raises(ValueError) as info:
+        states.DensityMatrix(matrix, (2, 2))
+    found = REFUSAL.match(str(info.value))
+    assert found, str(info.value)
+    return found["rules"].split(", "), {key: float(found[key]) for key in ("herm", "trace", "min_eig")}
+
+
 def test_validate_clean_state():
-    d = states.validate_state(np.eye(4) / 4)
-    assert d.hermiticity_defect == 0.0
-    assert d.trace_defect == 0.0
-    assert d.min_eigenvalue >= 0.0
-    assert d.ok
+    assert states.DensityMatrix(np.eye(4) / 4, (2, 2)).matrix.tobytes() == (np.eye(4, dtype=complex) / 4).tobytes()
+    # all three residuals just inside their tolerances: the state is taken
+    assert states.HERMITICITY_TOL == states.TRACE_TOL == states.EIGENVALUE_TOL == 1e-9
+    m = np.diag([0.5 + 0.9e-9, 0.5 + 0.9e-9, -0.9e-9, 0.0]).astype(complex)
+    m[0, 1] = 0.9e-9
+    states.DensityMatrix(m, (2, 2))
 
 
 def test_validate_trace_defect():
     m = np.eye(4) / 4
     m[0, 0] += 0.01
-    d = states.validate_state(m)
-    assert abs(d.trace_defect - 0.01) < 1e-12
-    assert d.violations == ("trace",)
+    rules, residuals = refusal(m)
+    assert rules == ["trace"]
+    assert residuals["herm"] == 0.0 and abs(residuals["trace"] - 0.01) < 1e-12 and residuals["min_eig"] == 0.25
 
 
 def test_validate_negative_eigenvalue():
-    d = states.validate_state(np.diag([1.1, -0.1, 0.0, 0.0]))
-    assert "positivity" in d.violations
-    assert abs(d.min_eigenvalue + 0.1) < 1e-12
+    rules, residuals = refusal(np.diag([1.1, -0.1, 0.0, 0.0]))
+    assert rules == ["positivity"]
+    assert residuals["herm"] == 0.0 and residuals["trace"] < 1e-15 and abs(residuals["min_eig"] + 0.1) < 1e-12
+    # every broken rule is named, in the order hermiticity, trace, positivity
+    m = np.diag([1.2, -0.1, 0.0, 0.0])
+    m[0, 1] = 0.1
+    rules, residuals = refusal(m)
+    assert rules == ["hermiticity", "trace", "positivity"]
+    assert abs(residuals["herm"] - 0.1) < 1e-12 and abs(residuals["trace"] - 0.1) < 1e-12
+    assert residuals["min_eig"] < -0.1
 
 
 def test_density_matrix_rejects_invalid():
@@ -319,7 +340,7 @@ def test_family_constructors_check_dims_at_entry():
 def test_make_state_takes_p_exactly_for_weighted_families(family, with_p):
     kwargs = dict(p=0.3 if with_p else None, rng=states.rng_stream(5, 0))
     if with_p == (family in ("werner", "isotropic")):
-        assert states.make_state(family, **kwargs).diagnostics().ok
+        assert isinstance(states.make_state(family, **kwargs), states.DensityMatrix)
     else:
         with pytest.raises(ValueError, match="mixing weight"):
             states.make_state(family, **kwargs)
