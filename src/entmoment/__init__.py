@@ -13,6 +13,7 @@ below, and each submodule it names, is resolved on first use.
 """
 
 import importlib
+import math
 import numbers
 
 __version__ = "0.1.0"
@@ -30,6 +31,16 @@ def _whole(x, name: str, lo: int, hi: int | None = None) -> int:
         rule = f"an integer of at least {lo}" if hi is None else f"{lo}..{hi}"
         raise ValueError(f"{name} must be {rule}, got {x!r}")
     return int(x)
+
+
+def _real(x, name: str, lo=None, hi=None):
+    """``x`` unchanged; ValueError, naming ``name``, unless a finite real number, in [lo, hi] if bounds are
+    given (numpy's too, not bool; a huge int or a Fraction is compared, not converted)."""
+    if not ((isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool))
+            and abs(x) < math.inf and (lo is None or lo <= x <= hi)):
+        rule = "a finite real number" if lo is None else f"a real number in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {rule}, got {x!r}")
+    return x
 
 
 def _local_dims(dims, name: str = "dims") -> tuple[int, int]:

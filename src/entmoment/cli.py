@@ -41,11 +41,7 @@ def _load_state(args):
         given = [opt for opt in ("--family", "--p", "--dims") if getattr(args, opt[2:]) is not None]
         if given:
             raise ValueError(f"--in takes the whole state from its file; drop {', '.join(given)}")
-        try:
-            text = args.infile.read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read state file {args.infile}: {exc}") from exc
-        return states.state_from_json(text)
+        return states.state_from_json(args.infile.read_text())
     if args.family is None:
         raise ValueError("give either --family or --in FILE")
     rng = states.rng_stream(args.seed, stream=0)
@@ -340,7 +336,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a refused argument, or a file --in or --out cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _real
 from .linalg import _psd_sqrt, general_eigenvalues, herm_eigenvalues, partial_transpose, tensor
 from .states import DensityMatrix
 
@@ -43,8 +44,7 @@ def spin_flip(state: DensityMatrix) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """-x log2 x - (1-x) log2(1-x), with 0 log 0 = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {x}")
+    _real(x, "the binary entropy argument", 0, 1)
     out = 0.0
     if x > 0.0:
         out -= x * math.log2(x)
@@ -54,8 +54,8 @@ def binary_entropy(x: float) -> float:
 
 
 def ef_from_concurrence(c: float) -> float:
-    """Entanglement of formation as a function of two-qubit concurrence."""
-    c = min(max(c, 0.0), 1.0)
+    """Entanglement of formation as a function of two-qubit concurrence, clamped into [0, 1]."""
+    c = min(max(_real(c, "the concurrence"), 0.0), 1.0)
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
@@ -114,8 +114,7 @@ class NegativityReport(NamedTuple):
     @property
     def verdict(self) -> PptVerdict:
         """Sign test on the smallest partial-transpose eigenvalue."""
-        min_eig = self.pt_eigenvalues[-1]
-        return PptVerdict("npt" if min_eig < -NPT_TOL else "ppt", min_eig)
+        return verdict_from_min_pt_eigenvalue(self.pt_eigenvalues[-1])
 
 
 def report_from_pt_eigenvalues(eigenvalues) -> NegativityReport:
@@ -144,6 +143,11 @@ class PptVerdict(NamedTuple):
     @property
     def entangled(self) -> bool:
         return self.verdict == "npt"
+
+
+def verdict_from_min_pt_eigenvalue(min_pt_eigenvalue: float) -> PptVerdict:
+    """The PPT sign test: "npt" below -NPT_TOL, else "ppt" (NaN shows no negative eigenvalue, so "ppt")."""
+    return PptVerdict("npt" if min_pt_eigenvalue < -NPT_TOL else "ppt", min_pt_eigenvalue)
 
 
 def ppt_verdict(state: DensityMatrix) -> PptVerdict:

@@ -29,12 +29,12 @@ from .measures import (
     ConcurrenceBreakdown,
     GammaReport,
     NegativityReport,
-    NPT_TOL,
     _require_two_qubit,
     breakdown_from_lambdas,
     gamma_concurrence_report,
     report_from_pt_eigenvalues,
     spin_flip,
+    verdict_from_min_pt_eigenvalue,
 )
 from .spa import apply_spa_pt, inverse_affine
 from .states import DensityMatrix
@@ -168,12 +168,11 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     _require_two_qubit(state, "the two-stage scenario")
     sigma = apply_spa_pt(state)
     min_channel = float(np.linalg.eigvalsh(sigma.matrix)[0])
-    min_pt = inverse_affine(min_channel, 2)
-    ppt = min_pt >= -NPT_TOL
+    verdict = verdict_from_min_pt_eigenvalue(inverse_affine(min_channel, 2))
     return TwoStageResult(
-        verdict="ppt" if ppt else "npt",
+        verdict=verdict.verdict,
         min_channel_eigenvalue=min_channel,
-        min_pt_eigenvalue_estimate=min_pt,
-        message=SECOND_STAGE_ABANDONED if ppt else None,
-        stage_two=None if ppt else gamma_concurrence_report(state),
+        min_pt_eigenvalue_estimate=verdict.min_pt_eigenvalue,
+        message=None if verdict.entangled else SECOND_STAGE_ABANDONED,
+        stage_two=gamma_concurrence_report(state) if verdict.entangled else None,
     )

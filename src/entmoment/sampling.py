@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import MODES
+from . import MODES, _real
 from .inversion import _power_table
 from .measures import ConcurrenceBreakdown, _require_two_qubit, concurrence_breakdown
 from .protocols import (
@@ -106,8 +106,7 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
     binary-outcome shot noise unit costs 2 * 16777217 moment units.
     """
     spec = moment_observable_spec(k)
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError(f"p_plus must be a probability in [0, 1], got {p_plus!r}")
+    _real(p_plus, "p_plus", 0, 1)
     return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / _shot_count(shots))
 
 

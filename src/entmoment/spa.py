@@ -30,16 +30,18 @@ CHOI_BISECT_TOL = 1e-8
 
 def spa_shrink(d: int) -> float:
     """Signal attenuation 1/(d^3 + 1) of the partial-transpose SPA."""
-    return 1.0 / (d**3 + 1.0)
+    return 1.0 / (_whole(d, "d", 1) ** 3 + 1.0)
 
 
 def affine_map(pt_eigenvalue: float, d: int) -> float:
     """Channel-output eigenvalue produced by a PT eigenvalue."""
+    d = _whole(d, "d", 1)
     return d / (d**3 + 1.0) + pt_eigenvalue / (d**3 + 1.0)
 
 
 def inverse_affine(channel_eigenvalue: float, d: int) -> float:
     """Exact inverse of :func:`affine_map`; elementwise on an array."""
+    d = _whole(d, "d", 1)
     return (d**3 + 1.0) * channel_eigenvalue - d
 
 

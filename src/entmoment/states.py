@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import FAMILIES, _local_dims, _whole
+from . import FAMILIES, _local_dims, _real, _whole
 from .linalg import HERMITICITY_TOL, as_complex_matrix, hermiticity_defect
 
 TRACE_TOL = 1e-9
@@ -207,8 +207,7 @@ def isotropic_state(d: int, p: float) -> DensityMatrix:
     """p |Phi+_d><Phi+_d| + (1-p) I/d^2 on d (x) d: the werner state at
     d = 2, the bell state at d = 2 and p = 1."""
     d = _local_dims((d, d), "isotropic dims")[0]
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"the mixing weight p must lie in [0, 1], got {p}")
+    _real(p, "the mixing weight p", 0, 1)
     m = p * _ket_projector(max_entangled_ket(d)) + (1.0 - p) * np.eye(d * d) / (d * d)
     return DensityMatrix(m, (d, d))
 

@@ -1,21 +1,25 @@
 """One owner per argument rule: each entry point refuses a malformed argument
 with a ValueError that names it, instead of truncating it, reading a bool as
-an integer, or leaking a raw TypeError.
+a number, or leaking a raw TypeError.
 
-Integer arguments (local dims, group indices, stream ids, trace orders) go
-through the package root's one integer check; the two-qubit requirement
+Integer arguments (local dims, group indices, stream ids, trace orders, the
+SPA maps' d) go through the package root's one integer check; real ones (the
+mixing weight, p+, the binary entropy and E_f arguments, power sums) through
+its one real-number check; the two-qubit requirement
 through ``measures._require_two_qubit``; the equal-local-dims requirement
 through ``spa._require_equal_dims``; the run mode through the one check the
 three ``run_*`` entry points share.  Stream ids of -1 and 2**32 are in
 ``tests/test_states.py``, for both stream routes.
 """
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from entmoment import _local_dims, _whole, inversion, linalg, measures, protocols, sampling, spa, states
+from entmoment import _local_dims, _real, _whole, inversion, linalg, measures, protocols, sampling, spa, states
 
 QUTRIT_PAIR = states.isotropic_state(3, 0.5)
 TWO_QUBIT_MESSAGE = r"needs a two-qubit state, got state dims \(3, 3\)"
@@ -62,6 +66,20 @@ REFUSALS = {
     "power sum 1+0j": (lambda: inversion.spectrum_from_power_sums([1 + 0j, 0.5]), "power sum at index 0"),
     "power sum '1'": (lambda: inversion.spectrum_from_power_sums(["1", 0.5]), "power sum at index 0"),
     "power sum None": (lambda: inversion.spectrum_from_power_sums([1.0, None]), "power sum at index 1"),
+    "power sums [True, True]": (
+        lambda: inversion.spectrum_from_power_sums([True, True]), "^power sum at index 0 must be a finite real"),
+    "werner_state p True": (lambda: states.werner_state(True), "^the mixing weight p must be"),
+    "werner_state p '0.5'": (lambda: states.werner_state("0.5"), "^the mixing weight p must be"),
+    "werner_state p None": (lambda: states.werner_state(None), "^the mixing weight p must be"),
+    "isotropic_state p True": (lambda: states.isotropic_state(3, True), "^the mixing weight p must be"),
+    "isotropic_state p '0.5'": (lambda: states.isotropic_state(3, "0.5"), "^the mixing weight p must be"),
+    "isotropic_state p None": (lambda: states.isotropic_state(3, None), "^the mixing weight p must be"),
+    "moment_standard_error p_plus True": (lambda: sampling.moment_standard_error(1, True, 100), "^p_plus must be"),
+    "binary_entropy True": (lambda: measures.binary_entropy(True), "^the binary entropy argument must be"),
+    "ef_from_concurrence nan": (lambda: measures.ef_from_concurrence(math.nan), "^the concurrence must be"),
+    "spa_shrink d True": (lambda: spa.spa_shrink(True), "^d must be an integer"),
+    "inverse_affine d 2.5": (lambda: spa.inverse_affine(0.1, 2.5), "^d must be an integer"),
+    "affine_map d 0": (lambda: spa.affine_map(0.5, 0), "^d must be an integer"),
     "spectrum_from_channel_moments 2 sums for d 3": (
         lambda: protocols.spectrum_from_channel_moments([1.0, 0.5], 3), r"^expected d \* d = 9 power sums"),
     "spectrum_from_channel_moments 5 sums for d 2": (
@@ -94,3 +112,28 @@ def test_integer_check_states_the_rule_and_the_value(value):
 def test_integer_check_returns_python_ints(value):
     assert type(_whole(value, "group index", 1, 4)) is int and _whole(value, "group index", 1, 4) == 3
     assert _local_dims([value, value]) == (3, 3) and all(type(d) is int for d in _local_dims([value, value]))
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 1 + 0j, math.nan, -math.inf, 1.5, -1, 10**400,
+                                   Fraction(3, 2)])
+def test_real_check_states_the_rule_and_the_value(value):
+    expected = rf"^p_plus must be a real number in \[0, 1\], got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=expected):
+        _real(value, "p_plus", 0, 1)
+
+
+@pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, np.float64(-math.inf)])
+def test_unbounded_real_check_refuses_non_finite_and_non_real(value):
+    expected = rf"^the concurrence must be a finite real number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=expected):
+        _real(value, "the concurrence")
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.5, np.float64(0.25), np.float32(0.75), np.int64(1), Fraction(1, 3), 5e-324])
+def test_real_check_returns_its_argument_unchanged(value):
+    assert _real(value, "p_plus", 0, 1) is value
+    assert _real(value, "the concurrence") is value
+
+
+def test_real_check_compares_a_huge_int_without_converting_it():
+    assert _real(10**400, "power sum at index 0") == 10**400  # float(10**400) would overflow

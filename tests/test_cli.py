@@ -166,6 +166,20 @@ def test_exact_invalid_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--family", "bell", "--out", "{tmp}"],
+    ["protocol", "concurrence", "--family", "bell", "--out", "{tmp}/missing/r.json"],
+    ["compare", "--family", "bell", "--reps", "2", "--shots", "100", "--out", "{tmp}"],
+    ["exact", "--in", "{tmp}/missing.json"],
+], ids=["exact --out dir", "protocol --out missing dir", "compare --out dir", "exact --in missing file"])
+def test_a_file_the_command_cannot_use_is_one_error_line(tmp_path, capsys, argv):
+    # reading --in, writing a JSON record and writing a CSV sweep share main's refusal path
+    assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert str(tmp_path) in err
+
+
 def test_exact_missing_state_source(capsys):
     assert run_cli(["exact"]) == 1
     assert "either --family or --in" in capsys.readouterr().err

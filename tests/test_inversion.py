@@ -114,7 +114,7 @@ def test_empty_input_rejected():
 def test_non_finite_moments_rejected_with_index(bad, psums, index):
     psums = list(psums)
     psums[index] = bad
-    with pytest.raises(ValueError, match=f"index {index} is not finite"):
+    with pytest.raises(ValueError, match=f"^power sum at index {index} must be a finite real number, got {bad!r}$"):
         spectrum_from_power_sums(psums)
 
 

@@ -253,6 +253,15 @@ def test_ppt_verdict_werner():
     assert not measures.ppt_verdict(states.werner_state(0.0)).entangled
 
 
+def test_ppt_sign_rule_reads_nan_as_ppt():
+    # npt only strictly below -NPT_TOL; NaN shows no negative eigenvalue
+    rule = measures.verdict_from_min_pt_eigenvalue
+    assert rule(-measures.NPT_TOL).verdict == "ppt" and rule(-2 * measures.NPT_TOL).verdict == "npt"
+    assert rule(math.nan).verdict == "ppt" and math.isnan(rule(math.nan).min_pt_eigenvalue)
+    report = measures.NegativityReport((0.5, math.nan), math.nan, math.nan, math.nan)
+    assert report.verdict.verdict == "ppt"
+
+
 def test_ppt_verdict_reads_the_negativity_reports_spectrum():
     # the minimum is the last of the descending report's eigenvalues, bit for
     # bit the first of an ascending eigvalsh

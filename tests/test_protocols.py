@@ -1,10 +1,11 @@
 """Moment ladder, spectrum pipeline, two-stage scenario, resource ledgers."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmoment import measures, protocols, spa, states
@@ -305,6 +306,33 @@ def test_two_stage_werner_threshold_sweep():
             continue
         res = protocols.two_stage_protocol(states.werner_state(float(p)))
         assert res.entangled == (p > 1 / 3), f"p={p}"
+
+
+def _with_werner_grid(test):
+    """The werner states p = 0, 0.01, ..., 1 and 1/3, as the bell state under white noise w = 1 - p."""
+    for p in [k / 100 for k in range(101)] + [1 / 3]:
+        test = example(family="bell", seed=0, w=1.0 - p)(test)
+    return test
+
+
+# the example budget comes from the hypothesis profile (--hypothesis-profile=ci runs more)
+@settings(deadline=None, derandomize=True)
+@_with_werner_grid
+@given(family=st.sampled_from(["bell", "product-pure", "random-pure", "random-mixed"]),
+       seed=st.integers(0, 2**32 - 1), w=st.floats(0.0, 1.0, exclude_max=True))
+def test_two_stage_and_ppt_verdict_agree_property(family, seed, w):
+    # the channel-output route and the direct partial transpose read one sign rule
+    rho = states.make_state(family, rng=states.rng_stream(seed))
+    state = states.DensityMatrix((1.0 - w) * rho.matrix + w * np.eye(4) / 4, (2, 2))
+    assert protocols.two_stage_protocol(state).verdict == measures.ppt_verdict(state).verdict
+
+
+def test_two_stage_reads_a_nan_eigenvalue_as_ppt(monkeypatch):
+    # the sign rule is measures.verdict_from_min_pt_eigenvalue's: no entanglement is shown by NaN
+    monkeypatch.setattr(protocols, "inverse_affine", lambda eigenvalue, d: math.nan)
+    res = protocols.two_stage_protocol(states.bell_state())
+    assert res.verdict == "ppt" and math.isnan(res.min_pt_eigenvalue_estimate)
+    assert res.stage_two is None and res.message == protocols.SECOND_STAGE_ABANDONED
 
 
 def test_monotone_concurrence_on_werner_ladder():
