@@ -99,10 +99,10 @@ def cmd_exact(args) -> int:
 
 def _run_config(args):
     """The state, the checked --shots (recorded in both modes) and the config of a ladder or spectrum run."""
-    from .sampling import _shot_count
+    from .sampling import _MAX_SHOTS
 
     state = _load_state(args)
-    shots = _shot_count(args.shots)
+    shots = _whole(args.shots, "shots", 1, _MAX_SHOTS)
     return state, shots, {**_state_config(args, state), "mode": args.mode, "shots": shots}
 
 
@@ -215,7 +215,7 @@ def cmd_compare(args) -> int:
         counts = [int(s) for s in args.shots.split(",") if s]
     except ValueError as exc:
         raise ValueError(f"--shots must be a comma list of integers, got {args.shots!r}") from exc
-    shots_list = [sampling._shot_count(s) for s in counts]  # all checked before any run
+    shots_list = [_whole(s, "shots", 1, sampling._MAX_SHOTS) for s in counts]  # all checked before any run
     if not shots_list:
         raise ValueError("compare needs at least one shot count")
 

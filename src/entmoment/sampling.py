@@ -13,7 +13,7 @@ reproducible from (state, config, seed); independent estimates use
 independent seed streams, stream k being ``states.rng_stream(seed, k)``.
 A run builds all its streams from one mix of its seed.
 
-Every sampled entry point rejects shot counts that are not whole numbers in
+Every sampled entry point rejects shot counts that are not integers in
 [1, 2**63) before any draw; every binary run is drawn from the
 observable's exact +-1 mean, and only :func:`success_probability` forms p+.
 A ladder run reads its four means off one product chain; tomography takes
@@ -25,12 +25,11 @@ spectrum runs keep their draws as plain ShotRecords, in moment order.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from . import MODES, _real
+from . import MODES, _real, _whole
 from .inversion import _power_table
 from .measures import ConcurrenceBreakdown, _require_two_qubit, concurrence_breakdown
 from .protocols import (
@@ -43,6 +42,9 @@ from .protocols import (
 from .spa import _require_equal_dims, apply_spa_pt, group_channel_output, group_channel_outputs, moment_observable_spec
 from .states import DensityMatrix, _rng_streams
 
+#: largest shot count: numpy's binomial draws from an int64 count
+_MAX_SHOTS = 2**63 - 1
+
 
 class ShotRecord(NamedTuple):
     """Outcome counts of one binary estimation run."""
@@ -54,13 +56,6 @@ class ShotRecord(NamedTuple):
     @property
     def estimate(self) -> float:
         return self.successes / self.shots
-
-
-def _shot_count(shots) -> int:
-    real = type(shots) is int or isinstance(shots, numbers.Real) and not isinstance(shots, bool)
-    if not (real and 1 <= shots < 2**63 and shots == int(shots)):
-        raise ValueError(f"shots must be a whole number of at least 1 and below 2**63, got {shots!r}")
-    return int(shots)
 
 
 def _is_ideal(mode: str) -> bool:
@@ -107,14 +102,15 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
     """
     spec = moment_observable_spec(k)
     _real(p_plus, "p_plus", 0, 1)
-    return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / _shot_count(shots))
+    shots = _whole(shots, "shots", 1, _MAX_SHOTS)
+    return 2.0 * spec.amplification * math.sqrt(p_plus * (1.0 - p_plus) / shots)
 
 
 def sample_moment_povm(state: DensityMatrix, k: int, shots: int,
                        rng: np.random.Generator) -> tuple[ShotRecord, float]:
     """Draw one binomial run for group k: its record and the moment estimate p_k it yields."""
     output = group_channel_output(state, k)
-    record, shift_hat = _binary_run(output.shift_trace(), _shot_count(shots), rng)
+    record, shift_hat = _binary_run(output.shift_trace(), _whole(shots, "shots", 1, _MAX_SHOTS), rng)
     return record, moment_observable_spec(output.k).moment(shift_hat)
 
 
@@ -151,7 +147,7 @@ def run_concurrence_protocol(
         # (float64 storage of the k = 3, 4 means already costs ~1e-9)
         samples, moments = None, exact_moment_fractions(state)
     else:
-        shots = _shot_count(shots)
+        shots = _whole(shots, "shots", 1, _MAX_SHOTS)
         outputs = group_channel_outputs(state)
         samples, shift_hats = _draw([out.shift_trace() for out in outputs], [out.k for out in outputs], shots, seed)
         moments = [moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)]
@@ -185,7 +181,7 @@ def run_spectrum_protocol(
     _require_equal_dims(state, "the negativity protocol")
     if _is_ideal(mode):
         return SpectrumRun(samples=None, estimate=spectrum_protocol(state))
-    shots = _shot_count(shots)
+    shots = _whole(shots, "shots", 1, _MAX_SHOTS)
     sigma = apply_spa_pt(state)
     # every channel power sum Tr(sigma^n) from one table, row n = lam**n
     traces = _power_table(np.linalg.eigvalsh(sigma.matrix), sigma.dim).sum(axis=1).tolist()
@@ -237,7 +233,7 @@ def run_tomography_baseline(
     """
     rho = _require_two_qubit(state, "the tomography baseline")
     values = (rho @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
-    shots = 0 if _is_ideal(mode) else _shot_count(shots)
+    shots = 0 if _is_ideal(mode) else _whole(shots, "shots", 1, _MAX_SHOTS)
     if shots:
         values = _draw(values, range(len(values)), shots, seed)[1]
     # I + v_1 P_1 + ... + v_15 P_15, summed left to right along axis 0

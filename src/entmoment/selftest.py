@@ -69,10 +69,10 @@ def _states_checks(seed: int) -> list[dict]:
         worst = max(worst, float(np.max(np.abs(w - expect))))
     out.append(_check("werner closed-form spectrum", worst <= 1e-12, worst))
 
-    worst_purity = 1.0
+    worst_purity = 0.0
     for _ in range(20):  # construction has checked each state's invariants
         st = states.random_mixed_state((2, 2), rng)
-        worst_purity = min(worst_purity, float(np.trace(st.matrix @ st.matrix).real))
+        worst_purity = max(worst_purity, float(np.trace(st.matrix @ st.matrix).real))
     out.append(_check("random-mixed invariants", worst_purity < 1.0 - 1e-12, worst_purity))
 
     st = states.random_mixed_state((2, 2), rng)

@@ -3,8 +3,8 @@
 Mixing enough white noise into a positive-but-not-completely-positive map
 yields a legitimate quantum channel.  For the partial transpose on a
 d (x) d system the critical mixing weight has the closed form 1/(d^3 + 1),
-which the Choi-positivity bisection here reproduces and which doubles as
-the normative definition whenever no closed form is known (d != d').
+the only weight the channel uses; the Choi-positivity bisection here is
+the reference that the closed form is checked against.
 
 The channel output spectrum is an affine image of the partial-transpose
 spectrum, so measuring the output spectrum measures the PT spectrum.
@@ -53,11 +53,11 @@ def _require_equal_dims(state: DensityMatrix, operation: str) -> int:
 
 
 def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
-    """Approximate partial transpose as a channel on a d (x) d state.
+    """Approximate partial transpose as a channel on a d (x) d state; unequal dims are refused.
 
     Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B, whose spectrum is the affine
     image of the PT spectrum: valid by construction, so not re-checked.  The
-    weight for unequal local dimensions is :func:`spa_threshold_by_choi`'s.
+    closed-form weight is checked against the reference :func:`spa_threshold_by_choi`.
     """
     dim = state.dim
     s = spa_shrink(_require_equal_dims(state, "the closed-form SPA"))

@@ -43,27 +43,10 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_seed_sequence(seed, stream)))
 
 
-def _seed_ints(seed) -> list[int]:
-    """The integers of a seed, flattened; ValueError unless seed is a non-negative int or a list of them.
-
-    The words are checked as given, before numpy coerces them: a bool,
-    numpy's too, is refused, and a list like [0, 2**63] keeps its ints."""
-    words = [seed] if type(seed) is int else np.ravel(np.array(seed, dtype=object)).tolist()
-    if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 0 for w in words):
-        raise ValueError(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
-    return [int(w) for w in words]
-
-
 def _seed_sequence(seed, *streams) -> np.random.SeedSequence:
     """``SeedSequence(seed, spawn_key=streams)``; ValueError on a bad seed or stream id (see ``_MAX_STREAM``)."""
-    _seed_ints(seed)
+    seed = _whole(seed, "seed", 0)
     return np.random.SeedSequence(seed, spawn_key=[_whole(k, "stream ids", 0, _MAX_STREAM) for k in streams])
-
-
-def _entropy_words(seed) -> int:
-    """How many 32-bit words ``SeedSequence`` hashes for a valid seed: each
-    integer is split into its little-endian words, at least one."""
-    return sum(max(1, -(-w.bit_length() // 32)) for w in _seed_ints(seed))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words
@@ -115,14 +98,15 @@ def _rng_streams(seed, streams) -> list[np.random.Generator]:
     ``SeedSequence(seed)`` leaves the pool that every ``SeedSequence(seed,
     spawn_key=(k,))`` holds before its key word is mixed in (numpy hashes
     its zero padding as it hashes empty pool slots), its hash constant
-    advanced ``4 * max(4, entropy words)`` times.  The key word and
+    advanced ``4 * max(4, w)`` times, w the seed's 32-bit word count (its
+    bit length over 32, rounded up).  The key word and
     ``generate_state(4, uint64)`` are then redone for all streams at once,
     on uint32 words only.  The generators cannot ``spawn()``.  The stream
     ids and seeds ``rng_stream`` rejects raise ValueError.
     """
     keys = [_whole(k, "stream ids", 0, _MAX_STREAM) for k in streams]
     run = _seed_sequence(seed)
-    hash_const = _key_hash_constants(4 * max(4, _entropy_words(seed)))
+    hash_const = _key_hash_constants(4 * max(4, -(-run.entropy.bit_length() // 32)))
     # the key word, hashed once per pool word, mixed into that word
     key = (np.array(keys, dtype=np.uint32)[:, None] ^ hash_const[:4]) * hash_const[1:]
     key ^= key >> _XSHIFT

@@ -2,14 +2,15 @@
 with a ValueError that names it, instead of truncating it, reading a bool as
 a number, or leaking a raw TypeError.
 
-Integer arguments (local dims, group indices, stream ids, trace orders, the
-SPA maps' d) go through the package root's one integer check; real ones (the
-mixing weight, p+, the binary entropy and E_f arguments, power sums) through
-its one real-number check; the two-qubit requirement
-through ``measures._require_two_qubit``; the equal-local-dims requirement
+Integer arguments (local dims, group indices, seeds, shot counts, stream
+ids, trace orders, the SPA maps' d) go through the package root's one
+integer check; real ones (the mixing weight, p+, the binary entropy and E_f
+arguments, power sums) through its one real-number check; the two-qubit
+requirement through ``measures._require_two_qubit``; the equal-local-dims requirement
 through ``spa._require_equal_dims``; the run mode through the one check the
-three ``run_*`` entry points share.  Stream ids of -1 and 2**32 are in
-``tests/test_states.py``, for both stream routes.
+three ``run_*`` entry points share.  Stream ids of -1 and 2**32, and
+malformed seeds, are in ``tests/test_states.py``, for both stream routes;
+malformed shot counts in ``tests/test_sampling.py``.
 """
 
 import math

@@ -428,7 +428,7 @@ def test_protocol_ideal_checks_shots(tmp_path, capsys):
     assert run_cli(["protocol", "concurrence", "--family", "bell", "--mode", "ideal",
                     "--shots", "-3", "--out", str(out)]) == 1
     assert run_cli(["protocol", "negativity", "--family", "bell", "--mode", "ideal", "--shots", "0"]) == 1
-    assert capsys.readouterr().err.count("whole number of at least 1") == 2
+    assert capsys.readouterr().err.count("error: shots must be 1..9223372036854775807, got ") == 2
     assert not out.exists()
     # the parser reads one integer; compare's comma list is compare's own
     assert run_cli(["protocol", "concurrence", "--family", "bell", "--shots", "100,200", "--out", str(out)]) == 1
@@ -439,7 +439,7 @@ def test_protocol_ideal_checks_shots(tmp_path, capsys):
 def test_protocol_sampled_rejects_shots_beyond_int64(capsys):
     assert run_cli(["protocol", "concurrence", "--family", "bell", "--mode", "sampled",
                     "--shots", str(2**63)]) == 1
-    assert "error: shots must be a whole number of at least 1 and below 2**63" in capsys.readouterr().err
+    assert f"error: shots must be 1..9223372036854775807, got {2**63}" in capsys.readouterr().err
 
 
 def test_compare_checks_every_shot_count_before_running(capsys, tmp_path, monkeypatch):
@@ -452,7 +452,7 @@ def test_compare_checks_every_shot_count_before_running(capsys, tmp_path, monkey
     assert runs == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: shots must be a whole number of at least 1 and below 2**63" in captured.err
+    assert f"error: shots must be 1..9223372036854775807, got {2**63}" in captured.err
     assert not out.exists()
 
 

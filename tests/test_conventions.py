@@ -10,6 +10,8 @@
   the state type, read a ``.matrix`` or apply a map or eigensolver that
   needs the state.  ``two_stage_protocol`` still diagonalizes the SPA
   output and is not an estimator here.
+- Only the package root imports ``numbers``: it owns the integer and
+  real-number rules, so a second numeric-type rule cannot come back unseen.
 """
 
 import ast
@@ -46,6 +48,17 @@ def test_no_underscore_prefixed_numpy_name_under_src():
                 hits = [node.attr] if isinstance(root, ast.Name) and root.id in aliases else []
             bad += [f"{path.relative_to(ROOT)}:{node.lineno}: {h}" for h in hits]
     assert not bad, "\n".join(bad)
+
+
+def test_only_the_package_root_imports_numbers():
+    importers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m.split(".")[0] == "numbers" for m in modules):
+                importers.append(str(path.relative_to(ROOT)))
+    assert importers == ["src/entmoment/__init__.py"], importers
 
 
 def test_every_public_name_under_src_has_a_caller():

@@ -8,6 +8,8 @@ inversion stops doing that, these cases pass, ``strict=True`` turns that
 into a failure, and the marker has to go.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def test_ideal_d4_noisy_pure_channel_values_match_eigvalsh(seed):
     est = protocols.spectrum_protocol(state)
     ref = np.linalg.eigvalsh(spa.apply_spa_pt(state).matrix)
     assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= IDEAL_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="D = 4 exact inversion merges two values 4.2e-7 apart without a flag")
+def test_exact_d4_power_sums_keep_two_close_values_apart():
+    # a selftest round-trip draw (seed 1192, stream 105) given exact moments:
+    # the last two values come back as one double root 2.1e-7 off, the
+    # 3-cluster fit accepted at 0.58 of its floor
+    lam = [0.8429785299004348, 0.4304781118839115, 0.17928602483302436, 0.1792856064242725]
+    exact = [Fraction(x) for x in lam]
+    rec = spectrum_from_power_sums([sum(x**m for x in exact) for m in range(1, 5)])
+    assert np.max(np.abs(np.sort(rec.values) - np.sort(lam))) <= IDEAL_TOL
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="d = 5 ideal inversion is 6.6e-8 off without a flag")

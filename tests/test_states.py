@@ -72,9 +72,8 @@ def test_determinism_same_seed_same_matrix():
 
 
 # Oracle: the streams of one run, mixed from the seed once, against numpy's
-# own SeedSequence(seed, spawn_key=(k,)) construction in rng_stream.  The
-# example budget comes from the hypothesis profile (--hypothesis-profile=ci
-# runs more).
+# own SeedSequence(seed, spawn_key=(k,)) construction.  The example budget
+# comes from the hypothesis profile (--hypothesis-profile=ci runs more).
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**128 - 1, 2**128, 2**128 + 1, 2**200]
 seeds = st.one_of(
@@ -82,7 +81,6 @@ seeds = st.one_of(
     st.integers(0, 2**200),
     st.integers(0, 2**63 - 1).map(np.int64),
     st.integers(0, 2**64 - 1).map(np.uint64),
-    st.lists(st.integers(0, 2**70), min_size=1, max_size=6),
 )
 one_word = st.integers(0, 2**32 - 1)
 stream_ids = st.lists(st.one_of(st.integers(0, 40), one_word, one_word.map(np.int64), one_word.map(np.uint32)),
@@ -92,38 +90,32 @@ stream_ids = st.lists(st.one_of(st.integers(0, 40), one_word, one_word.map(np.in
 @pytest.mark.filterwarnings("error")
 @settings(deadline=None)
 @given(seeds, stream_ids)
-@example([0, 2**63], [0])  # numpy infers float64 for this list
-@example([np.int64(3)], [0])  # numpy words, an array and a nested list: their ints, unlike a bool
-@example(np.array([0, 5, 2**64 - 1], dtype=np.uint64), [1])
-@example([[1, 2**40], [0, 2**100]], [2])
+@example(2**32, [0])  # the word-count edges: 2, 5 and 7 words
+@example(2**128, [3])
+@example(2**200, [2**32 - 1])
+@example(np.uint64(2**64 - 1), [1])  # numpy seeds, read as the ints they hold
 @example(7, [np.int64(3), np.uint32(2**32 - 1), np.uint64(5)])  # numpy ids, read as the ints they hold
 def test_rng_streams_match_rng_stream(seed, streams):
     rngs = states._rng_streams(seed, streams)
     assert len(rngs) == len(streams)
     for k, rng in zip(streams, rngs):
         expected = states.rng_stream(seed, k)
-        assert rng.bit_generator.state == expected.bit_generator.state
+        numpys = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
+        assert rng.bit_generator.state == expected.bit_generator.state == numpys.bit_generator.state
         assert rng.random(2).tobytes() == expected.random(2).tobytes()
         assert rng.binomial(10**6, 0.3) == expected.binomial(10**6, 0.3)
 
 
+# lists, nested lists and arrays, which numpy would hash as seeds, follow the one integer rule too
 @pytest.mark.parametrize("seed", [None, -1, -(2**40), 0.5, 1.5, 3.0, np.float64(2.0), [3, -1], [2.0], "7",
-                                  True, [True, 2], np.bool_(True)])
+                                  True, [True, 2], np.bool_(True), [], [3], [0, 2**63], [[1, 2**40], [0, 2**100]],
+                                  np.array([0, 5, 2**64 - 1], dtype=np.uint64)])
 def test_rng_streams_reject_the_seeds_rng_stream_rejects(seed):
-    with pytest.raises(ValueError, match="seed must be a non-negative integer") as expected:
+    with pytest.raises(ValueError, match="^seed must be an integer of at least 0, got ") as expected:
         states.rng_stream(seed, 1)
     with pytest.raises(ValueError) as got:
         states._rng_streams(seed, [1])
     assert str(got.value) == str(expected.value)
-
-
-@pytest.mark.parametrize("seed", [0, 2**32, 2**130 + 5, [], [0, 2**63], np.array([0, 5, 2**64 - 1], dtype=np.uint64),
-                                  [[1, 2**40], [0, 2**100]], np.int64(7), np.uint32(2**32 - 1)])
-def test_entropy_words_match_numpys_word_split(seed):
-    # numpy's private coercion, as SeedSequence uses it, is the oracle only here
-    from numpy.random.bit_generator import _coerce_to_uint32_array
-
-    assert states._entropy_words(seed) == len(_coerce_to_uint32_array(seed))
 
 
 @pytest.mark.parametrize("stream", [-1, 2**32, np.int64(-1), np.uint64(2**32)])
