@@ -335,6 +335,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse help/usage exits
         return int(exc.code or 0)
     try:
+        if args.out is not None and (args.out.is_dir() or not args.out.parent.is_dir()):
+            raise ValueError(f"--out {args.out} is not a file in an existing directory")
         return args.fn(args)
     except (ValueError, OSError) as exc:  # a refused argument, or a file --in or --out cannot use
         print(f"error: {exc}", file=sys.stderr)

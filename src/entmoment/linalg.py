@@ -9,12 +9,14 @@ that lets multi-copy expectation values collapse to products of the small
 single-copy matrices (``spa.ladder_power_sums`` forms them), so nothing of
 dimension ``local_dim**n`` is built outside tests and the selftest.
 
-The exact power traces of ideal mode scale the exactly symmetrized matrix to
-integers and work on their residues modulo word-size primes: the powers are
-batched float64 products over all primes at once, exact because the prime
-width, chosen from the dimension, keeps every partial sum below 2**53.  The
-traces come back by CRT in the symmetric range, and one spare prime checks
-each of them, so a wrong ``Fraction`` raises instead of being returned.
+The exact power traces of ideal mode scale each factor's real part and its
+imaginary part, diagonal set to 0, to integers and take their residues
+modulo word-size primes, where R + R^T and I - I^T form the real embedding
+[[R, -I], [I, R]] of the exactly symmetrized matrix.  The powers are batched
+float64 products over all primes at once, exact because the prime width,
+chosen from the dimension, keeps every partial sum below 2**53.  The traces
+come back by CRT in the symmetric range, and one spare prime checks each of
+them, so a wrong ``Fraction`` raises instead of being returned.
 """
 
 from __future__ import annotations
@@ -191,18 +193,17 @@ class _Residues:
     """What the residue route needs on dim x dim matrices, built on demand.
 
     The primes, odd and just below 2**width, largest first, come with their
-    columns, 2**s mod p for every shift s asked for so far, the CRT weights
-    of each prefix, and the gather that lays out real embeddings.  All of it
-    is a function of dim, so one instance per dim serves every call.
+    columns, 2**s mod p for every shift s asked for so far, and the CRT
+    weights of each prefix.  All of it is a function of dim, so one instance
+    per dim serves every call.
     """
 
     def __init__(self, dim: int):
-        self.dim, self.width = dim, _prime_width(dim)
+        self.width = _prime_width(dim)
         self.primes: list[int] = []
         self.product, self.bits = 1, [1]  # bits[k]: bit length of the product of the first k primes
         self.pow2 = np.zeros((0, 0))
         self.crts: dict[int, tuple[int, list[int], int]] = {}
-        self.gathers: dict[int, np.ndarray] = {}
 
     def _grow(self) -> None:
         n = self.primes[-1] - 2 if self.primes else 2**self.width - 1
@@ -251,23 +252,6 @@ class _Residues:
             self.crts[k] = crt
         return crt
 
-    def gather(self, factors: int) -> np.ndarray:
-        """(factors, 2D, 2D) indices into [v, -v, 0], v the factors' entries
-        as (re, im) pairs, that lay out each factor's real embedding
-        [[R, -I], [I, R]] with its imaginary diagonal taken from the 0."""
-        if factors not in self.gathers:
-            size = 2 * self.dim * self.dim  # floats per factor in v
-            zero = 2 * factors * size
-            re = np.arange(0, size, 2).reshape(self.dim, self.dim)
-            blocks = []
-            for base in range(0, factors * size, size):
-                im = re + base + 1
-                np.fill_diagonal(im, zero)
-                neg_im = np.where(im == zero, zero, im + factors * size)
-                blocks.append(np.block([[re + base, neg_im], [im, re + base]]))
-            self.gathers[factors] = np.array(blocks)
-        return self.gathers[factors]
-
 
 @functools.cache
 def _residues(dim: int) -> _Residues:
@@ -276,41 +260,40 @@ def _residues(dim: int) -> _Residues:
 
 class _Scaled(NamedTuple):
     """Factors m_f as integer matrices M_f = 2 * sym(m_f) * 2**-(e_f + 1),
-    laid out as real embeddings.
+    given by their parts.
 
-    Before symmetrizing, each entry of an embedding is mant * 2**shift.
+    Before symmetrizing, each entry of the real part (part 0) and of the
+    imaginary part with its diagonal set to 0 (part 1) is mant * 2**shift.
     """
 
-    mant: np.ndarray  # (factors, 2D, 2D) int64, below 2**53 in magnitude
-    shift: np.ndarray  # (factors, 2D, 2D) nonnegative ints, below ``shifts``
+    mant: np.ndarray  # (factors, 2, D, D) int64, below 2**53 in magnitude
+    shift: np.ndarray  # (factors, 2, D, D) nonnegative ints, below ``shifts``
     shifts: int
     e: list[int]
     log2_norm: list[float]  # ||M_f||_F < 2**log2_norm[f]
 
 
-#: the 0 that a real embedding takes its dropped imaginary diagonal from
-_ZERO = np.zeros(1)
-
-#: signs that turn the transposed blocks [R^T, -I^T] into [R^T, I^T], so that
-#: Re Tr(XY) = sum(R_X * R_Y^T) - sum(I_X * I_Y^T) is one dot with [R_X, -I_X]
-_BLOCK_SIGN = np.array([1.0, -1.0])[:, None]
+#: [1, -1] over a part axis: r + sign * r^T is R + R^T and I - I^T, and the
+#: transposed blocks [R^T, -I^T] become [R^T, I^T], so that Re Tr(XY) =
+#: sum(R_X * R_Y^T) - sum(I_X * I_Y^T) is one dot with [R_X, -I_X]
+_SIGN = np.array([1.0, -1.0])[:, None, None]
 
 
-def _decompose(mats, gather: np.ndarray) -> _Scaled:
+def _decompose(mats) -> _Scaled:
     """Integer parts of the exactly symmetrized factors, from one frexp.
 
-    The imaginary diagonal is dropped first: symmetrizing cancels it, so its
+    The imaginary diagonal is set to 0 first: symmetrizing cancels it, so its
     roundoff changes neither e nor the norm bound.  With |x| < 2**E for the
     at most 2D**2 - D nonzero entries, ||M||_F < 2 * sqrt(2D**2 - D) *
     2**(max E - min E + 53): the bound comes from the exponents, so no float
     norm can overflow.
     """
     factors, dim = len(mats), mats[0].shape[0]
-    v = [m.ravel().view(float) for m in mats]
-    x = np.concatenate(v + [-part for part in v] + [_ZERO])[gather]
+    x = np.array([(m.real, m.imag) for m in mats])
+    x[:, 1].reshape(factors, -1)[:, :: dim + 1] = 0.0  # the imaginary diagonals, through a view
     frac, expo = np.frexp(x)
     low = expo.reshape(factors, -1).min(axis=1)  # zeros enter with exponent 0: they can only lower it
-    shift = expo - low[:, None, None]
+    shift = expo - low[:, None, None, None]
     low, top = low.tolist(), [math.frexp(t)[1] for t in np.abs(x).reshape(factors, -1).max(axis=1).tolist()]
     half_log2_count = math.log2(2 * dim * dim - dim) / 2
     shifts = max(max(t, 0) - lo for t, lo in zip(top, low)) + 1  # a zero's exponent is 0
@@ -340,15 +323,19 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
         return []
     factors, dim = len(mats), mats[0].shape[0]
     res = _residues(dim)
-    scaled = _decompose(mats, res.gather(factors))
+    scaled = _decompose(mats)
     log2_norm, half_log2_dim = sum(scaled.log2_norm), math.log2(dim) / 2
     # 2 |Tr| < 2**bits; the 1e-9 keeps float rounding from lowering the bound
     bits = [math.ceil(n * log2_norm + half_log2_dim + 1e-9) + 1 for n in range(1, n_max + 1)]
     counts = [res.count(b) for b in bits]
     k = counts[-1] + 1
     p_int, p, p_inv, pow2 = res.columns(k, scaled.shifts)
-    r = np.fmod(scaled.mant, p_int[..., None]) * pow2[:, scaled.shift]  # (k, f, 2D, 2D)
-    embedded = _reduce(r + r.swapaxes(-1, -2), p[..., None], p_inv[..., None])  # M = A + A^H
+    r = np.fmod(scaled.mant, p_int[..., None, None]) * pow2[:, scaled.shift]  # (k, f, 2, D, D)
+    sym = _reduce(r + _SIGN * r.swapaxes(-1, -2), p[..., None, None], p_inv[..., None, None])
+    embedded = np.empty((k, factors, 2 * dim, 2 * dim))  # M = A + A^H as [[R, -I], [I, R]]
+    embedded[..., :dim, :dim] = embedded[..., dim:, dim:] = sym[:, :, 0]
+    embedded[..., dim:, :dim] = sym[:, :, 1]
+    np.negative(sym[:, :, 1], out=embedded[..., :dim, dim:])
     step = embedded[:, 0] if factors == 1 else _reduce(embedded[:, 0] @ embedded[:, 1], p, p_inv)
     x = step[:, :dim]  # X as the first D rows of its embedding, [R, -I]
     half, traces = (n_max + 1) // 2, []
@@ -361,7 +348,7 @@ def _exact_traces(mats, n_max: int) -> list[Fraction]:
         if factors == 2 and (j < half or 2 * j <= n_max):
             # [R^T, I^T] of X^j; a power of a Hermitian X needs no transpose,
             # as [R, -I] = [R^T, I^T] there
-            z = np.multiply(x.reshape(k, dim, 2, dim).swapaxes(1, 3), _BLOCK_SIGN, order="C").reshape(k, -1)
+            z = np.multiply(x.reshape(k, dim, 2, dim).swapaxes(1, 3), _SIGN[..., 0], order="C").reshape(k, -1)
         if j > 1:
             traces.append(_row_dots(w, z_prev))
         if 2 * j <= n_max:

@@ -173,11 +173,13 @@ def test_exact_invalid_file_exits_one(tmp_path, capsys):
     ["exact", "--in", "{tmp}/missing.json"],
 ], ids=["exact --out dir", "protocol --out missing dir", "compare --out dir", "exact --in missing file"])
 def test_a_file_the_command_cannot_use_is_one_error_line(tmp_path, capsys, argv):
-    # reading --in, writing a JSON record and writing a CSV sweep share main's refusal path
+    # reading --in, writing a JSON record and writing a CSV sweep share main's refusal path;
+    # an --out that cannot be written to is refused before the command computes or prints
     assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
-    assert str(tmp_path) in err
+    assert str(tmp_path) in err and out == ""
+    assert ("--out" in argv) == ("--out" in err)
 
 
 def test_exact_missing_state_source(capsys):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entmoment import protocols, spa, states
+from entmoment import inversion, protocols, spa, states
 from entmoment.cli import main
 from entmoment.inversion import spectrum_from_power_sums
 
@@ -74,3 +74,26 @@ def test_float_triple_near_a_single_value_round_trips():
     lam = np.array([0.9045172488384773] + [0.9044483104297252] * 3)
     rec = spectrum_from_power_sums([float(np.sum(lam**m)) for m in range(1, 5)])
     assert rec.flags or np.max(np.abs(rec.values - lam)) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: ideal outputs still depend on the last bits of the float companion roots")
+def test_ideal_outputs_ignore_companion_root_last_bits(monkeypatch):
+    # an exact route to the ideal outputs leaves no float root bit in them: a
+    # jitter of 4 ulp, alternating in sign, on the real part of every root
+    # changes no output bit
+    spectra = [states.make_state("random-mixed", dims=(d, d), rng=states.rng_stream(0, 0)) for d in (2, 3)]
+    ladder = states.make_state("random-mixed", dims=(2, 2), rng=states.rng_stream(0, 0))
+
+    def outputs():
+        return ([protocols.spectrum_protocol(state) for state in spectra],
+                protocols.concurrence_from_moments(protocols.exact_moment_fractions(ladder)))
+
+    expected, companion_roots = outputs(), inversion._companion_roots
+    for sign in (1.0, -1.0):
+        def jittered(coeffs, sign=sign):
+            roots = companion_roots(coeffs)
+            return roots + sign * (-1.0) ** np.arange(len(roots)) * 4 * np.abs(np.spacing(roots.real))
+
+        monkeypatch.setattr(inversion, "_companion_roots", jittered)
+        assert outputs() == expected

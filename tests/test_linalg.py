@@ -504,15 +504,13 @@ def test_exact_power_traces_symmetrize_near_hermitian_input():
 
 
 def decomposition(*mats):
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    return linalg._decompose(mats, linalg._residues(len(mats[0])).gather(len(mats)))
+    return linalg._decompose([np.asarray(m, dtype=complex) for m in mats])
 
 
-def embedding(m):
-    """[[R, -I], [I, R]] of m with its imaginary diagonal dropped."""
+def parts(m):
+    """(R, I) of m with its imaginary diagonal set to 0."""
     m = np.asarray(m, dtype=complex)
-    im = m.imag - np.diag(np.diag(m.imag))
-    return np.block([[m.real, -im], [im, m.real]])
+    return np.array([m.real, m.imag - np.diag(np.diag(m.imag))])
 
 
 def prime_counts(monkeypatch):
@@ -531,19 +529,21 @@ def test_decomposition_ignores_diagonal_imaginary_roundoff(monkeypatch):
     rng = rng_stream(15, 0)
     sigma = spa.apply_spa_pt(make_state("random-pure", (3, 3), rng=rng)).matrix
     counts = prime_counts(monkeypatch)
-    for clean in (random_hermitian(4, rng), random_hermitian(4, rng).real, sigma):
-        clean = clean - 1j * np.diag(np.diag(clean).imag)
-        noisy = clean + 1e-20j * np.diag(rng.standard_normal(len(clean)))
-        a, b = decomposition(clean), decomposition(noisy)
-        assert (a.e, a.log2_norm, a.shifts) == (b.e, b.log2_norm, b.shifts)
-        np.testing.assert_array_equal(a.mant, b.mant)
-        np.testing.assert_array_equal(a.shift, b.shift)
-        assert linalg.exact_power_traces(noisy, 5) == linalg.exact_power_traces(clean, 5)
-        assert counts[-2] == counts[-1]
+    for first in (random_hermitian(4, rng), random_hermitian(4, rng).real, sigma):
+        # one factor, and two as the product route takes them
+        for clean in ([first], [first, random_hermitian(len(first), rng)]):
+            clean = [m - 1j * np.diag(np.diag(m).imag) for m in clean]
+            noisy = [m + 1e-20j * np.diag(rng.standard_normal(len(m))) for m in clean]
+            a, b = decomposition(*clean), decomposition(*noisy)
+            assert (a.e, a.log2_norm, a.shifts) == (b.e, b.log2_norm, b.shifts)
+            np.testing.assert_array_equal(a.mant, b.mant)
+            np.testing.assert_array_equal(a.shift, b.shift)
+            traces = linalg.exact_power_traces if len(clean) == 1 else linalg.exact_product_power_traces
+            assert traces(*noisy, 5) == traces(*clean, 5)
+            assert counts[-2] == counts[-1]
     # a real matrix with imaginary roundoff on its diagonal only decomposes as a real one
-    dim = len(sigma)
-    real = decomposition(sigma.real + 1e-20j * np.eye(dim))
-    assert not real.mant[:, dim:, :dim].any() and not real.mant[:, :dim, dim:].any()
+    real = decomposition(sigma.real + 1e-20j * np.eye(len(sigma)))
+    assert not real.mant[:, 1].any()
 
 
 def test_decomposition_is_exact_from_the_smallest_exponent():
@@ -553,7 +553,7 @@ def test_decomposition_is_exact_from_the_smallest_exponent():
     for m in mats:
         s = decomposition(m)
         assert np.abs(s.mant).max() < 2**53 and s.shift.min() == 0 and s.shift.max() < s.shifts
-        np.testing.assert_array_equal(np.ldexp(s.mant[0].astype(float), s.shift[0] + s.e[0] + 1), embedding(m))
+        np.testing.assert_array_equal(np.ldexp(s.mant[0].astype(float), s.shift[0] + s.e[0] + 1), parts(m))
         assert_traces_match_reference(m, 4)  # 2**40 * bell: a positive exponent
 
 
@@ -577,7 +577,7 @@ def test_exact_traces_property_random_small_hermitian(data):
         h = (m + m.conj().T) / 2
         pairs.append((h.real + roundoff, h + roundoff))
         real = decomposition(h.real + roundoff)
-        assert not real.mant[:, dim:, :dim].any()
+        assert not real.mant[:, 1].any()
     for a in pairs[0]:
         assert_traces_match_reference(a, n_max)
         for b in pairs[1]:
