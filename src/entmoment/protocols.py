@@ -8,7 +8,7 @@ Three pipelines, all reconstruction-free:
 - the spectrum pipeline: the SPA channel output's power sums determine the
   partial-transpose spectrum through the inverse affine map, hence the
   negativity measures, for any d (x) d input;
-- the two-stage scenario: a cheap sign test on the SPA output spectrum
+- the two-stage scenario: a sign test on the SPA output spectrum
   gates the quantitative gamma-matrix stage.
 
 The resource ledgers live in :mod:`entmoment.ledger` and are re-exported here.
@@ -16,12 +16,12 @@ The resource ledgers live in :mod:`entmoment.ledger` and are re-exported here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _whole
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .ledger import QUOTED_TOMOGRAPHY_R, ResourceLedger, resource_ledger  # noqa: F401  (re-exported)
 from .linalg import exact_power_traces, exact_product_power_traces
@@ -116,19 +116,19 @@ def spectrum_power_sums(state: DensityMatrix) -> list[Fraction]:
     return exact_power_traces(sigma.matrix, sigma.dim)
 
 
-def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
-    """Invert channel-output power sums into a PT spectrum estimate.
+def spectrum_from_channel_moments(psums) -> SpectrumEstimate:
+    """Invert the d * d channel-output power sums (d read off their count) into a PT spectrum estimate.
 
     The first power sum is the trace, known rather than measured, and the
     caller passes it: 1.0 with measured moments, the exact trace of the
     stored matrix with exact ones (that trace differs from 1 by
     representation rounding, and pinning it would inject an inconsistency
-    the exact inversion is sharp enough to resolve).  ValueError unless d
-    is an integer of at least 1 and exactly d * d power sums are given.
+    the exact inversion is sharp enough to resolve).  ValueError unless the
+    count is a positive square.
     """
-    d = _whole(d, "d", 1)
-    if len(psums) != d * d:
-        raise ValueError(f"expected d * d = {d * d} power sums for d = {d}, got {len(psums)}")
+    d = math.isqrt(len(psums))
+    if d == 0 or d * d != len(psums):
+        raise ValueError(f"expected d * d power sums for some d >= 1, got {len(psums)}")
     rec = _clamped_inversion(psums)
     return SpectrumEstimate(
         report=report_from_pt_eigenvalues(inverse_affine(rec.values, d)),
@@ -140,7 +140,7 @@ def spectrum_from_channel_moments(psums, d: int) -> SpectrumEstimate:
 def spectrum_protocol(state: DensityMatrix) -> SpectrumEstimate:
     """Negativity measures of a d (x) d state from channel moments alone;
     :func:`apply_spa_pt` rejects unequal local dimensions."""
-    return spectrum_from_channel_moments(spectrum_power_sums(state), state.dims[0])
+    return spectrum_from_channel_moments(spectrum_power_sums(state))
 
 
 class TwoStageResult(NamedTuple):
@@ -160,10 +160,10 @@ class TwoStageResult(NamedTuple):
 def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     """PPT sign test on the channel output, then the gamma stage if needed.
 
-    Stage one only asks whether the smallest channel-output eigenvalue sits
-    below the fixed threshold d/(d^3+1), i.e. whether the PT spectrum dips
-    negative; a yes-no answer needing far less precision than estimation.
-    On a PPT verdict the quantitative stage is skipped entirely.
+    Stage one is a sign test: is the smallest channel-output eigenvalue below
+    the fixed threshold d/(d^3+1), i.e. does the PT spectrum dip negative?
+    Its shot cost, compared with estimation, is not measured here.  On a PPT
+    verdict the quantitative stage is skipped entirely.
     """
     _require_two_qubit(state, "the two-stage scenario")
     sigma = apply_spa_pt(state)

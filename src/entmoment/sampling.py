@@ -11,7 +11,8 @@ parameter is computed through the implicit channel representation and the
 outcome counts are drawn from the corresponding binomial.  Everything is
 reproducible from (state, config, seed); independent estimates use
 independent seed streams, stream k being ``states.rng_stream(seed, k)``.
-A run builds all its streams from one mix of its seed.
+A run builds all its streams from one mix of its seed and draws quantity i
+on stream ``first + i``, first >= 1: stream 0 builds the CLI's random states.
 
 Every sampled entry point rejects shot counts that are not integers in
 [1, 2**63) before any draw; every binary run is drawn from the
@@ -79,11 +80,11 @@ def _binary_run(mean: float, shots: int, rng: np.random.Generator) -> tuple[Shot
     return record, 2.0 * record.estimate - 1.0
 
 
-def _draw(means, streams, shots: int, seed) -> tuple[tuple[ShotRecord, ...], list[float]]:
-    """One binary run of ``shots`` (already checked) outcomes per exact +-1
-    mean, mean i on stream ``streams[i]`` of ``seed``: the records and the
-    sampled means, in the order given."""
-    runs = [_binary_run(mean, shots, rng) for mean, rng in zip(means, _rng_streams(seed, streams))]
+def _draw(means, first: int, shots: int, seed) -> tuple[tuple[ShotRecord, ...], list[float]]:
+    """One binary run of ``shots`` (already checked) outcomes per exact +-1 mean, mean i
+    on stream ``first + i`` of ``seed``: the records and the sampled means, in the order given."""
+    rngs = _rng_streams(seed, range(first, first + len(means)))
+    runs = [_binary_run(mean, shots, rng) for mean, rng in zip(means, rngs)]
     return tuple(record for record, _ in runs), [sampled for _, sampled in runs]
 
 
@@ -149,7 +150,7 @@ def run_concurrence_protocol(
     else:
         shots = _whole(shots, "shots", 1, _MAX_SHOTS)
         outputs = group_channel_outputs(state)
-        samples, shift_hats = _draw([out.shift_trace() for out in outputs], [out.k for out in outputs], shots, seed)
+        samples, shift_hats = _draw([out.shift_trace() for out in outputs], 1, shots, seed)
         moments = [moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)]
     breakdown, flags = concurrence_from_moments(moments)
     return EstimatorRun(samples, tuple(map(float, moments)), breakdown, flags)
@@ -185,8 +186,8 @@ def run_spectrum_protocol(
     sigma = apply_spa_pt(state)
     # every channel power sum Tr(sigma^n) from one table, row n = lam**n
     traces = _power_table(np.linalg.eigvalsh(sigma.matrix), sigma.dim).sum(axis=1).tolist()
-    samples, psums = _draw(traces[2:], range(2, sigma.dim + 1), shots, seed)
-    return SpectrumRun(samples, spectrum_from_channel_moments([1.0, *psums], state.dims[0]))
+    samples, psums = _draw(traces[2:], 2, shots, seed)
+    return SpectrumRun(samples, spectrum_from_channel_moments([1.0, *psums]))
 
 
 # ------------------------------------------------------------- tomography
@@ -235,7 +236,7 @@ def run_tomography_baseline(
     values = (rho @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
     shots = 0 if _is_ideal(mode) else _whole(shots, "shots", 1, _MAX_SHOTS)
     if shots:
-        values = _draw(values, range(len(values)), shots, seed)[1]
+        values = _draw(values, 1, shots, seed)[1]
     # I + v_1 P_1 + ... + v_15 P_15, summed left to right along axis 0
     terms = np.concatenate((np.eye(4, dtype=complex)[None], np.array(values)[:, None, None] * _PAULI_OPS))
     rebuilt = np.add.reduce(terms, axis=0) / 4.0

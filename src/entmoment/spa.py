@@ -124,7 +124,6 @@ class MomentObservableSpec(NamedTuple):
 
     k: int
     copies: int
-    d: int
     amplification: int
     offset: int
     d_cubed_offset: int
@@ -135,7 +134,7 @@ class MomentObservableSpec(NamedTuple):
 
 
 #: the four group read-outs, built once (d_k = 4^k); amplification d_k^3 + 1 scales shot noise into p_k
-_SPECS = {k: MomentObservableSpec(k, copies=2 * k, d=4**k, amplification=4 ** (3 * k) + 1, offset=4 * 4**k,
+_SPECS = {k: MomentObservableSpec(k, copies=2 * k, amplification=4 ** (3 * k) + 1, offset=4 * 4**k,
                                   d_cubed_offset=4 ** (3 * k)) for k in (1, 2, 3, 4)}
 
 

@@ -5,8 +5,9 @@
 - Every public module-level name under ``src/entmoment`` has a caller: a
   use in ``src/``, ``demos/`` or ``perfbench/`` counts; the package's
   re-export and the tests do not.
-- The estimators are reconstruction-free by construction: they take
-  moments, and neither they nor the module-private helpers they call name
+- The estimators are reconstruction-free by construction: each takes one
+  parameter, its moments (a dimension is read off their count), and neither
+  they nor the module-private helpers they call name
   the state type, read a ``.matrix`` or apply a map or eigensolver that
   needs the state.  ``two_stage_protocol`` still diagonalizes the SPA
   output and is not an estimator here.
@@ -119,4 +120,18 @@ def test_estimators_never_reach_the_state():
                 used = node.attr if is_attr else node.id if isinstance(node, ast.Name) else None
                 if used in STATE_NAMES or (is_attr and used == "matrix"):
                     bad.append(f"{module}.{name}:{node.lineno}: {used}")
+    assert not bad, "\n".join(bad)
+
+
+def test_estimators_take_their_moments_and_nothing_else():
+    bad = []
+    for module, roots in ESTIMATORS.items():
+        path = ROOT / "src" / "entmoment" / f"{module}.py"
+        defs = {node.name: node for node in ast.parse(path.read_text(), str(path)).body
+                if isinstance(node, ast.FunctionDef)}
+        for name in roots:
+            a = defs[name].args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+            if len(params) != 1:
+                bad.append(f"{module}.{name}({', '.join(params)})")
     assert not bad, "\n".join(bad)

@@ -58,11 +58,10 @@ def test_observable_spec_constants():
     assert [spa.moment_observable_spec(k).amplification for k in (1, 2, 3, 4)] == [65, 4097, 262145, 16777217]
     for k in (1, 2, 3, 4):
         spec = spa.moment_observable_spec(k)
-        assert spec.d == 4**k
         assert spec.copies == 2 * k
         assert spec.amplification == 4 ** (3 * k) + 1
-        assert spec.offset == 4 * spec.d
-        assert spec.d_cubed_offset == spec.d**3
+        assert spec.offset == 4 * 4**k
+        assert spec.d_cubed_offset == 4 ** (3 * k)
 
 
 def test_moment_from_channel_bell_k1():
@@ -264,11 +263,18 @@ def test_spectrum_protocol_d5_channel_values_match_eigvalsh(make):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pt_values_are_the_inverse_affine_of_every_channel_value(d, data):
+    # d is read off the count of power sums, d * d
     xs = np.array(data.draw(st.lists(st.floats(-0.05, 1.0), min_size=d * d, max_size=d * d)))
     psums = [float((xs**m).sum()) for m in range(1, d * d + 1)]
-    est = protocols.spectrum_from_channel_moments(psums, d)
+    est = protocols.spectrum_from_channel_moments(psums)
+    assert len(est.channel_eigenvalues) == d * d
     expected = sorted((spa.inverse_affine(x, d) for x in est.channel_eigenvalues), reverse=True)
     assert np.array(est.report.pt_eigenvalues).tobytes() == np.array(expected).tobytes()
+
+
+def test_one_power_sum_is_read_as_d_1():
+    est = protocols.spectrum_from_channel_moments([1.0])
+    assert est.channel_eigenvalues == (1.0,) and tuple(est.report.pt_eigenvalues) == (1.0,)
 
 
 def test_spectrum_protocol_rejects_rectangular():

@@ -26,7 +26,7 @@ FIELDS = {
     "sampling.SpectrumRun": ("samples", "estimate"),
     "sampling.TomographyRun": ("expectations", "shots", "rho_hat", "breakdown"),
     "spa.GroupChannelOutput": ("k", "p_k"),
-    "spa.MomentObservableSpec": ("k", "copies", "d", "amplification", "offset", "d_cubed_offset"),
+    "spa.MomentObservableSpec": ("k", "copies", "amplification", "offset", "d_cubed_offset"),
 }
 
 

@@ -72,6 +72,35 @@ def test_moment_streams_are_independent():
     assert len(set(fractions)) == 4  # distinct streams, distinct draws
 
 
+def test_sampled_runs_draw_on_consecutive_streams_from_one_and_leave_stream_zero(monkeypatch):
+    # stream 0 of a seed builds the CLI's random states; no sampled run may draw on it
+    seed = 3
+    state = states.random_mixed_state((2, 2), states.rng_stream(seed, 0))
+    calls = []
+
+    def spy(seed_, streams):
+        calls.append((list(streams), states._rng_streams(seed_, streams)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sampling, "_rng_streams", spy)
+    runs = {
+        "ladder": (lambda: sampling.run_concurrence_protocol(state, shots=100, seed=seed), 1, 4),
+        "spectrum d 2": (lambda: sampling.run_spectrum_protocol(state, shots=100, seed=seed), 2, 3),
+        "spectrum d 3": (lambda: sampling.run_spectrum_protocol(
+            states.random_mixed_state((3, 3), states.rng_stream(seed, 0)), shots=100, seed=seed), 2, 8),
+        "tomography": (lambda: sampling.run_tomography_baseline(state, shots=100, seed=seed), 1, 15),
+    }
+    stream_zero = states.rng_stream(seed, 0).bit_generator.state
+    for name, (run, first, n) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, name
+        ids, rngs = calls[0]
+        assert ids == list(range(first, first + n)) and first >= 1, name
+        if name == "tomography":
+            assert all(rng.bit_generator.state != stream_zero for rng in rngs)
+
+
 def test_unbiased_linear_stage_k1():
     # empirical mean of p-hat_1 within 5 standard errors of p_1 = 1
     bell = states.bell_state()
@@ -192,7 +221,7 @@ def reference_tomography_baseline(state, shots, seed, mode):
     for idx, (label, op) in enumerate(zip(sampling._PAULI_LABELS, sampling._PAULI_OPS)):
         value = float(np.trace(rho @ op).real)
         if mode == "sampled":
-            _, value = sampling._binary_run(value, shots, states.rng_stream(seed, stream=idx))
+            _, value = sampling._binary_run(value, shots, states.rng_stream(seed, stream=idx + 1))
         expectations[label] = value
         rebuilt = rebuilt + value * op
     rebuilt /= 4.0
