@@ -61,13 +61,23 @@ def _state_config(args, state) -> dict:
 def _emit(command: str, config: dict, results, out: Path | None):
     """Write the replayable record of one command to ``out``, if given."""
     if out is not None:
-        import numpy as np
+        numpy_version = None
+        if "numpy" not in sys.modules:  # `resources` computes without numpy: the installed version, not an import
+            from importlib import metadata
 
+            try:
+                numpy_version = metadata.version("numpy")
+            except metadata.PackageNotFoundError:  # a numpy without dist-info, e.g. a source tree
+                pass
+        if numpy_version is None:
+            import numpy as np
+
+            numpy_version = np.__version__
         report = {
             "command": command,
             "config": config,
             "results": results,
-            "versions": {"entmoment": __version__, "numpy": np.__version__},
+            "versions": {"entmoment": __version__, "numpy": numpy_version},
         }
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"report written to {out}")

@@ -182,19 +182,24 @@ def _gauss_newton(z0, mult, targets, weights):
     z = z0.astype(float)
     n = len(targets)
     best, best_res = z.copy(), math.inf
-    for i in range(_GAUSS_NEWTON_ITERS + 1):  # the last pass only evaluates
-        pw = _power_table(z, n)
-        r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
-        res = float(abs(r).max())
-        if res < best_res:
-            best_res, best = res, z.copy()
-        if res < 0.5 or i == _GAUSS_NEWTON_ITERS:
-            break
-        jac = np.arange(1, n + 1)[:, None] * mult * pw[:-1]
-        step, *_ = np.linalg.lstsq(jac / weights[:, None], r, rcond=None)
-        if not np.isfinite(step).all():
-            break
-        z = z - step
+    # a diverging candidate overflows its powers: it stops before lstsq, which
+    # would raise on non-finite input, and the best one so far is kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(_GAUSS_NEWTON_ITERS + 1):  # the last pass only evaluates
+            pw = _power_table(z, n)
+            r = ((mult * pw[1:]).sum(axis=1) - targets) / weights
+            res = float(abs(r).max())
+            if res < best_res:
+                best_res, best = res, z.copy()
+            if res < 0.5 or i == _GAUSS_NEWTON_ITERS:
+                break
+            jac = np.arange(1, n + 1)[:, None] * mult * pw[:-1] / weights[:, None]
+            if not (np.isfinite(jac).all() and np.isfinite(r).all()):
+                break
+            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+            if not np.isfinite(step).all():
+                break
+            z = z - step
     return best, best_res
 
 

@@ -9,14 +9,16 @@ that lets multi-copy expectation values collapse to products of the small
 single-copy matrices (``spa.ladder_power_sums`` forms them), so nothing of
 dimension ``local_dim**n`` is built outside tests and the selftest.
 
-The exact power traces of ideal mode scale each factor's real part and its
+The exact power traces of ideal mode scale a matrix's real part and its
 imaginary part, diagonal set to 0, to integers and take their residues
-modulo word-size primes, where R + R^T and I - I^T form the real embedding
-[[R, -I], [I, R]] of the exactly symmetrized matrix.  The powers are batched
-float64 products over all primes at once, exact because the prime width,
-chosen from the dimension, keeps every partial sum below 2**53.  The traces
-come back by CRT in the symmetric range, and one spare prime checks each of
-them, so a wrong ``Fraction`` raises instead of being returned.
+modulo word-size primes p = 1 (mod 4), where r**2 = -1 has a root: the
+exactly symmetrized R + R^T + i (I - I^T) becomes the D x D residue
+R + R^T + r (I - I^T).  The ladder's spin flip takes its residues from the
+same ones.  The powers are batched float64 products over all primes at
+once, exact because the prime width, chosen from the dimension, keeps
+every partial sum below 2**53.  The traces come back by CRT in the
+symmetric range, and one spare prime checks each of them, so a wrong
+``Fraction`` raises instead of being returned.
 """
 
 from __future__ import annotations
@@ -153,12 +155,12 @@ def _reduce(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
 def _prime_width(dim: int) -> int:
     """Bit width w of the primes used on dim x dim matrices.
 
-    Residues stay within h = 2**(w-1) + 4 of zero.  A trace sums 2 * dim**2
-    products of at most h**2 each, a power step 2 * dim of them: with every
-    partial sum below 2**53, float64 forms both exactly in any order.
+    Residues stay within h = 2**(w-1) + 4 of zero.  A trace sums dim**2
+    products of at most h**2, a power step dim of them, the ladder's first
+    step four of (2h)**2: all partial sums stay below 2**53, exact in float64.
     """
     w = 26
-    while 2 * dim * dim * (2 ** (w - 1) + 4) ** 2 + 2**w > 2**53:
+    while dim * dim * (2 ** (w - 1) + 4) ** 2 + 2**w > 2**53:
         w -= 1
     return w
 
@@ -192,24 +194,29 @@ _CRT_KEPT = 256
 class _Residues:
     """What the residue route needs on dim x dim matrices, built on demand.
 
-    The primes, odd and just below 2**width, largest first, come with their
-    columns, 2**s mod p for every shift s asked for so far, and the CRT
-    weights of each prefix.  All of it is a function of dim, so one instance
-    per dim serves every call.
+    The primes, all 1 mod 4 and just below 2**width, largest first, come
+    with a root r of r**2 = -1 mod p, 2**s mod p for every shift s asked for
+    so far, and the CRT weights of each prefix.  All of it is a function of
+    dim, so one instance per dim serves every call.
     """
 
     def __init__(self, dim: int):
         self.width = _prime_width(dim)
         self.primes: list[int] = []
+        self.roots: list[int] = []
         self.product, self.bits = 1, [1]  # bits[k]: bit length of the product of the first k primes
         self.pow2 = np.zeros((0, 0))
         self.crts: dict[int, tuple[int, list[int], int]] = {}
 
     def _grow(self) -> None:
-        n = self.primes[-1] - 2 if self.primes else 2**self.width - 1
+        n = self.primes[-1] - 4 if self.primes else 2**self.width - 3
         while not _is_prime(n):
-            n -= 2
+            n -= 4
+        g = 2
+        while pow(g, n >> 1, n) != n - 1:  # Euler's criterion: g**((n-1)/2) = -1 for a non-residue g
+            g += 1
         self.primes.append(n)
+        self.roots.append(min(r := pow(g, n >> 2, n), n - r))
         self.product *= n
         self.bits.append(self.product.bit_length())
 
@@ -220,19 +227,20 @@ class _Residues:
         return bisect.bisect_right(self.bits, bits)
 
     def columns(self, k: int, shifts: int):
-        """(p as int64, p, 1/p, 2**s mod p for s < shifts) over the first k
-        primes, the first three shaped (k, 1, 1)."""
+        """(p as int64, p, 1/p, r, 2**s mod p for s < shifts) over the first
+        k primes, the first four shaped (k, 1, 1)."""
         rows, cols = self.pow2.shape
         if rows < k or cols < shifts:
             while len(self.primes) < k:
                 self._grow()
             self._build(max(k, rows), max(shifts, cols))
-        return self.p_int[:k], self.p[:k], self.p_inv[:k], self.pow2[:k]
+        return self.p_int[:k], self.p[:k], self.p_inv[:k], self.root[:k], self.pow2[:k]
 
     def _build(self, rows: int, cols: int) -> None:
         self.p_int = np.array(self.primes[:rows], dtype=np.int64)[:, None, None]
         self.p = self.p_int.astype(float)
         self.p_inv = 1.0 / self.p
+        self.root = np.array(self.roots[:rows], dtype=float)[:, None, None]
         p, p_inv = self.p[:, 0], self.p_inv[:, 0]
         pow2 = _reduce(np.ldexp(1.0, np.arange(32)), p, p_inv)
         while pow2.shape[1] < cols:  # 2**(c + s) = 2**c * 2**s, products below 2**51
@@ -259,28 +267,26 @@ def _residues(dim: int) -> _Residues:
 
 
 class _Scaled(NamedTuple):
-    """Factors m_f as integer matrices M_f = 2 * sym(m_f) * 2**-(e_f + 1),
-    given by their parts.
+    """m as the integer matrix M = 2 * sym(m) * 2**-(e + 1), by its parts:
+    before symmetrizing, each entry of the real part (part 0) and of the
+    imaginary part with its diagonal set to 0 (part 1) is mant * 2**shift."""
 
-    Before symmetrizing, each entry of the real part (part 0) and of the
-    imaginary part with its diagonal set to 0 (part 1) is mant * 2**shift.
-    """
-
-    mant: np.ndarray  # (factors, 2, D, D) int64, below 2**53 in magnitude
-    shift: np.ndarray  # (factors, 2, D, D) nonnegative ints, below ``shifts``
+    mant: np.ndarray  # (2, D, D) int64, below 2**53 in magnitude
+    shift: np.ndarray  # (2, D, D) nonnegative ints, below ``shifts``
     shifts: int
-    e: list[int]
-    log2_norm: list[float]  # ||M_f||_F < 2**log2_norm[f]
+    e: int
+    log2_norm: float  # ||M||_F < 2**log2_norm
 
 
-#: [1, -1] over a part axis: r + sign * r^T is R + R^T and I - I^T, and the
-#: transposed blocks [R^T, -I^T] become [R^T, I^T], so that Re Tr(XY) =
-#: sum(R_X * R_Y^T) - sum(I_X * I_Y^T) is one dot with [R_X, -I_X]
+#: [1, -1] over the part axis: r + sign * r^T is R + R^T and I - I^T
 _SIGN = np.array([1.0, -1.0])[:, None, None]
 
+#: y_i y_j, as Sigma = sigma_y (x) sigma_y gives (Sigma m* Sigma)_ij = y_i y_j m*_(3-i, 3-j)
+_FLIP = np.outer(*2 * [[-1.0, 1.0, 1.0, -1.0]])
 
-def _decompose(mats) -> _Scaled:
-    """Integer parts of the exactly symmetrized factors, from one frexp.
+
+def _decompose(m: np.ndarray) -> _Scaled:
+    """Integer parts of the exactly symmetrized matrix, from one frexp.
 
     The imaginary diagonal is set to 0 first: symmetrizing cancels it, so its
     roundoff changes neither e nor the norm bound.  With |x| < 2**E for the
@@ -288,17 +294,14 @@ def _decompose(mats) -> _Scaled:
     2**(max E - min E + 53): the bound comes from the exponents, so no float
     norm can overflow.
     """
-    factors, dim = len(mats), mats[0].shape[0]
-    x = np.array([(m.real, m.imag) for m in mats])
-    x[:, 1].reshape(factors, -1)[:, :: dim + 1] = 0.0  # the imaginary diagonals, through a view
+    dim = m.shape[0]
+    x = np.array((m.real, m.imag))
+    np.fill_diagonal(x[1], 0.0)
     frac, expo = np.frexp(x)
-    low = expo.reshape(factors, -1).min(axis=1)  # zeros enter with exponent 0: they can only lower it
-    shift = expo - low[:, None, None, None]
-    low, top = low.tolist(), [math.frexp(t)[1] for t in np.abs(x).reshape(factors, -1).max(axis=1).tolist()]
-    half_log2_count = math.log2(2 * dim * dim - dim) / 2
-    shifts = max(max(t, 0) - lo for t, lo in zip(top, low)) + 1  # a zero's exponent is 0
-    return _Scaled(np.ldexp(frac, 53).astype(np.int64), shift, shifts,
-                   [lo - 54 for lo in low], [t - lo + 54 + half_log2_count for t, lo in zip(top, low)])
+    low = int(expo.min())  # zeros enter with exponent 0: they can only lower it
+    top = math.frexp(float(np.abs(x).max()))[1]
+    return _Scaled(np.ldexp(frac, 53).astype(np.int64), expo - low, max(top, 0) - low + 1,  # a zero's exponent is 0
+                   low - 54, top - low + 54 + math.log2(2 * dim * dim - dim) / 2)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,55 +309,50 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _exact_traces(mats, n_max: int) -> list[Fraction]:
-    """Re Tr((m_1 ... m_f)^n), n = 1..n_max, of the one or two exactly
-    symmetrized factors m_f = M_f * 2**e_f, as exact Fractions.
+def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
+    """Tr(X^n), n = 1..n_max, as exact Fractions, for X the exactly
+    symmetrized m, or with ``flip`` its product with its spin flip.
 
-    The integer traces Re Tr(X^n), X = M_1 ... M_f, are taken modulo k
-    word-size primes, with k from |Re Tr(X^n)| <= sqrt(D) * ||X||_F**n, and
-    rebuilt by CRT in the symmetric range; one more prime checks every
-    reconstruction.  Tr(X^n) = sum(X^a * (X^b)^T) with a + b = n, so only
-    the powers up to ceil(n_max / 2) are formed.
+    i -> r, r**2 = -1 mod p, maps the Gaussian integers onto the residues
+    modulo a prime p = 1 (mod 4): the integer M = (R + R^T) + i (I - I^T)
+    of m = M * 2**e becomes the D x D residue (R + R^T) + r (I - I^T).  The
+    traces, integers as the factors are Hermitian, are taken modulo k
+    primes, with k from |Tr(X^n)| <= sqrt(D) * ||X||_F**n, and rebuilt by
+    CRT in the symmetric range; one more prime checks every one of them.
+    Tr(X^n) = Tr(X^a X^b), a = ceil(n / 2), b = floor(n / 2): only powers
+    up to ceil(n_max / 2) are formed.
     """
-    mats = [require_hermitian(m) for m in mats]
-    if mats[-1].shape != mats[0].shape:
-        raise ValueError(f"factor shapes {mats[0].shape} and {mats[-1].shape} differ")
+    m = require_hermitian(m)
+    if flip and m.shape != (4, 4):
+        raise ValueError(f"the spin flip needs a 4 x 4 matrix, got shape {m.shape}")
     if _whole(n_max, "n_max", 0) == 0:
         return []
-    factors, dim = len(mats), mats[0].shape[0]
-    res = _residues(dim)
-    scaled = _decompose(mats)
-    log2_norm, half_log2_dim = sum(scaled.log2_norm), math.log2(dim) / 2
+    dim, factors = m.shape[0], 1 + flip
+    res, scaled = _residues(dim), _decompose(m)
+    # the spin flip permutes m's entries up to sign: the same e and norm bound
+    log2_norm, half_log2_dim = factors * scaled.log2_norm, math.log2(dim) / 2
     # 2 |Tr| < 2**bits; the 1e-9 keeps float rounding from lowering the bound
     bits = [math.ceil(n * log2_norm + half_log2_dim + 1e-9) + 1 for n in range(1, n_max + 1)]
     counts = [res.count(b) for b in bits]
     k = counts[-1] + 1
-    p_int, p, p_inv, pow2 = res.columns(k, scaled.shifts)
-    r = np.fmod(scaled.mant, p_int[..., None, None]) * pow2[:, scaled.shift]  # (k, f, 2, D, D)
-    sym = _reduce(r + _SIGN * r.swapaxes(-1, -2), p[..., None, None], p_inv[..., None, None])
-    embedded = np.empty((k, factors, 2 * dim, 2 * dim))  # M = A + A^H as [[R, -I], [I, R]]
-    embedded[..., :dim, :dim] = embedded[..., dim:, dim:] = sym[:, :, 0]
-    embedded[..., dim:, :dim] = sym[:, :, 1]
-    np.negative(sym[:, :, 1], out=embedded[..., :dim, dim:])
-    step = embedded[:, 0] if factors == 1 else _reduce(embedded[:, 0] @ embedded[:, 1], p, p_inv)
-    x = step[:, :dim]  # X as the first D rows of its embedding, [R, -I]
-    half, traces = (n_max + 1) // 2, []
-    for j in range(1, half + 1):  # traces 2j - 1 and 2j from X^j
-        if j > 1:
-            x = _reduce(x @ step, p, p_inv)
-        w = z = x.reshape(k, -1)
-        if j == 1:
-            traces.append(w[:, : 2 * dim * dim : 2 * dim + 1].sum(axis=1))  # the diagonal of R
-        if factors == 2 and (j < half or 2 * j <= n_max):
-            # [R^T, I^T] of X^j; a power of a Hermitian X needs no transpose,
-            # as [R, -I] = [R^T, I^T] there
-            z = np.multiply(x.reshape(k, dim, 2, dim).swapaxes(1, 3), _SIGN[..., 0], order="C").reshape(k, -1)
-        if j > 1:
-            traces.append(_row_dots(w, z_prev))
-        if 2 * j <= n_max:
-            traces.append(_row_dots(w, z))
-        z_prev = z
-    e, out = sum(scaled.e), []
+    p_int, p, p_inv, root, pow2 = res.columns(k, scaled.shifts)
+    r = np.fmod(scaled.mant, p_int[..., None]) * pow2[:, scaled.shift]  # (k, 2, D, D)
+    sym = _reduce(r + _SIGN * r.swapaxes(-1, -2), p[..., None], p_inv[..., None])
+    a, b = sym[:, 0], root * sym[:, 1]
+    if flip:  # m~ = Sigma m* Sigma maps to y_i y_j (A - rB)_(3-i, 3-j); A +- rB stay within 2h
+        b = _reduce(b, p, p_inv)
+        step = _reduce((a + b) @ (_FLIP * (a - b)[:, ::-1, ::-1]), p, p_inv)
+    else:
+        step = _reduce(a + b, p, p_inv)
+    # (X^b)^T is an explicit transpose: a residue of a Hermitian X is not symmetric
+    x, traces = step, [step.diagonal(axis1=1, axis2=2).sum(axis=1)]
+    for n in range(2, n_max + 1):
+        if n % 2:
+            x = _reduce(x @ step, p, p_inv)  # X^a, one power up
+        else:
+            z = x.swapaxes(1, 2).reshape(k, -1)  # (X^b)^T, b = a
+        traces.append(_row_dots(x.reshape(k, -1), z))
+    e, out = factors * scaled.e, []
     for n, row, kn in zip(range(1, n_max + 1), np.array(traces, dtype=np.int64).tolist(), counts):
         modulus, weights, check = res.crt(kn)
         t = sum(map(operator.mul, row, weights)) % modulus
@@ -375,15 +373,16 @@ def exact_power_traces(m, n_max: int) -> list[Fraction]:
     bury the signal carried by the high-order traces of a tightly clustered
     spectrum.
     """
-    return _exact_traces([m], n_max)
+    return _exact_traces(m, n_max, flip=False)
 
 
-def exact_product_power_traces(a, b, n_max: int) -> list[Fraction]:
-    """Re Tr((ab)^n) for n = 1..n_max, exactly, for Hermitian a and b.
+def exact_product_power_traces(m, n_max: int) -> list[Fraction]:
+    """Tr((m m~)^n) for n = 1..n_max, exactly, for a Hermitian 4 x 4 m and
+    its spin flip m~ = Sigma m* Sigma, Sigma = sigma_y (x) sigma_y.
 
-    Both factors are exactly symmetrized first, which makes every trace of
-    a power of ab an exactly real rational (trace equals its transpose's).
-    This is the noise-free limit of the moment ladder: the product of the
-    state with its spin flip is not Hermitian, but its power traces are.
+    m is exactly symmetrized first, and m~ with it, so every trace is an
+    exactly real rational although m m~ is not Hermitian.  With m = rho
+    this is the noise-free limit of the moment ladder; with m = rho^T_B the
+    traces are those of the gamma matrix Sigma rho^T_A Sigma rho^T_B.
     """
-    return _exact_traces([a, b], n_max)
+    return _exact_traces(m, n_max, flip=True)

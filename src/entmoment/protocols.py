@@ -33,7 +33,6 @@ from .measures import (
     breakdown_from_lambdas,
     gamma_concurrence_report,
     report_from_pt_eigenvalues,
-    spin_flip,
     verdict_from_min_pt_eigenvalue,
 )
 from .spa import apply_spa_pt, inverse_affine
@@ -57,7 +56,7 @@ def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
     the fourth moment, which the concurrence's square-root sensitivity
     then turns into errors above 1e-6 whenever an eigenvalue is small.
     """
-    return exact_product_power_traces(state.matrix, spin_flip(state), 4)
+    return exact_product_power_traces(_require_two_qubit(state, "the spin flip"), 4)
 
 
 def _clamped_inversion(psums) -> SpectrumRecovery:

@@ -357,6 +357,17 @@ def test_entry_point_subprocess(tmp_path):
     assert "C        : 1.000000" in proc.stdout
 
 
+def test_d6_negativity_with_a_diverging_fit_exits_cleanly():
+    # ROADMAP F18: the fit's lstsq raised here after overflow warnings and
+    # LAPACK's own stderr lines; a non-finite candidate now stops before it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["protocol", "negativity", "--family", "random-pure", "--dims", "6", "6", "--seed", "6"]
+    proc = subprocess.run([sys.executable, "-m", "entmoment", *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "E_c = 2.222500" in proc.stdout
+
+
 def test_cli_import_leaves_selftest_and_csv_unloaded():
     # every command pays for what `import entmoment.cli` loads; selftest and
     # csv serve one command each and are imported inside it, and numpy.random
@@ -394,14 +405,31 @@ def test_commands_that_compute_nothing_leave_numpy_unloaded(step):
     assert _last_line_of_fresh_python(f"import sys; {step}; print('numpy' in sys.modules)") == "False"
 
 
-@pytest.mark.parametrize("argv", [["resources"], ["exact", "--family", "bell"]], ids=["resources", "exact"])
-def test_out_record_loads_numpy_for_its_versions_block(argv, tmp_path):
+@pytest.mark.parametrize("argv, loaded", [(["resources", "--d", "3"], False), (["exact", "--family", "bell"], True)],
+                         ids=["resources", "exact"])
+def test_out_record_names_the_numpy_version_without_importing_it(argv, loaded, tmp_path):
+    # `resources --out` computes without numpy and still records its version
     import numpy as np
 
     out = tmp_path / "record.json"
     code = (f"import sys, entmoment.cli as cli; cli.main({argv + ['--out', str(out)]!r}); "
             "loaded = 'numpy' in sys.modules; import numpy; print(loaded, numpy.__version__)")
-    assert _last_line_of_fresh_python(code) == f"True {np.__version__}"
+    assert _last_line_of_fresh_python(code) == f"{loaded} {np.__version__}"
+    assert json.loads(out.read_text())["versions"] == {"entmoment": "0.1.0", "numpy": np.__version__}
+
+
+def test_out_record_imports_numpy_when_its_metadata_is_missing(tmp_path):
+    # a numpy importable without dist-info (a source tree on the path) still
+    # gets its version recorded, from the module, and the command exits 0
+    import numpy as np
+
+    out = tmp_path / "record.json"
+    code = ("import importlib.metadata as md\n"
+            "def missing(name): raise md.PackageNotFoundError(name)\n"
+            "md.version = missing\n"
+            "import entmoment.cli as cli\n"
+            f"print(cli.main(['resources', '--d', '3', '--out', {str(out)!r}]))")
+    assert _last_line_of_fresh_python(code) == "0"
     assert json.loads(out.read_text())["versions"] == {"entmoment": "0.1.0", "numpy": np.__version__}
 
 

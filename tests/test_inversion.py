@@ -1,6 +1,7 @@
 """Power-sum spectrum recovery: round trips, degeneracies, noisy input."""
 
 import math
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -455,6 +456,17 @@ def test_gauss_newton_matches_closing_evaluation_reference(data):
     (z, res), (z_ref, res_ref) = inversion._gauss_newton(z0, mult, targets, weights), \
         reference_gauss_newton(z0, mult, targets, weights)
     assert z.tobytes() == z_ref.tobytes() and repr(res) == repr(res_ref)
+
+
+@pytest.mark.parametrize("z0", [[1e200], [1e100, -3.0]])
+def test_gauss_newton_stops_a_diverging_candidate_quietly(z0):
+    # powers that overflow stop the candidate before lstsq, which raises on
+    # non-finite input (ROADMAP F18); the best candidate so far comes back
+    n = len(z0) + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, res = inversion._gauss_newton(np.array(z0), np.ones(len(z0)), np.ones(n), np.ones(n))
+    assert np.isfinite(z).all() and res > 1e200
 
 
 # The vectorized helpers against the per-moment and per-slice expressions

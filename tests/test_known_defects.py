@@ -64,6 +64,15 @@ def test_ideal_d5_random_pure_channel_values_match_eigvalsh():
     assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= IDEAL_TOL
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="d = 6 ideal inversion is 3.1e-10 off without a flag (ROADMAP item 16)")
+def test_ideal_d6_random_pure_seed_6_channel_values_match_eigvalsh():
+    # ROADMAP F18's seed 6: the fit used to raise here; it now returns E_c = 2.2225 unflagged
+    state = states.random_pure_state((6, 6), states.rng_stream(6, 0))
+    est = protocols.spectrum_protocol(state)
+    ref = np.linalg.eigvalsh(spa.apply_spa_pt(state).matrix)
+    assert np.max(np.abs(np.sort(est.channel_eigenvalues) - ref)) <= IDEAL_TOL
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="selftest inversion round trip misses its 1e-8 bound")
 @pytest.mark.parametrize("seed", [935174343, 191741831, 309287719, 773716113, 1059])
 def test_selftest_seed_passes(seed, capsys):

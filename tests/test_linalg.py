@@ -392,6 +392,17 @@ def int_route_product_traces(a, b, n_max):
     return int_power_traces(int_matmul(pa, pb), ea + eb, n_max)
 
 
+def flip(m):
+    """Sigma m* Sigma, Sigma = sigma_y (x) sigma_y: a signed permutation of
+    the entries, so the float products are exact."""
+    sigma = linalg.tensor(SY, SY)
+    return sigma @ np.conj(m) @ sigma
+
+
+def fraction_flip_traces(m, n_max):
+    return fraction_power_traces(fraction_matmul(fraction_parts(m), fraction_parts(flip(m))), n_max)
+
+
 def assert_traces_match_reference(m, n_max):
     got = linalg.exact_power_traces(m, n_max)
     assert all(type(t) is Fraction for t in got)
@@ -435,14 +446,17 @@ def test_int_route_matches_entrywise_route():
 def test_exact_product_power_traces_match_reference():
     for state in family_states(2):
         flipped = measures.spin_flip(state)
+        np.testing.assert_array_equal(flip(state.matrix), flipped)
         expected = fraction_power_traces(
             fraction_matmul(fraction_parts(state.matrix), fraction_parts(flipped)), 4)
-        assert linalg.exact_product_power_traces(state.matrix, flipped, 4) == expected
+        assert linalg.exact_product_power_traces(state.matrix, 4) == expected
 
 
-def test_exact_product_power_traces_reject_factors_of_different_sizes():
-    with pytest.raises(ValueError, match="differ"):
-        linalg.exact_product_power_traces(np.eye(4), np.eye(3), 2)
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (8, 8), (16, 16), (4, 2)])
+def test_exact_product_power_traces_refuse_any_shape_but_4x4(shape):
+    m = np.eye(*shape) / 4
+    with pytest.raises(ValueError, match="4 x 4|square"):
+        linalg.exact_product_power_traces(m, 2)
 
 
 def test_exact_traces_accept_strided_views():
@@ -451,23 +465,23 @@ def test_exact_traces_accept_strided_views():
     view = big[:, ::2]
     assert not view.flags.c_contiguous and not view.T.flags.c_contiguous
     assert_traces_match_reference(view, 4)
-    expected = fraction_power_traces(fraction_matmul(fraction_parts(view), fraction_parts(view.T)), 3)
-    assert linalg.exact_product_power_traces(view, view.T, 3) == expected
+    assert linalg.exact_product_power_traces(view, 3) == fraction_flip_traces(view, 3)
+    assert linalg.exact_product_power_traces(view.T, 3) == fraction_flip_traces(view.T, 3)
 
 
 def test_exact_power_traces_zero_matrix():
     assert linalg.exact_power_traces(np.zeros((3, 3)), 3) == [Fraction(0)] * 3
-    assert linalg.exact_product_power_traces(np.zeros((3, 3)), np.eye(3), 2) == [Fraction(0)] * 2
+    assert linalg.exact_product_power_traces(np.zeros((4, 4)), 2) == [Fraction(0)] * 2
 
 
 def test_exact_traces_of_no_powers_and_negative_counts():
-    m = np.diag([0.5, 0.25])
+    m = np.diag([0.5, 0.25, 0.125, 0.125])
     assert linalg.exact_power_traces(m, 0) == fraction_power_traces(fraction_parts(m), 0) == int_route_traces(m, 0) == []
-    assert linalg.exact_product_power_traces(m, m, 0) == int_route_product_traces(m, m, 0) == []
+    assert linalg.exact_product_power_traces(m, 0) == int_route_product_traces(m, flip(m), 0) == []
     with pytest.raises(ValueError, match="n_max"):
         linalg.exact_power_traces(m, -1)
     with pytest.raises(ValueError, match="n_max"):
-        linalg.exact_product_power_traces(m, m, -1)
+        linalg.exact_product_power_traces(m, -1)
 
 
 def test_exact_power_traces_entries_spanning_1e300():
@@ -488,8 +502,10 @@ def test_exact_power_traces_subnormals_and_negative_zero():
         [2.5e-310, tiny + 1e-320j, -tiny],
     ])
     assert_traces_match_reference(m, 3)
-    assert linalg.exact_product_power_traces(m, m, 2) == fraction_power_traces(
-        fraction_matmul(fraction_parts(m), fraction_parts(m)), 2)
+    m4 = np.zeros((4, 4), dtype=complex)  # the same entries on 4 x 4, for the spin-flip product
+    m4[1:, 1:] = m
+    m4[0, 3], m4[3, 0] = tiny + 1e-320j, tiny - 1e-320j
+    assert linalg.exact_product_power_traces(m4, 4) == fraction_flip_traces(m4, 4)
 
 
 def test_exact_power_traces_symmetrize_near_hermitian_input():
@@ -498,13 +514,11 @@ def test_exact_power_traces_symmetrize_near_hermitian_input():
     m = h + 1e-10 * random_complex(4, rng)
     assert 0 < linalg.hermiticity_defect(m) <= linalg.HERMITICITY_TOL
     assert_traces_match_reference(m, 4)
-    b = h + 1e-10 * random_complex(4, rng)
-    expected = fraction_power_traces(fraction_matmul(fraction_parts(m), fraction_parts(b)), 4)
-    assert linalg.exact_product_power_traces(m, b, 4) == expected
+    assert linalg.exact_product_power_traces(m, 4) == fraction_flip_traces(m, 4)
 
 
-def decomposition(*mats):
-    return linalg._decompose([np.asarray(m, dtype=complex) for m in mats])
+def decomposition(m):
+    return linalg._decompose(np.asarray(m, dtype=complex))
 
 
 def parts(m):
@@ -529,21 +543,20 @@ def test_decomposition_ignores_diagonal_imaginary_roundoff(monkeypatch):
     rng = rng_stream(15, 0)
     sigma = spa.apply_spa_pt(make_state("random-pure", (3, 3), rng=rng)).matrix
     counts = prime_counts(monkeypatch)
-    for first in (random_hermitian(4, rng), random_hermitian(4, rng).real, sigma):
-        # one factor, and two as the product route takes them
-        for clean in ([first], [first, random_hermitian(len(first), rng)]):
-            clean = [m - 1j * np.diag(np.diag(m).imag) for m in clean]
-            noisy = [m + 1e-20j * np.diag(rng.standard_normal(len(m))) for m in clean]
-            a, b = decomposition(*clean), decomposition(*noisy)
-            assert (a.e, a.log2_norm, a.shifts) == (b.e, b.log2_norm, b.shifts)
-            np.testing.assert_array_equal(a.mant, b.mant)
-            np.testing.assert_array_equal(a.shift, b.shift)
-            traces = linalg.exact_power_traces if len(clean) == 1 else linalg.exact_product_power_traces
-            assert traces(*noisy, 5) == traces(*clean, 5)
+    for m in (random_hermitian(4, rng), random_hermitian(4, rng).real, sigma):
+        clean = m - 1j * np.diag(np.diag(m).imag)
+        noisy = clean + 1e-20j * np.diag(rng.standard_normal(len(m)))
+        a, b = decomposition(clean), decomposition(noisy)
+        assert (a.e, a.log2_norm, a.shifts) == (b.e, b.log2_norm, b.shifts)
+        np.testing.assert_array_equal(a.mant, b.mant)
+        np.testing.assert_array_equal(a.shift, b.shift)
+        # one factor, and the spin-flip product on 4 x 4
+        for traces in [linalg.exact_power_traces] + [linalg.exact_product_power_traces] * (len(m) == 4):
+            assert traces(noisy, 5) == traces(clean, 5)
             assert counts[-2] == counts[-1]
     # a real matrix with imaginary roundoff on its diagonal only decomposes as a real one
     real = decomposition(sigma.real + 1e-20j * np.eye(len(sigma)))
-    assert not real.mant[:, 1].any()
+    assert not real.mant[1].any()
 
 
 def test_decomposition_is_exact_from_the_smallest_exponent():
@@ -553,7 +566,7 @@ def test_decomposition_is_exact_from_the_smallest_exponent():
     for m in mats:
         s = decomposition(m)
         assert np.abs(s.mant).max() < 2**53 and s.shift.min() == 0 and s.shift.max() < s.shifts
-        np.testing.assert_array_equal(np.ldexp(s.mant[0].astype(float), s.shift[0] + s.e[0] + 1), parts(m))
+        np.testing.assert_array_equal(np.ldexp(s.mant.astype(float), s.shift + s.e + 1), parts(m))
         assert_traces_match_reference(m, 4)  # 2**40 * bell: a positive exponent
 
 
@@ -564,28 +577,26 @@ _ROUNDOFF = st.floats(min_value=-1e-12, max_value=1e-12)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_exact_traces_property_random_small_hermitian(data):
-    # each factor comes real and complex, with imaginary roundoff on its
-    # diagonal that symmetrizing cancels; every real/complex product is checked
-    dim = data.draw(st.integers(1, 4))
+    # each matrix comes real and complex, with imaginary roundoff on its
+    # diagonal that symmetrizing cancels; a 4 x 4 one also takes the spin-flip product
     n_max = data.draw(st.integers(1, 5))
-    pairs = []
-    for _ in range(2):
+    for dim in (data.draw(st.integers(1, 4)), 4):
         re = data.draw(arrays(float, (dim, dim), elements=_ENTRIES))
         im = data.draw(arrays(float, (dim, dim), elements=_ENTRIES))
         roundoff = 1j * np.diag(data.draw(arrays(float, dim, elements=_ROUNDOFF)))
         m = re + 1j * im
         h = (m + m.conj().T) / 2
-        pairs.append((h.real + roundoff, h + roundoff))
-        real = decomposition(h.real + roundoff)
-        assert not real.mant[:, 1].any()
-    for a in pairs[0]:
-        assert_traces_match_reference(a, n_max)
-        for b in pairs[1]:
-            expected = fraction_power_traces(fraction_matmul(fraction_parts(a), fraction_parts(b)), n_max)
-            assert linalg.exact_product_power_traces(a, b, n_max) == expected
+        assert not decomposition(h.real + roundoff).mant[1].any()
+        for a in (h.real + roundoff, h + roundoff):
+            assert_traces_match_reference(a, n_max)
+            if dim == 4:
+                assert linalg.exact_product_power_traces(a, n_max) == fraction_flip_traces(a, n_max)
 
 
 # ------------------------------------------- residue route, adversarial cases
+
+#: 30 examples a property at the default budget, 600 under `--hypothesis-profile=ci`
+_RESIDUE_EXAMPLES = settings.default.max_examples * 3 // 10
 
 @st.composite
 def hermitian_matrices(draw, dim):
@@ -604,14 +615,14 @@ def hermitian_matrices(draw, dim):
     return m + m.conj().T + np.diag(entries(dim))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_RESIDUE_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_residue_route_matches_int_route_on_extreme_entries(data):
     dim = data.draw(st.integers(1, 8))
     n_max = data.draw(st.integers(1, 2 * dim))
-    a, b = data.draw(hermitian_matrices(dim)), data.draw(hermitian_matrices(dim))
+    a, b = data.draw(hermitian_matrices(dim)), data.draw(hermitian_matrices(4))
     assert linalg.exact_power_traces(a, n_max) == int_route_traces(a, n_max)
-    assert linalg.exact_product_power_traces(a, b, n_max) == int_route_product_traces(a, b, n_max)
+    assert linalg.exact_product_power_traces(b, n_max) == int_route_product_traces(b, flip(b), n_max)
 
 
 def rank_one(data, dim, sign):
@@ -623,11 +634,13 @@ def rank_one(data, dim, sign):
     return sign * np.outer(v, v.conj())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_RESIDUE_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_residue_route_near_the_prime_bound(data):
     # rank-one traces reach the norm bound within a factor of about sqrt(2)
-    # per power; negative-definite ones have negative odd traces
+    # per power; negative-definite ones have negative odd traces.  The
+    # spin-flip product of a rank-one m reaches it when its phases make
+    # |v^T Sigma v| = |v|**2
     dim = data.draw(st.integers(1, 8))
     n_max = data.draw(st.integers(1, 2 * dim))
     m = rank_one(data, dim, data.draw(st.sampled_from([1, -1])))
@@ -635,20 +648,20 @@ def test_residue_route_near_the_prime_bound(data):
     assert got == int_route_traces(m, n_max)
     if m[0, 0].real < 0:
         assert all(t < 0 for t in got[::2]) and all(t > 0 for t in got[1::2])
+    m = rank_one(data, 4, data.draw(st.sampled_from([1, -1])))
+    assert linalg.exact_product_power_traces(m, n_max) == int_route_product_traces(m, flip(m), n_max)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=_RESIDUE_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_residue_route_on_non_commuting_products(data):
-    dim = data.draw(st.integers(2, 8))
-    n_max = data.draw(st.integers(1, 2 * dim))
-    # a rank-one factor with every entry nonzero against a generic one: ab and
-    # ba differ, their power traces must not
-    a = rank_one(data, dim, data.draw(st.sampled_from([1, -1])))
-    b = data.draw(hermitian_matrices(dim))
-    got = linalg.exact_product_power_traces(a, b, n_max)
-    assert got == int_route_product_traces(a, b, n_max)
-    assert linalg.exact_product_power_traces(b, a, n_max) == got
+    n_max = data.draw(st.integers(1, 8))
+    # a rank-one m with every entry nonzero plus a generic one: m m~ and m~ m
+    # differ, their power traces must not, and m~ flips back to m
+    m = rank_one(data, 4, data.draw(st.sampled_from([1, -1]))) + data.draw(hermitian_matrices(4))
+    got = linalg.exact_product_power_traces(m, n_max)
+    assert got == int_route_product_traces(m, flip(m), n_max)
+    assert linalg.exact_product_power_traces(flip(m), n_max) == got
 
 
 def test_too_few_primes_raise_instead_of_returning(monkeypatch):
@@ -660,11 +673,35 @@ def test_too_few_primes_raise_instead_of_returning(monkeypatch):
     with pytest.raises(ArithmeticError):
         linalg.exact_power_traces(m, 8)
     with pytest.raises(ArithmeticError):
-        linalg.exact_product_power_traces(m, m, 4)
+        linalg.exact_product_power_traces(m, 4)
 
 
 def test_prime_width_keeps_sums_exact():
-    for dim in (1, 2, 4, 9, 16, 36, 255, 10**4):
+    # residues within h of zero: a trace sums dim**2 products of at most h**2,
+    # and _reduce needs |x| + h <= 2**53; the next width up breaks the bound
+    # (from dim = 2: at dim = 1 the width stops at 26, where 2**s mod p and
+    # r * (I - I^T) stay below 2**52)
+    for dim in (1, 2, 4, 9, 16, 25, 36, 64, 255, 10**4):
         w = linalg._prime_width(dim)
         h = 2 ** (w - 1) + 4
-        assert 2 * dim * dim * h * h + h <= 2**53 < 2 * dim * dim * (2 * h - 4) ** 2
+        assert dim * dim * h * h + h <= 2**53
+        assert w == 26 and dim == 1 or dim * dim * (2 * h - 4) ** 2 > 2**53
+    # the ladder's first step multiplies the unreduced A + rB and the spin
+    # flip of A - rB, entries up to 2h: four products of (2h)**2 at dim = 4
+    h = 2 ** (linalg._prime_width(4) - 1) + 4
+    assert 4 * (2 * h) ** 2 + h <= 2**53
+
+
+@pytest.mark.parametrize("dim", [1, 4, 9, 36])
+def test_every_prime_is_one_mod_four_with_a_root_of_minus_one(dim):
+    res = linalg._Residues(dim)
+    k = res.count(2000)
+    _, p_col, _, root_col, _ = res.columns(k + 1, 1)  # as a trace call takes them
+    assert res.crt(k)[2] == res.primes[k]  # the check prime is the next one
+    assert res.primes == sorted(set(res.primes), reverse=True) and res.primes[0] < 2**res.width
+    for p, r in zip(res.primes, res.roots):
+        assert p % 4 == 1 and linalg._is_prime(p)
+        assert 0 < r <= p // 2 and r * r % p == p - 1
+    # the columns carry the same roots, one per prime
+    assert p_col[:, 0, 0].tolist() == res.primes[: k + 1]
+    assert root_col[:, 0, 0].tolist() == res.roots[: k + 1]
