@@ -56,8 +56,8 @@ def _local_dims(dims, name: str = "dims") -> tuple[int, int]:
 _EXPORTS = {
     "inversion": "SpectrumRecovery spectrum_from_power_sums",
     "ledger": "QUOTED_TOMOGRAPHY_R ResourceLedger resource_ledger",
-    "linalg": "cyclic_shift_matrix general_eigenvalues herm_eigenvalues partial_transpose tensor",
-    "measures": "ConcurrenceBreakdown GammaReport NegativityReport PptVerdict SPIN_FLIP binary_entropy "
+    "linalg": "cyclic_shift_matrix general_eigenvalues herm_eigenvalues partial_transpose",
+    "measures": "ConcurrenceBreakdown GammaReport NegativityReport PptVerdict binary_entropy "
                 "concurrence concurrence_breakdown ef_from_concurrence gamma_concurrence_report "
                 "negativity_report ppt_verdict spin_flip",
     "protocols": "SECOND_STAGE_ABANDONED SpectrumEstimate TwoStageResult concurrence_from_moments "

@@ -64,16 +64,6 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product of one or more matrices, first factor slowest index."""
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    out = as_complex_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, as_complex_matrix(f))
-    return out
-
-
 def partial_transpose(m, dims: tuple[int, int]) -> np.ndarray:
     """Transpose the indices of the second tensor factor (B) only.
 
@@ -117,6 +107,16 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:  # a state's matrix: checked at cons
     w, v = np.linalg.eigh(a)
     w = w.clip(0.0)  # a state's zero eigenvalues can come back just below 0
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+#: y_i y_j: Sigma = sigma_y (x) sigma_y is the antidiagonal Sigma_(i, 3-i) = y_i, y = (-1, 1, 1, -1)
+_FLIP = np.outer(*2 * [[-1.0, 1.0, 1.0, -1.0]])
+
+
+def sigma_yy_conjugate(x: np.ndarray) -> np.ndarray:
+    """Sigma x Sigma, Sigma = sigma_y (x) sigma_y, for a 4 x 4 matrix or a
+    stack of them: the signed reversal (Sigma x Sigma)_ij = y_i y_j x_(3-i, 3-j)."""
+    return _FLIP * x[..., ::-1, ::-1]
 
 
 def cyclic_shift_matrix(n: int, local_dim: int) -> np.ndarray:
@@ -281,9 +281,6 @@ class _Scaled(NamedTuple):
 #: [1, -1] over the part axis: r + sign * r^T is R + R^T and I - I^T
 _SIGN = np.array([1.0, -1.0])[:, None, None]
 
-#: y_i y_j, as Sigma = sigma_y (x) sigma_y gives (Sigma m* Sigma)_ij = y_i y_j m*_(3-i, 3-j)
-_FLIP = np.outer(*2 * [[-1.0, 1.0, 1.0, -1.0]])
-
 
 def _decompose(m: np.ndarray) -> _Scaled:
     """Integer parts of the exactly symmetrized matrix, from one frexp.
@@ -339,9 +336,9 @@ def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
     r = np.fmod(scaled.mant, p_int[..., None]) * pow2[:, scaled.shift]  # (k, 2, D, D)
     sym = _reduce(r + _SIGN * r.swapaxes(-1, -2), p[..., None], p_inv[..., None])
     a, b = sym[:, 0], root * sym[:, 1]
-    if flip:  # m~ = Sigma m* Sigma maps to y_i y_j (A - rB)_(3-i, 3-j); A +- rB stay within 2h
+    if flip:  # m* maps to A - rB, m~ = Sigma m* Sigma to Sigma (A - rB) Sigma; A +- rB stay within 2h
         b = _reduce(b, p, p_inv)
-        step = _reduce((a + b) @ (_FLIP * (a - b)[:, ::-1, ::-1]), p, p_inv)
+        step = _reduce((a + b) @ sigma_yy_conjugate(a - b), p, p_inv)
     else:
         step = _reduce(a + b, p, p_inv)
     # (X^b)^T is an explicit transpose: a residue of a Hermitian X is not symmetric

@@ -17,12 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _real
-from .linalg import _psd_sqrt, general_eigenvalues, herm_eigenvalues, partial_transpose, tensor
+from .linalg import _psd_sqrt, general_eigenvalues, herm_eigenvalues, partial_transpose, sigma_yy_conjugate
 from .states import DensityMatrix
-
-#: sigma_y (x) sigma_y, the two-qubit spin flip (real, entries in {0, +-1})
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y).real.astype(complex)
 
 #: a partial-transpose eigenvalue below -NPT_TOL counts as negative
 NPT_TOL = 1e-9
@@ -39,7 +35,7 @@ def _require_two_qubit(state: DensityMatrix, operation: str) -> np.ndarray:
 
 def spin_flip(state: DensityMatrix) -> np.ndarray:
     """Spin-flipped two-qubit state Sigma rho* Sigma (same spectrum as rho)."""
-    return SPIN_FLIP @ _require_two_qubit(state, "the spin flip").conj() @ SPIN_FLIP
+    return sigma_yy_conjugate(_require_two_qubit(state, "the spin flip").conj())
 
 
 def binary_entropy(x: float) -> float:
@@ -166,8 +162,7 @@ class GammaReport(NamedTuple):
 
 def gamma_matrix(state: DensityMatrix) -> np.ndarray:
     tb = partial_transpose(_require_two_qubit(state, "the gamma matrix"), (2, 2))
-    ta = np.ascontiguousarray(tb.T)  # rho^T_A = (rho^T_B)^T
-    return SPIN_FLIP @ ta @ SPIN_FLIP @ tb
+    return sigma_yy_conjugate(tb.T) @ tb  # rho^T_A = (rho^T_B)^T
 
 
 def gamma_concurrence_report(state: DensityMatrix) -> GammaReport:

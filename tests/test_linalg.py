@@ -29,33 +29,15 @@ def bell_projector():
     return np.outer(psi, psi.conj())
 
 
-# ----------------------------------------------------------------- tensor
+# ------------------------------------------------------------------ Sigma
 
-def test_tensor_identity():
-    np.testing.assert_array_equal(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_sigma_yy_antidiagonal():
-    # direct Kronecker expansion by hand: anti-diagonal (-1, 1, 1, -1)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = -1
-    expected[1, 2] = 1
-    expected[2, 1] = 1
-    expected[3, 0] = -1
-    np.testing.assert_allclose(linalg.tensor(SY, SY), expected, atol=1e-15)
-
-
-def test_tensor_mixed_product_identity():
+def test_sigma_yy_conjugate_is_the_kron_product_bit_for_bit():
+    # the signed reversal against Sigma x Sigma with Sigma from np.kron, on a
+    # stack with no zero entry (a product's sums of zero terms make a -0 entry +0)
     rng = rng_stream(1, 0)
-    a, b, c, d = (random_complex(2, rng) for _ in range(4))
-    lhs = linalg.tensor(a, b) @ linalg.tensor(c, d)
-    rhs = linalg.tensor(a @ c, b @ d)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        linalg.tensor(np.array([[np.nan, 0], [0, 1]]))
+    x = np.array([random_complex(4, rng) for _ in range(50)])
+    sigma = np.kron(SY, SY)
+    assert linalg.sigma_yy_conjugate(x).tobytes() == (sigma @ x @ sigma).tobytes()
 
 
 # ------------------------------------------------------- partial transpose
@@ -155,7 +137,7 @@ def test_general_eigenvalues_triangular():
 
 def test_general_eigenvalues_bell_rho_rho_tilde():
     rho = bell_projector()
-    sig = linalg.tensor(SY, SY)
+    sig = np.kron(SY, SY)
     rho_tilde = sig @ rho.conj() @ sig
     w = np.sort(linalg.general_eigenvalues(rho @ rho_tilde).real)[::-1]
     np.testing.assert_allclose(w, [1, 0, 0, 0], atol=1e-12)
@@ -228,7 +210,7 @@ def test_shift_defining_property_n3():
     rng = rng_stream(7, 0)
     a, b, c = (random_complex(2, rng) for _ in range(3))
     v = linalg.cyclic_shift_matrix(3, 2)
-    explicit = np.trace(v @ linalg.tensor(a, b, c))
+    explicit = np.trace(v @ np.kron(np.kron(a, b), c))
     assert abs(explicit - np.trace(a @ b @ c)) < 1e-12
 
 
@@ -244,13 +226,13 @@ def test_cyclic_trace_pair_vs_explicit_swap():
     rng = rng_stream(8, 0)
     a, b = random_complex(2, rng), random_complex(2, rng)
     v = linalg.cyclic_shift_matrix(2, 2)
-    explicit = np.trace(v @ linalg.tensor(a, b))
+    explicit = np.trace(v @ np.kron(a, b))
     assert abs(explicit - np.trace(a @ b)) < 1e-12
 
 
 def test_cyclic_trace_identity_factors():
     v = linalg.cyclic_shift_matrix(3, 4)
-    assert abs(np.trace(v @ linalg.tensor(*[np.eye(4)] * 3)) - 4.0) < 1e-14
+    assert abs(np.trace(v @ functools.reduce(np.kron, [np.eye(4)] * 3)) - 4.0) < 1e-14
 
 
 def test_cyclic_trace_alternating_factors_vs_materialized():
@@ -259,11 +241,11 @@ def test_cyclic_trace_alternating_factors_vs_materialized():
     g = random_complex(4, rng)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    sig = linalg.tensor(SY, SY)
+    sig = np.kron(SY, SY)
     rho_tilde = sig @ rho.conj() @ sig
     fast = spa.ladder_power_sums(DensityMatrix(rho, (2, 2)))[1]
     v = linalg.cyclic_shift_matrix(4, 4)
-    explicit = np.trace(v @ linalg.tensor(rho, rho_tilde, rho, rho_tilde))
+    explicit = np.trace(v @ functools.reduce(np.kron, [rho, rho_tilde, rho, rho_tilde]))
     assert abs(fast - np.trace(np.linalg.matrix_power(rho @ rho_tilde, 2))) < 1e-12
     assert abs(fast - explicit) < 1e-10
 
@@ -280,7 +262,7 @@ def test_shift_equivalence_sweep():
         count += 1
         mats = [random_complex(d, rng) for _ in range(n)]
         v = linalg.cyclic_shift_matrix(n, d)
-        explicit = np.trace(v @ linalg.tensor(*mats))
+        explicit = np.trace(v @ functools.reduce(np.kron, mats))
         fast = np.trace(functools.reduce(np.matmul, mats))
         assert abs(explicit - fast) <= 1e-10 * max(1.0, abs(explicit))
 
@@ -395,7 +377,7 @@ def int_route_product_traces(a, b, n_max):
 def flip(m):
     """Sigma m* Sigma, Sigma = sigma_y (x) sigma_y: a signed permutation of
     the entries, so the float products are exact."""
-    sigma = linalg.tensor(SY, SY)
+    sigma = np.kron(SY, SY)
     return sigma @ np.conj(m) @ sigma
 
 

@@ -30,9 +30,19 @@ def random_entangled(rng):
 
 # ------------------------------------------------------------- spin flip
 
-def test_spin_flip_constant():
-    assert np.array_equal(measures.SPIN_FLIP.imag, np.zeros((4, 4)))
-    assert set(np.unique(measures.SPIN_FLIP.real)) == {-1.0, 0.0, 1.0}
+def test_spin_flip_and_gamma_matrix_match_the_sigma_product_bit_for_bit():
+    # the signed reversal against the explicit products with Sigma = sigma_y (x) sigma_y,
+    # in values and in the sign of every zero
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    sigma = np.kron(sy, sy).real.astype(complex)
+    rng = states.rng_stream(203, 0)
+    cases = [states.bell_state(), states.werner_state(0.8), states.werner_state(0.0)]
+    cases += [states.make_state(family, dims=(2, 2), rng=rng)
+              for family in ("random-mixed", "random-pure", "product-pure") for _ in range(20)]
+    for st in cases:
+        tb = linalg.partial_transpose(st.matrix, (2, 2))
+        assert measures.spin_flip(st).tobytes() == (sigma @ st.matrix.conj() @ sigma).tobytes()
+        assert measures.gamma_matrix(st).tobytes() == (sigma @ np.ascontiguousarray(tb.T) @ sigma @ tb).tobytes()
 
 
 def test_spin_flip_fixes_bell():
@@ -101,7 +111,7 @@ def test_local_unitary_invariance():
     rng = states.rng_stream(202, 0)
     for _ in range(20):
         st = states.random_mixed_state((2, 2), rng)
-        u = linalg.tensor(states.random_unitary(2, rng), states.random_unitary(2, rng))
+        u = np.kron(states.random_unitary(2, rng), states.random_unitary(2, rng))
         rotated = states.DensityMatrix(u @ st.matrix @ u.conj().T, (2, 2))
         assert abs(measures.concurrence(st) - measures.concurrence(rotated)) < 1e-9
 
