@@ -20,7 +20,8 @@ polynomial is centered.  The engine here therefore
    The first structure whose residual sits at the rounding floor wins.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
-to the raw projected roots with flags, never an exception.
+to the raw projected roots with flags, never an exception; a non-positive
+second central moment comes back as the mean, unflagged, for now.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from operator import add, mul
 from typing import NamedTuple
 
@@ -46,7 +47,7 @@ _FLOAT_NOISE_FACTOR = 64.0
 #: accepted residual, in units of the propagated noise floor
 _ACCEPT_FACTOR = 8.0
 
-#: below this relative spread all values are reported as their mean
+#: below this spread, times max(1, |mean|), all values are reported as their mean
 _DEGENERATE_SPREAD = 1e-8
 
 #: screen value, in units of the weights, above which a structure is skipped
@@ -68,9 +69,10 @@ class SpectrumRecovery(NamedTuple):
     flags: tuple[str, ...]
 
 
-def _taylor_shift(a: list, b: int) -> list:
-    """sum_j comb(m, j) a_j b**(m - j), m = 1..len(a) - 1, on integers: pass m
-    of the triangle row[i] = row[i + 1] + b * row[i] leaves the m-th in row[0]."""
+def _taylor_shift(a: list, b) -> list:
+    """sum_j comb(m, j) a_j b**(m - j), m = 1..len(a) - 1: pass m of the triangle
+    row[i] = row[i + 1] + b * row[i] leaves the m-th in row[0].  Integers shift
+    the moments exactly; non-negative floats, which cannot cancel, their floor."""
     q = []
     for _ in range(len(a) - 1):
         a = [hi + b * lo for lo, hi in zip(a, a[1:])]
@@ -114,17 +116,12 @@ def _centered_setup(psums):
 
     # Rounding floor of the standardized moments: each float input p_j
     # carries ~eps relative error which the shift amplifies by the binomial
-    # weights; exact Fraction inputs only pay the final float conversion.
-    noise = []
-    magnitude = [abs(a / b) for a, b in p]
-    cf_pow = [abs(cf) ** i for i in range(n + 1)]
-    for m in range(1, n + 1):
-        propagated = 0.0
-        if not exact_input:
-            for j in range(m + 1):
-                propagated += comb(m, j) * magnitude[j] * cf_pow[m - j]
-            propagated *= _FLOAT_NOISE_FACTOR * _EPS / sf**m
-        noise.append(propagated + _FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(qs[m - 1])))
+    # weights (the Taylor shift of the |p_j| by |c|); exact Fraction inputs
+    # only pay the final float conversion, and skip sf**m, which can underflow.
+    noise = [_FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(x)) for x in qs]
+    if not exact_input:
+        shifted = _taylor_shift([abs(a / b) for a, b in p], abs(cf))
+        noise = [x * (_FLOAT_NOISE_FACTOR * _EPS / sf**m) + f for m, (x, f) in enumerate(zip(shifted, noise), 1)]
 
     # Newton's identities with e_k = E_k / (k! D**k), f = (-1)**(i-1) (k-1)!/(k-i)!
     e = [1]
@@ -182,8 +179,8 @@ def _gauss_newton(z0, mult, targets, weights):
     z = z0.astype(float)
     n = len(targets)
     best, best_res = z.copy(), math.inf
-    # a diverging candidate overflows its powers: it stops before lstsq, which
-    # would raise on non-finite input, and the best one so far is kept
+    # a diverging candidate or a non-finite step gives non-finite powers: it stops
+    # before lstsq, which would raise on non-finite input; the best one so far is kept
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(_GAUSS_NEWTON_ITERS + 1):  # the last pass only evaluates
             pw = _power_table(z, n)
@@ -197,8 +194,6 @@ def _gauss_newton(z0, mult, targets, weights):
             if not (np.isfinite(jac).all() and np.isfinite(r).all()):
                 break
             step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-            if not np.isfinite(step).all():
-                break
             z = z - step
     return best, best_res
 
@@ -234,8 +229,7 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         return SpectrumRecovery(np.full(n, center), ())
 
     raw = _companion_roots(coeffs)
-    y = raw.real.copy()
-    y.sort()
+    y = np.sort(raw.real)
     ymax = max(1.0, float(abs(y).max()))
     with np.errstate(over="ignore"):  # roots too large for float64 powers: inf weights, unwarned
         weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
@@ -256,13 +250,9 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         mult = np.array(sizes, dtype=float)
         z, res = _gauss_newton(np.array(means), mult, targets, weights)
         if res <= 1.0:
-            values = center + scale * z.repeat(mult.astype(int))
-            values.sort()
-            return SpectrumRecovery(values[::-1], ())
-
-    flags = []
-    if scale * float(abs(raw.imag).max()) > _IMAG_GUARD:
-        flags.append(COMPLEX_ROOTS_FLAG)
-    values = center + scale * y
-    values.sort()
-    return SpectrumRecovery(values[::-1], tuple(flags))
+            values, flags = z.repeat(mult.astype(int)), ()
+            break
+    else:
+        values = y
+        flags = (COMPLEX_ROOTS_FLAG,) if scale * float(abs(raw.imag).max()) > _IMAG_GUARD else ()
+    return SpectrumRecovery(np.sort(center + scale * values)[::-1], flags)

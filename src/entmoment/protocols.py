@@ -73,8 +73,9 @@ def newton_invert(moments) -> SpectrumRecovery:
 
     Complex root residuals are projected out with a flag; negative values
     are clamped to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy
-    input yields a flagged estimate, never an exception.  Fraction inputs
-    are inverted exactly.
+    input never raises; it is flagged, except that a non-positive second
+    central moment comes back as the unflagged mean (ROADMAP item 4).
+    Fraction inputs are inverted exactly.
     """
     if len(moments) != 4:
         raise ValueError("expected four moments")

@@ -166,6 +166,14 @@ def test_exact_invalid_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_exact_refuses_a_non_finite_entry_with_one_error_line(tmp_path, capsys):
+    # Python's json reads NaN; the state's own check refuses it, no backend exception
+    path = tmp_path / "nan.json"
+    path.write_text('{"dims": [1, 2], "re": [[0.5, NaN], [0, 0.5]], "im": [[0, 0], [0, 0]]}')
+    assert run_cli(["exact", "--in", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--family", "bell", "--out", "{tmp}"],
     ["protocol", "concurrence", "--family", "bell", "--out", "{tmp}/missing/r.json"],
@@ -484,6 +492,15 @@ def test_compare_checks_every_shot_count_before_running(capsys, tmp_path, monkey
     assert captured.out == ""
     assert f"error: shots must be 1..9223372036854775807, got {2**63}" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shots, message", [
+    ("a,b", "--shots must be a comma list of integers, got 'a,b'"),
+    (",", "compare needs at least one shot count"),
+], ids=["not-integers", "empty"])
+def test_compare_refuses_a_malformed_shot_list_with_one_error_line(capsys, shots, message):
+    assert run_cli(["compare", "--family", "bell", "--reps", "2", "--shots", shots]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_compare_reps_is_required(capsys):

@@ -1,6 +1,7 @@
 """Power-sum spectrum recovery: round trips, degeneracies, noisy input."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from math import comb
@@ -249,7 +250,8 @@ def test_batched_screen_keeps_splits_near_the_cut():
 
 
 # Reference: the Fraction chain that the graded-integer _centered_setup
-# replaced, as it stood.
+# replaced; the float floor is written out as the additions-only Taylor
+# triangle, whose rounding order the set-up's floor follows bit for bit.
 
 def reference_centered_setup(psums):
     n = len(psums)
@@ -274,12 +276,13 @@ def reference_centered_setup(psums):
     qs = np.array([float(q[m - 1] / scale**m) for m in range(1, n + 1)])
 
     noise = np.empty(n)
+    row = [abs(float(x)) for x in p]
     for m in range(1, n + 1):
         propagated = 0.0
         if not exact_input:
-            for j in range(0, m + 1):
-                propagated += comb(m, j) * abs(float(p[j])) * abs(cf) ** (m - j)
-            propagated *= inversion._FLOAT_NOISE_FACTOR * inversion._EPS / sf**m
+            # pass m of the triangle: row[0] is sum_j comb(m, j) |p_j| |c|**(m - j)
+            row = [row[i + 1] + abs(cf) * row[i] for i in range(len(row) - 1)]
+            propagated = row[0] * (inversion._FLOAT_NOISE_FACTOR * inversion._EPS / sf**m)
         noise[m - 1] = propagated + inversion._FLOAT_NOISE_FACTOR * inversion._EPS * max(1.0, abs(qs[m - 1]))
 
     e = [Fraction(1)]
@@ -388,8 +391,10 @@ def reference_taylor_shift(a, b):
 
 
 def shift_inputs(psums):
-    """The (a, b) that _centered_setup hands to _taylor_shift for psums, or
-    None where it returns degenerate (or overflows) before the shift."""
+    """The (a, b) pairs that _centered_setup hands to _taylor_shift for psums:
+    the graded integer moments, then, for float input, the float magnitudes
+    of its rounding floor.  None where it returns degenerate (or overflows)
+    before the shift."""
     seen, real = [], inversion._taylor_shift
     inversion._taylor_shift = lambda a, b: seen.append((a, b)) or real(a, b)
     try:
@@ -402,8 +407,9 @@ def shift_inputs(psums):
         # the mean and variance alone decide the degenerate return
         assert out is None or out[2] is None
         return None
-    (a, b), = seen
-    return a, b
+    # exact input skips the floor; an overflow can stop float input before it
+    assert len(seen) <= 2 and (out is None or len(seen) == 2 - all(isinstance(x, Fraction) for x in psums))
+    return seen
 
 
 @settings(max_examples=100, deadline=None)
@@ -413,9 +419,21 @@ def test_taylor_shift_matches_binomial_sums(psums):
     inputs = shift_inputs(psums)
     if inputs is None:
         return
-    a, b = inputs
+    (a, b), *floor = inputs
     assert len(a) == len(psums) + 1
     assert inversion._taylor_shift(a, b) == reference_taylor_shift(a, b)
+    # the float call: m passes of one product and one sum per entry, every term
+    # non-negative, so no cancellation (m eps); a product below the normal range
+    # may also lose 2**-1075, carried by weights summing to at most (1 + b)**m
+    # per pass.  The slack doubles both bounds.
+    for a, b in floor:
+        exact = reference_taylor_shift([Fraction(x) for x in a], Fraction(b))
+        for m, (got, want) in enumerate(zip(inversion._taylor_shift(a, b), exact), 1):
+            slack = 2 * m * Fraction(inversion._EPS) * want + m * Fraction(2) ** -1074 * (1 + Fraction(b)) ** m
+            if math.isinf(got):
+                assert want + slack > Fraction(sys.float_info.max)
+            else:
+                assert abs(Fraction(got) - want) <= slack
 
 
 def reference_gauss_newton(z0, mult, targets, weights):

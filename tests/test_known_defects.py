@@ -126,6 +126,14 @@ def _two_exact_values_4e9_apart():
     return rec.values, rec.flags, lam
 
 
+def _two_exact_values_near_zero():
+    # the cut is 1e-8 * max(1, |mean|): absolute for every spectrum below 1
+    lam = [1e-9, 3e-9]
+    exact = [Fraction(x) for x in lam]
+    rec = spectrum_from_power_sums([sum(x**m for x in exact) for m in (1, 2)])
+    return rec.values, rec.flags, lam
+
+
 def _random_mixed_at_weight_1e8_over_white_noise():
     w = 1e-8
     rho = states.random_mixed_state((2, 2), states.rng_stream(0, 0))
@@ -136,10 +144,12 @@ def _random_mixed_at_weight_1e8_over_white_noise():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP items 2 and 14: the set-up returns a near-uniform exact spectrum as its mean")
-@pytest.mark.parametrize("recover", [_two_exact_values_4e9_apart, _random_mixed_at_weight_1e8_over_white_noise])
+@pytest.mark.parametrize("recover", [_two_exact_values_4e9_apart, _two_exact_values_near_zero,
+                                     _random_mixed_at_weight_1e8_over_white_noise])
 def test_near_uniform_exact_spectrum_is_not_reported_as_its_mean(recover):
-    # _centered_setup returns the mean below a relative spread of 1e-8 (the
-    # early return also holds off the floor-term underflow of sf**m), and
-    # does so for exact Fraction input too: today 2.0e-9 and 4.4e-10 off
+    # _centered_setup returns the mean below a spread of 1e-8 * max(1, |mean|),
+    # an absolute 1e-8 for every spectrum below 1 (the early return also holds
+    # off the floor-term underflow of sf**m), and does so for exact Fraction
+    # input too: today 2.0e-9, 1.0e-9 and 4.4e-10 off
     values, flags, lam = recover()
     assert flags or np.max(np.abs(np.sort(values) - np.sort(lam))) <= IDEAL_TOL

@@ -91,6 +91,15 @@ def test_partial_transpose_shape_mismatch():
         linalg.partial_transpose(np.eye(4), (2, 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "imaginary-nan"])
+def test_non_finite_entries_are_refused(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = m[2, 1] = bad
+    for refuse in (lambda: linalg.partial_transpose(m, (2, 2)), lambda: linalg.exact_power_traces(m, 2)):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            refuse()
+
+
 # ---------------------------------------------------------------- eigen ops
 
 def test_herm_eigen_diagonal_sorted_ascending():

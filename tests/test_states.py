@@ -175,6 +175,11 @@ def test_density_matrix_rejects_invalid():
         states.DensityMatrix(np.diag([1.1, -0.1, 0.0, 0.0]), (2, 2))
     with pytest.raises(ValueError):
         states.DensityMatrix(np.eye(4) / 4, (2, 3))
+    for bad in (np.nan, np.inf):
+        m = np.eye(4) / 4
+        m[0, 3] = m[3, 0] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            states.DensityMatrix(m, (2, 2))
     # malformed dims are refused, not truncated to (2, 2) or read as (1, 4)
     for dims in [(2.9, 2.1), (True, 4), (0, 4), (2, 2, 1)]:
         with pytest.raises(ValueError, match="integers of at least 1"):
@@ -247,6 +252,8 @@ def test_reject_missing_keys_and_bad_json():
         states.state_from_json("{not json")
     with pytest.raises(ValueError, match="missing"):
         states.state_from_json(json.dumps({"dims": [2, 2], "re": []}))
+    with pytest.raises(ValueError, match="state record must be a JSON object"):
+        states.state_from_json("[1, 2]")
 
 
 def test_reject_invariant_violation_with_residuals():
@@ -311,6 +318,8 @@ def test_make_state_dispatch_errors():
             with pytest.raises(ValueError, match=r"dims must be \[dimA, dimB\], integers of at least 1"):
                 states.make_state(family, dims, **kwargs)
     assert states.make_state("isotropic", [np.int64(3), 3], p=0.5).dims == (3, 3)
+    with pytest.raises(ValueError, match="isotropic states need equal local dimensions"):
+        states.make_state("isotropic", dims=(2, 3), p=0.5)
 
 
 def test_family_constructors_check_dims_at_entry():
