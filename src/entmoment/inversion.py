@@ -9,15 +9,20 @@ polynomial is centered.  The engine here therefore
 
 1. performs the centering shift, a power-of-two rescale and the Newton
    recursion exactly, on Python integers graded by moment order (floats are
-   exact binary rationals; callers with exactly known moments pass Fractions),
+   exact binary rationals; callers with exactly known moments pass
+   Fractions, or the exact traces of :mod:`entmoment.linalg`, whose integers
+   come graded already),
 2. roots the standardized polynomial via the companion matrix,
 3. selects a multiplicity structure by weighted least squares against the
    moments: for each cluster count, coarsest first, the sorted roots are
    split at their widest gaps (single linkage; each count adds one cut to
-   the previous partition); one plain-float screen of the cluster means
-   skips every count some moment rules out, and each survivor gets a
-   multiplicity-constrained Gauss-Newton pass started from those means.
-   The first structure whose residual sits at the rounding floor wins.
+   the previous partition).  One plain-float screen of the cluster means
+   skips every count some moment rules out, and accepts the means as they
+   are where its worst moment sits below 0.5 weight units by more than its
+   float-error bound, which is what the Gauss-Newton pass would return.
+   Every other count gets a multiplicity-constrained Gauss-Newton pass
+   started from those means.  The first structure whose residual sits at
+   the rounding floor wins.
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
 to the raw projected roots with flags, never an exception; a non-positive
@@ -38,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _real
+from .linalg import PowerTraces
 
 _EPS = float(np.finfo(float).eps)
 
@@ -52,6 +58,10 @@ _DEGENERATE_SPREAD = 1e-8
 
 #: screen value, in units of the weights, above which a structure is skipped
 _SCREEN_CUT = 1e6
+
+#: eps / 2 of n * ymax**m, the most one rounding of a moment's terms costs, in
+#: units of its smallest weight _ACCEPT_FACTOR * _FLOAT_NOISE_FACTOR * eps * n * ymax**m
+_ROUNDING = 0.5 / (_ACCEPT_FACTOR * _FLOAT_NOISE_FACTOR)
 
 #: Gauss-Newton steps per candidate structure
 _GAUSS_NEWTON_ITERS = 12
@@ -88,39 +98,50 @@ def _centered_setup(psums):
     all-values-equal-to-center degenerate case.
     """
     n = len(psums)
-    exact_input = all(isinstance(x, Fraction) for x in psums)
-    p = [(n, 1)] + [(x if isinstance(x, Fraction) else float(x)).as_integer_ratio() for x in psums]
+    graded = isinstance(psums, PowerTraces)
+    exact_input = graded or all(isinstance(x, Fraction) for x in psums)
+    if graded:  # p_m = t_m / G**m with G = 2**-e
+        den = 1 << -psums.e
+        head = [(t, den**m) for m, t in enumerate(psums.ints[:2], 1)]
+    else:
+        ratios = [(n, 1)] + [(x if isinstance(x, Fraction) else float(x)).as_integer_ratio() for x in psums]
+        head = ratios[1:3]
     # the mean c = p_1 / n and the variance q_2 = p_2 - p_1**2 / n, each one
     # correctly rounded int / int, decide the degenerate return on their own
-    (a1, b1), (a2, b2) = p[1], p[min(n, 2)]
+    (a1, b1), (a2, b2) = head[0], head[-1]
     cf = a1 / (n * b1)
     q2 = (n * a2 * b1 * b1 - a1 * a1 * b2) / (n * b2 * b1 * b1) if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
         return cf, 0.0, None, None, None
 
-    # p_m = a_m / b_m = P_m / G**m, P_m integers: with b_m = odd_m << twos_m, G is
-    # odd << g, odd the lcm of the odd_m and g m >= twos_m; q_m = Q_m / (n G)**m
-    odd, g, twos = 1, 0, [0]
-    for m, (_, b) in enumerate(p[1:], 1):
-        twos.append((b & -b).bit_length() - 1)
-        odd, g = math.lcm(odd, b >> twos[m]), max(g, -(-twos[m] // m))
-    num = [(a * odd**m // (b >> t)) << (g * m - t) for m, ((a, b), t) in enumerate(zip(p, twos))]
+    # p_m = P_m / G**m, P_m integers (P_0 = n), q_m = Q_m / (n G)**m: exact
+    # traces come graded, P_m = t_m; else, with b_m = odd_m << twos_m, G is
+    # odd << g, odd the lcm of the odd_m and g m >= twos_m
+    if graded:
+        num = [n, *psums.ints]
+    else:
+        odd, g, twos = 1, 0, [0]
+        for m, (_, b) in enumerate(ratios[1:], 1):
+            twos.append((b & -b).bit_length() - 1)
+            odd, g = math.lcm(odd, b >> twos[m]), max(g, -(-twos[m] // m))
+        num = [(a * odd**m // (b >> t)) << (g * m - t) for m, ((a, b), t) in enumerate(zip(ratios, twos))]
+        den = odd << g
     q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
     s = round(0.5 * math.log2(q2 / n))
     sf = 2.0**s
     # standardized moments q_m / 2**(s m) = Q_m / D**m with integers Q_m, D
-    denom, q = n * (odd << g) << max(s, 0), [x << max(-s, 0) * m for m, x in enumerate(q, 1)]
+    denom, q = n * den << max(s, 0), [x << max(-s, 0) * m for m, x in enumerate(q, 1)]
     denom_pow = list(accumulate([denom] * n, mul, initial=1))
 
     qs = [x / y for x, y in zip(q, denom_pow[1:])]
 
     # Rounding floor of the standardized moments: each float input p_j
     # carries ~eps relative error which the shift amplifies by the binomial
-    # weights (the Taylor shift of the |p_j| by |c|); exact Fraction inputs
-    # only pay the final float conversion, and skip sf**m, which can underflow.
+    # weights (the Taylor shift of the |p_j| by |c|); exact inputs only pay
+    # the final float conversion, and skip sf**m, which can underflow.
     noise = [_FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(x)) for x in qs]
     if not exact_input:
-        shifted = _taylor_shift([abs(a / b) for a, b in p], abs(cf))
+        shifted = _taylor_shift([abs(a / b) for a, b in ratios], abs(cf))
         noise = [x * (_FLOAT_NOISE_FACTOR * _EPS / sf**m) + f for m, (x, f) in enumerate(zip(shifted, noise), 1)]
 
     # Newton's identities with e_k = E_k / (k! D**k), f = (-1)**(i-1) (k-1)!/(k-i)!
@@ -149,15 +170,41 @@ def _mean(xs: list) -> float:
     return reduce(add, xs, 0.0) / len(xs)
 
 
-def _fast_skip(means: list, sizes: list, targets: list, weights: list) -> bool:
-    """Whether some moment's screen value, in plain floats (powers by repeated
-    multiplication, lowest moment first), is above the cut."""
-    powers = sizes
+def _screen(means: list, sizes: list, targets: list, weights: list) -> float:
+    """The worst moment's |sum_i s_i z_i**m - t_m| / w_m in plain floats
+    (powers by repeated multiplication, lowest moment first).  The first
+    value above the cut returns at once.  A nan comes from an infinite power,
+    which stays infinite, so every later value is nan or infinite: once in,
+    the nan stays the worst, and it neither skips nor accepts."""
+    worst, powers = 0.0, sizes
     for t, w in zip(targets, weights):
         powers = [p * z for p, z in zip(powers, means)]
-        if abs(sum(powers) - t) / w > _SCREEN_CUT:
-            return True
-    return False
+        value = abs(sum(powers) - t) / w
+        if value > _SCREEN_CUT:
+            return value
+        if not value <= worst:
+            worst = value
+    return worst
+
+
+def _accept_below(n: int, ymax: float) -> float:
+    """Screen value below which _gauss_newton's first residual is below 0.5.
+
+    Both evaluate the same floats: at moment m with k clusters the screen
+    rounds m products per term and makes k - 1 additions; _gauss_newton
+    takes each power with pow (4 ulp allowed, 8 roundings), multiplies by
+    the multiplicity and makes k - 1 additions.  Each rounding is at most
+    eps / 2 of the terms' magnitudes, which sum to at most n * ymax**m (a
+    mean lies within its roots), while the weight is at least
+    _ACCEPT_FACTOR * _FLOAT_NOISE_FACTOR * eps * n * ymax**m: one costs at
+    most _ROUNDING weight units.  With m, k <= n the two values differ by at
+    most 3 n + 7 of them; two more cover the relative roundings of the value
+    and of the weights.  The bound needs every term in float range, n *
+    ymax**n below 2**1023; past that nothing is accepted (no value is below 0).
+    """
+    if math.log2(n) + n * math.log2(ymax) >= 1023:
+        return 0.0
+    return 0.5 - (3 * n + 9) * _ROUNDING
 
 
 def _companion_roots(coeffs: list) -> np.ndarray:
@@ -203,10 +250,11 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
 
     Parameters
     ----------
-    power_sums : sequence of float or Fraction
-        The n power sums of the n sought values.  Fractions are treated as
-        exact; floats carry a rounding-floor allowance.  Empty, non-real
-        (bools too), non-finite or float64-overflowing input raises ValueError.
+    power_sums : PowerTraces, or a sequence of float or Fraction
+        The n power sums of the n sought values.  Exact traces and Fractions
+        are treated as exact; floats carry a rounding-floor allowance.
+        Empty, non-real (bools too), non-finite or float64-overflowing input
+        raises ValueError.
 
     Returns
     -------
@@ -214,13 +262,16 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         Values sorted descending.  Flags are empty whenever some real
         spectrum reproduces the moments at their precision floor.
     """
-    psums = list(power_sums)
+    if isinstance(power_sums, PowerTraces):  # integers: real and finite
+        psums = power_sums
+    else:
+        psums = list(power_sums)
+        for i, x in enumerate(psums):
+            if type(x) is not Fraction:  # exact, so real and finite; the ABC check would cost 0.1-0.5 us
+                _real(x, f"power sum at index {i}")
     n = len(psums)
     if n == 0:
         raise ValueError("need at least one power sum")
-    for i, x in enumerate(psums):
-        if type(x) is not Fraction:  # exact, so real and finite; the ABC check would cost 0.1-0.5 us
-            _real(x, f"power sum at index {i}")
     try:
         center, scale, coeffs, targets, noise = _centered_setup(psums)
     except OverflowError as exc:
@@ -234,7 +285,7 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
     with np.errstate(over="ignore"):  # roots too large for float64 powers: inf weights, unwarned
         weights = _ACCEPT_FACTOR * (noise + _FLOAT_NOISE_FACTOR * _EPS * n * ymax ** np.arange(1, n + 1))
 
-    ys, fast_targets, fast_weights = y.tolist(), targets.tolist(), weights.tolist()
+    ys, fast_targets, fast_weights, accept = y.tolist(), targets.tolist(), weights.tolist(), _accept_below(n, ymax)
     bounds, sizes, means = [0, n], [n], [_mean(ys)]
     # single linkage: n_clusters groups split the sorted roots at their widest
     # gaps; each count adds one cut to the previous split
@@ -245,8 +296,12 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
             bounds.insert(i, cut)
             sizes[i - 1:i] = [cut - a, b - cut]
             means[i - 1:i] = [_mean(ys[a:cut]), _mean(ys[cut:b])]
-        if _fast_skip(means, sizes, fast_targets, fast_weights):
+        value = _screen(means, sizes, fast_targets, fast_weights)
+        if value > _SCREEN_CUT:
             continue
+        if value < accept:  # what _gauss_newton returns from a first residual below 0.5
+            values, flags = np.array(means).repeat(sizes), ()
+            break
         mult = np.array(sizes, dtype=float)
         z, res = _gauss_newton(np.array(means), mult, targets, weights)
         if res <= 1.0:

@@ -17,8 +17,10 @@ R + R^T + r (I - I^T).  The ladder's spin flip takes its residues from the
 same ones.  The powers are batched float64 products over all primes at
 once, exact because the prime width, chosen from the dimension, keeps
 every partial sum below 2**53.  The traces come back by CRT in the
-symmetric range, and one spare prime checks each of them, so a wrong
-``Fraction`` raises instead of being returned.
+symmetric range, and one spare prime checks each of them, so a wrong trace
+raises instead of being returned.  They are returned as the CRT's integers
+with one power-of-two exponent (:class:`PowerTraces`); a ``Fraction`` is
+built only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import bisect
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -306,9 +309,34 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
-    """Tr(X^n), n = 1..n_max, as exact Fractions, for X the exactly
-    symmetrized m, or with ``flip`` its product with its spin flip.
+class PowerTraces(Sequence):
+    """Exact power traces Tr(X^n), n = 1..len, held as integers t_n with one
+    exponent e <= 0: Tr(X^n) = t_n * 2**(n * e).
+
+    Indexing and iteration give each trace as a ``Fraction``, built on
+    request; :meth:`floats` gives each as one correctly rounded int / int,
+    the float of that ``Fraction``, without building it.
+    """
+
+    __slots__ = ("ints", "e")
+
+    def __init__(self, ints: list[int], e: int):
+        self.ints, self.e = ints, e
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, i: int) -> Fraction:
+        n = range(1, len(self.ints) + 1)[i]
+        return Fraction(self.ints[n - 1], 1 << -n * self.e)
+
+    def floats(self) -> list[float]:
+        return [t / (1 << -n * self.e) for n, t in enumerate(self.ints, 1)]
+
+
+def _exact_traces(m, n_max: int, flip: bool) -> PowerTraces:
+    """Tr(X^n), n = 1..n_max, exactly, for X the exactly symmetrized m, or
+    with ``flip`` its product with its spin flip.
 
     i -> r, r**2 = -1 mod p, maps the Gaussian integers onto the residues
     modulo a prime p = 1 (mod 4): the integer M = (R + R^T) + i (I - I^T)
@@ -316,6 +344,8 @@ def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
     traces, integers as the factors are Hermitian, are taken modulo k
     primes, with k from |Tr(X^n)| <= sqrt(D) * ||X||_F**n, and rebuilt by
     CRT in the symmetric range; one more prime checks every one of them.
+    m = M * 2**e with e <= 0, since the scaling keeps 54 bits below the
+    smallest entry, so the traces come back as integers with that exponent.
     Tr(X^n) = Tr(X^a X^b), a = ceil(n / 2), b = floor(n / 2): only powers
     up to ceil(n_max / 2) are formed.
     """
@@ -323,7 +353,7 @@ def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
     if flip and m.shape != (4, 4):
         raise ValueError(f"the spin flip needs a 4 x 4 matrix, got shape {m.shape}")
     if _whole(n_max, "n_max", 0) == 0:
-        return []
+        return PowerTraces([], 0)
     dim, factors = m.shape[0], 1 + flip
     res, scaled = _residues(dim), _decompose(m)
     # the spin flip permutes m's entries up to sign: the same e and norm bound
@@ -349,7 +379,7 @@ def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
         else:
             z = x.swapaxes(1, 2).reshape(k, -1)  # (X^b)^T, b = a
         traces.append(_row_dots(x.reshape(k, -1), z))
-    e, out = factors * scaled.e, []
+    ints = []
     for n, row, kn in zip(range(1, n_max + 1), np.array(traces, dtype=np.int64).tolist(), counts):
         modulus, weights, check = res.crt(kn)
         t = sum(map(operator.mul, row, weights)) % modulus
@@ -357,12 +387,13 @@ def _exact_traces(m, n_max: int, flip: bool) -> list[Fraction]:
             t -= modulus
         if (t - row[kn]) % check:
             raise ArithmeticError(f"power trace {n} failed its check prime")
-        out.append(Fraction(t << n * e, 1) if e >= 0 else Fraction(t, 1 << -n * e))
-    return out
+        ints.append(t)
+    return PowerTraces(ints, factors * scaled.e)
 
 
-def exact_power_traces(m, n_max: int) -> list[Fraction]:
-    """Tr(m^n) for n = 1..n_max in exact rational arithmetic.
+def exact_power_traces(m, n_max: int) -> PowerTraces:
+    """Tr(m^n) for n = 1..n_max in exact rational arithmetic, as
+    :class:`PowerTraces`.
 
     Entries of ``m`` are binary floats, hence exact rationals; the traces
     returned are the mathematically exact power traces of the (exactly
@@ -373,9 +404,10 @@ def exact_power_traces(m, n_max: int) -> list[Fraction]:
     return _exact_traces(m, n_max, flip=False)
 
 
-def exact_product_power_traces(m, n_max: int) -> list[Fraction]:
-    """Tr((m m~)^n) for n = 1..n_max, exactly, for a Hermitian 4 x 4 m and
-    its spin flip m~ = Sigma m* Sigma, Sigma = sigma_y (x) sigma_y.
+def exact_product_power_traces(m, n_max: int) -> PowerTraces:
+    """Tr((m m~)^n) for n = 1..n_max, exactly, as :class:`PowerTraces`, for
+    a Hermitian 4 x 4 m and its spin flip m~ = Sigma m* Sigma, Sigma =
+    sigma_y (x) sigma_y.
 
     m is exactly symmetrized first, and m~ with it, so every trace is an
     exactly real rational although m m~ is not Hermitian.  With m = rho

@@ -17,14 +17,13 @@ The resource ledgers live in :mod:`entmoment.ledger` and are re-exported here.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .ledger import QUOTED_TOMOGRAPHY_R, ResourceLedger, resource_ledger  # noqa: F401  (re-exported)
-from .linalg import exact_power_traces, exact_product_power_traces
+from .linalg import PowerTraces, exact_power_traces, exact_product_power_traces
 from .measures import (
     ConcurrenceBreakdown,
     GammaReport,
@@ -47,8 +46,11 @@ MOMENT_ORDER_FLAG = "moment-order-violated"
 SECOND_STAGE_ABANDONED = "no entanglement detected, second stage abandoned"
 
 
-def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
-    """The four moments as exact rationals (the shot-noise-free limit).
+def exact_moment_fractions(state: DensityMatrix) -> PowerTraces:
+    """The four moments as exact rationals (the shot-noise-free limit):
+    :class:`PowerTraces`, integers with one power-of-two exponent, which
+    give ``Fraction``s on indexing.  The benchmark traces this name, so its
+    rename waits for a benchmark change (ROADMAP item 6).
 
     Float64 cannot hold the k = 3, 4 expectation values well enough: the
     protocol arithmetic scales a unit-range observable mean by d_k^3 + 1,
@@ -57,6 +59,11 @@ def exact_moment_fractions(state: DensityMatrix) -> list[Fraction]:
     then turns into errors above 1e-6 whenever an eigenvalue is small.
     """
     return exact_product_power_traces(_require_two_qubit(state, "the spin flip"), 4)
+
+
+def _floats(moments) -> list[float]:
+    """Each moment as a float; exact traces as one correctly rounded int / int each."""
+    return moments.floats() if isinstance(moments, PowerTraces) else [float(x) for x in moments]
 
 
 def _clamped_inversion(psums) -> SpectrumRecovery:
@@ -89,7 +96,7 @@ def concurrence_from_moments(moments) -> tuple[ConcurrenceBreakdown, tuple[str, 
     p_1 >= p_2 >= p_3 >= p_4 >= 0 holds to 1e-12 on the moments as floats.
     """
     rec = newton_invert(moments)
-    p = [float(x) for x in moments]
+    p = _floats(moments)
     ordered = all(a >= b - 1e-12 for a, b in zip(p, p[1:])) and p[-1] >= -1e-12
     return breakdown_from_lambdas(rec.values), rec.flags + (() if ordered else (MOMENT_ORDER_FLAG,))
 
@@ -102,15 +109,17 @@ class SpectrumEstimate(NamedTuple):
     flags: tuple[str, ...]
 
 
-def spectrum_power_sums(state: DensityMatrix) -> list[Fraction]:
+def spectrum_power_sums(state: DensityMatrix) -> PowerTraces:
     """Power sums Tr(sigma^n), n = 1..D, of the SPA channel output.
 
-    The traces are computed in exact rational arithmetic.  The channel
-    compresses the whole PT spectrum into a window of width ~1/(d^3+1)
-    around d/(d^3+1); for d = 3 the configuration signal in the high-order
-    sums then sits below the float64 rounding floor of the low-order ones,
-    so exactness is what makes the ideal-mode inversion well posed.  Sampled
-    estimation replaces these values with binomial means anyway.
+    The traces are computed in exact rational arithmetic and returned as
+    :class:`PowerTraces`.  The channel compresses the whole PT spectrum
+    into a window of width ~1/(d^3+1) around d/(d^3+1); for d = 3 the
+    configuration signal in the high-order sums then sits below the float64
+    rounding floor of the low-order ones, so exactness is what makes the
+    ideal-mode inversion well posed.  Sampled estimation replaces these
+    values with binomial means anyway.  The benchmark traces this name, so
+    a rename waits for a benchmark change (ROADMAP item 6).
     """
     sigma = apply_spa_pt(state)
     return exact_power_traces(sigma.matrix, sigma.dim)

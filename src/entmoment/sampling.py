@@ -36,6 +36,7 @@ from .measures import ConcurrenceBreakdown, _require_two_qubit, concurrence_brea
 from .protocols import (
     exact_moment_fractions,
     SpectrumEstimate,
+    _floats,
     concurrence_from_moments,
     spectrum_from_channel_moments,
     spectrum_protocol,
@@ -153,7 +154,7 @@ def run_concurrence_protocol(
         samples, shift_hats = _draw([out.shift_trace() for out in outputs], 1, shots, seed)
         moments = [moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)]
     breakdown, flags = concurrence_from_moments(moments)
-    return EstimatorRun(samples, tuple(map(float, moments)), breakdown, flags)
+    return EstimatorRun(samples, tuple(_floats(moments)), breakdown, flags)
 
 
 class SpectrumRun(NamedTuple):

@@ -134,21 +134,35 @@ def cases():
 
 
 def route_of(psums):
-    """The route spectrum_from_power_sums takes on psums, and its output."""
-    accepted = []
-    real = inversion._gauss_newton
+    """The route spectrum_from_power_sums takes on psums, and its output.
 
-    def watched(*args, **kwargs):
-        z, res = real(*args, **kwargs)
+    A structure is accepted by the screen (a value below the threshold that
+    _accept_below gives the run) or by a Gauss-Newton pass (a residual of at
+    most 1); either way the search stops there, so the last one wins."""
+    accepted, threshold = [], []
+    real_screen, real_accept, real_fit = inversion._screen, inversion._accept_below, inversion._gauss_newton
+
+    def watched_accept(*args):
+        threshold.append(real_accept(*args))
+        return threshold[-1]
+
+    def watched_screen(means, *args):
+        value = real_screen(means, *args)
+        if value < threshold[-1]:
+            accepted.append(len(means))
+        return value
+
+    def watched_fit(*args):
+        z, res = real_fit(*args)
         if res <= 1.0:
             accepted.append(len(z))
         return z, res
 
-    inversion._gauss_newton = watched
+    inversion._screen, inversion._accept_below, inversion._gauss_newton = watched_screen, watched_accept, watched_fit
     try:
         rec = spectrum_from_power_sums(psums)
     finally:
-        inversion._gauss_newton = real
+        inversion._screen, inversion._accept_below, inversion._gauss_newton = real_screen, real_accept, real_fit
     if inversion._centered_setup(psums)[2] is None:
         route = "degenerate"
     elif accepted:

@@ -487,6 +487,45 @@ def test_gauss_newton_stops_a_diverging_candidate_quietly(z0):
     assert np.isfinite(z).all() and res > 1e200
 
 
+# The screen's accept against _gauss_newton: below _accept_below(n, ymax) the
+# first evaluation of the pass is below 0.5, so it returns its start unchanged.
+# The weights sit at their smallest (no noise term) and the cluster means at up
+# to ymax, where the float error in units of the weights is largest; the
+# targets put each moment's exact residual within 0.01 below `hi` weight
+# units, hi on either side of the threshold or just below 0.5, where a plain
+# 0.5 threshold would accept what the pass does not.  The example budget comes
+# from the hypothesis profile (--hypothesis-profile=ci runs more).
+
+@settings(deadline=None, derandomize=True)
+@given(st.data())
+def test_screen_accept_is_what_gauss_newton_returns(data):
+    n = data.draw(st.integers(1, 25))
+    k = data.draw(st.integers(1, n))
+    bounds = [0, *sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)), min_size=k - 1, max_size=k - 1))), n]
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+    top = data.draw(st.floats(0.25, 4.0))
+    means = [data.draw(st.sampled_from([1.0, -1.0])) * top * data.draw(st.floats(0.5, 1.0)) for _ in sizes]
+    ymax = max(1.0, max(map(abs, means)))
+    weights = inversion._ACCEPT_FACTOR * inversion._FLOAT_NOISE_FACTOR * inversion._EPS * n * ymax ** np.arange(1, n + 1)
+    accept = inversion._accept_below(n, ymax)
+    hi = data.draw(st.one_of(st.floats(accept - 0.01, 0.51), st.floats(0.499, 0.5)))
+    targets = np.array([float(sum(s * Fraction(z) ** m for s, z in zip(sizes, means))
+                             + data.draw(st.sampled_from([1, -1])) * Fraction(data.draw(st.floats(hi - 0.01, hi))) * Fraction(w))
+                        for m, w in enumerate(weights.tolist(), 1)])
+    if inversion._screen(means, sizes, targets.tolist(), weights.tolist()) < accept:
+        z, res = inversion._gauss_newton(np.array(means), np.array(sizes, dtype=float), targets, weights)
+        assert z.tobytes() == np.array(means).tobytes() and res < 0.5
+
+
+def test_screen_keeps_a_nan_and_returns_above_the_cut_at_once():
+    # an overflowed power over an infinite weight gives a nan, which can
+    # neither skip nor accept; a later moment above the cut still skips
+    assert math.isnan(inversion._screen([1e200], [1], [0.0] * 3, [1e300, math.inf, math.inf]))
+    assert inversion._screen([1e200], [1], [0.0] * 3, [1e300, math.inf, 1.0]) == math.inf
+    assert inversion._screen([2.0, 1.0], [1, 1], [3.0, 5e6, 0.0], [1.0] * 3) == 5e6 - 5.0
+    assert inversion._accept_below(25, 1e13) == 0.0 < inversion._accept_below(25, 1.0) < 0.5
+
+
 # The vectorized helpers against the per-moment and per-slice expressions
 # they replaced, bit for bit.
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entmoment import linalg, measures, spa
+from entmoment import inversion, linalg, measures, protocols, spa
 from entmoment.states import DensityMatrix, make_state, rng_stream
 
 SY = np.array([[0, -1j], [1j, 0]])
@@ -395,7 +395,7 @@ def fraction_flip_traces(m, n_max):
 
 
 def assert_traces_match_reference(m, n_max):
-    got = linalg.exact_power_traces(m, n_max)
+    got = list(linalg.exact_power_traces(m, n_max))
     assert all(type(t) is Fraction for t in got)
     assert got == fraction_power_traces(fraction_parts(m), n_max)
 
@@ -415,7 +415,7 @@ def test_exact_power_traces_match_reference_for_every_family(d):
         if d <= 3:
             assert_traces_match_reference(sigma, sigma.shape[0])
         else:
-            assert linalg.exact_power_traces(sigma, sigma.shape[0]) == int_route_traces(sigma, sigma.shape[0])
+            assert list(linalg.exact_power_traces(sigma, sigma.shape[0])) == int_route_traces(sigma, sigma.shape[0])
         if d == 2:
             assert_traces_match_reference(state.matrix, 4)
 
@@ -425,7 +425,7 @@ def test_exact_power_traces_match_reference_for_every_family(d):
 @pytest.mark.parametrize("d", [5, 6])
 def test_exact_power_traces_match_int_route_at_d5_d6(d, family, stream):
     sigma = spa.apply_spa_pt(make_state(family, (d, d), rng=rng_stream(d, stream))).matrix
-    assert linalg.exact_power_traces(sigma, d * d) == int_route_traces(sigma, d * d)
+    assert list(linalg.exact_power_traces(sigma, d * d)) == int_route_traces(sigma, d * d)
 
 
 def test_int_route_matches_entrywise_route():
@@ -440,7 +440,7 @@ def test_exact_product_power_traces_match_reference():
         np.testing.assert_array_equal(flip(state.matrix), flipped)
         expected = fraction_power_traces(
             fraction_matmul(fraction_parts(state.matrix), fraction_parts(flipped)), 4)
-        assert linalg.exact_product_power_traces(state.matrix, 4) == expected
+        assert list(linalg.exact_product_power_traces(state.matrix, 4)) == expected
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (8, 8), (16, 16), (4, 2)])
@@ -456,19 +456,19 @@ def test_exact_traces_accept_strided_views():
     view = big[:, ::2]
     assert not view.flags.c_contiguous and not view.T.flags.c_contiguous
     assert_traces_match_reference(view, 4)
-    assert linalg.exact_product_power_traces(view, 3) == fraction_flip_traces(view, 3)
-    assert linalg.exact_product_power_traces(view.T, 3) == fraction_flip_traces(view.T, 3)
+    assert list(linalg.exact_product_power_traces(view, 3)) == fraction_flip_traces(view, 3)
+    assert list(linalg.exact_product_power_traces(view.T, 3)) == fraction_flip_traces(view.T, 3)
 
 
 def test_exact_power_traces_zero_matrix():
-    assert linalg.exact_power_traces(np.zeros((3, 3)), 3) == [Fraction(0)] * 3
-    assert linalg.exact_product_power_traces(np.zeros((4, 4)), 2) == [Fraction(0)] * 2
+    assert list(linalg.exact_power_traces(np.zeros((3, 3)), 3)) == [Fraction(0)] * 3
+    assert list(linalg.exact_product_power_traces(np.zeros((4, 4)), 2)) == [Fraction(0)] * 2
 
 
 def test_exact_traces_of_no_powers_and_negative_counts():
     m = np.diag([0.5, 0.25, 0.125, 0.125])
-    assert linalg.exact_power_traces(m, 0) == fraction_power_traces(fraction_parts(m), 0) == int_route_traces(m, 0) == []
-    assert linalg.exact_product_power_traces(m, 0) == int_route_product_traces(m, flip(m), 0) == []
+    assert list(linalg.exact_power_traces(m, 0)) == fraction_power_traces(fraction_parts(m), 0) == int_route_traces(m, 0) == []
+    assert list(linalg.exact_product_power_traces(m, 0)) == int_route_product_traces(m, flip(m), 0) == []
     with pytest.raises(ValueError, match="n_max"):
         linalg.exact_power_traces(m, -1)
     with pytest.raises(ValueError, match="n_max"):
@@ -496,7 +496,7 @@ def test_exact_power_traces_subnormals_and_negative_zero():
     m4 = np.zeros((4, 4), dtype=complex)  # the same entries on 4 x 4, for the spin-flip product
     m4[1:, 1:] = m
     m4[0, 3], m4[3, 0] = tiny + 1e-320j, tiny - 1e-320j
-    assert linalg.exact_product_power_traces(m4, 4) == fraction_flip_traces(m4, 4)
+    assert list(linalg.exact_product_power_traces(m4, 4)) == fraction_flip_traces(m4, 4)
 
 
 def test_exact_power_traces_symmetrize_near_hermitian_input():
@@ -505,7 +505,7 @@ def test_exact_power_traces_symmetrize_near_hermitian_input():
     m = h + 1e-10 * random_complex(4, rng)
     assert 0 < linalg.hermiticity_defect(m) <= linalg.HERMITICITY_TOL
     assert_traces_match_reference(m, 4)
-    assert linalg.exact_product_power_traces(m, 4) == fraction_flip_traces(m, 4)
+    assert list(linalg.exact_product_power_traces(m, 4)) == fraction_flip_traces(m, 4)
 
 
 def decomposition(m):
@@ -543,7 +543,7 @@ def test_decomposition_ignores_diagonal_imaginary_roundoff(monkeypatch):
         np.testing.assert_array_equal(a.shift, b.shift)
         # one factor, and the spin-flip product on 4 x 4
         for traces in [linalg.exact_power_traces] + [linalg.exact_product_power_traces] * (len(m) == 4):
-            assert traces(noisy, 5) == traces(clean, 5)
+            assert list(traces(noisy, 5)) == list(traces(clean, 5))
             assert counts[-2] == counts[-1]
     # a real matrix with imaginary roundoff on its diagonal only decomposes as a real one
     real = decomposition(sigma.real + 1e-20j * np.eye(len(sigma)))
@@ -581,7 +581,7 @@ def test_exact_traces_property_random_small_hermitian(data):
         for a in (h.real + roundoff, h + roundoff):
             assert_traces_match_reference(a, n_max)
             if dim == 4:
-                assert linalg.exact_product_power_traces(a, n_max) == fraction_flip_traces(a, n_max)
+                assert list(linalg.exact_product_power_traces(a, n_max)) == fraction_flip_traces(a, n_max)
 
 
 # ------------------------------------------- residue route, adversarial cases
@@ -612,8 +612,8 @@ def test_residue_route_matches_int_route_on_extreme_entries(data):
     dim = data.draw(st.integers(1, 8))
     n_max = data.draw(st.integers(1, 2 * dim))
     a, b = data.draw(hermitian_matrices(dim)), data.draw(hermitian_matrices(4))
-    assert linalg.exact_power_traces(a, n_max) == int_route_traces(a, n_max)
-    assert linalg.exact_product_power_traces(b, n_max) == int_route_product_traces(b, flip(b), n_max)
+    assert list(linalg.exact_power_traces(a, n_max)) == int_route_traces(a, n_max)
+    assert list(linalg.exact_product_power_traces(b, n_max)) == int_route_product_traces(b, flip(b), n_max)
 
 
 def rank_one(data, dim, sign):
@@ -635,12 +635,12 @@ def test_residue_route_near_the_prime_bound(data):
     dim = data.draw(st.integers(1, 8))
     n_max = data.draw(st.integers(1, 2 * dim))
     m = rank_one(data, dim, data.draw(st.sampled_from([1, -1])))
-    got = linalg.exact_power_traces(m, n_max)
+    got = list(linalg.exact_power_traces(m, n_max))
     assert got == int_route_traces(m, n_max)
     if m[0, 0].real < 0:
         assert all(t < 0 for t in got[::2]) and all(t > 0 for t in got[1::2])
     m = rank_one(data, 4, data.draw(st.sampled_from([1, -1])))
-    assert linalg.exact_product_power_traces(m, n_max) == int_route_product_traces(m, flip(m), n_max)
+    assert list(linalg.exact_product_power_traces(m, n_max)) == int_route_product_traces(m, flip(m), n_max)
 
 
 @settings(max_examples=_RESIDUE_EXAMPLES, deadline=None)
@@ -650,9 +650,48 @@ def test_residue_route_on_non_commuting_products(data):
     # a rank-one m with every entry nonzero plus a generic one: m m~ and m~ m
     # differ, their power traces must not, and m~ flips back to m
     m = rank_one(data, 4, data.draw(st.sampled_from([1, -1]))) + data.draw(hermitian_matrices(4))
-    got = linalg.exact_product_power_traces(m, n_max)
+    got = list(linalg.exact_product_power_traces(m, n_max))
     assert got == int_route_product_traces(m, flip(m), n_max)
-    assert linalg.exact_product_power_traces(flip(m), n_max) == got
+    assert list(linalg.exact_product_power_traces(flip(m), n_max)) == got
+
+
+# ------------------------------------------- the integer record of the traces
+
+def test_power_traces_record_reads_as_its_fractions():
+    m = np.diag([0.5, 0.25, 0.125, 0.125])
+    got = linalg.exact_power_traces(m, 3)
+    assert got.e <= 0 and len(got) == 3
+    assert [got[0], got[-1]] == [Fraction(1), Fraction(0.5**3 + 0.25**3 + 2 * 0.125**3)]
+    assert list(got) == [got[i] for i in range(3)] == fraction_power_traces(fraction_parts(m), 3)
+    assert got.floats() == [float(t) for t in got]
+    with pytest.raises(IndexError):
+        got[3]
+
+
+def assert_inverts_like_its_fractions(record):
+    fractions = list(record)
+    assert record.floats() == [float(t) for t in fractions]
+    a, b = inversion.spectrum_from_power_sums(record), inversion.spectrum_from_power_sums(fractions)
+    assert a.values.tobytes() == b.values.tobytes() and a.flags == b.flags
+
+
+# the example budget comes from the hypothesis profile (--hypothesis-profile=ci runs more)
+@settings(deadline=None, derandomize=True)
+@given(family=st.sampled_from(["random-mixed", "random-pure", "product-pure", "werner", "bell", "isotropic"]),
+       d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
+def test_power_traces_record_matches_the_oracles_and_inverts_like_its_fractions(family, d, seed, p):
+    # the spectrum pipeline's channel traces at d = 2..4, the ladder's on 2x2 states;
+    # bell and werner are two-qubit
+    d = 2 if family in ("bell", "werner") else d
+    state = make_state(family, (d, d), p=p if family in ("werner", "isotropic") else None, rng=rng_stream(seed, 0))
+    sigma = spa.apply_spa_pt(state).matrix
+    record = protocols.spectrum_power_sums(state)
+    assert list(record) == int_route_traces(sigma, d * d)
+    assert_inverts_like_its_fractions(record)
+    if d == 2:
+        ladder = protocols.exact_moment_fractions(state)
+        assert list(ladder) == fraction_flip_traces(state.matrix, 4)
+        assert_inverts_like_its_fractions(ladder)
 
 
 def test_too_few_primes_raise_instead_of_returning(monkeypatch):

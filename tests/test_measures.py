@@ -335,6 +335,18 @@ def test_gamma_estimate_matches_concurrence():
         assert abs(rep.concurrence_estimate - measures.concurrence(st)) < 1e-6
 
 
+@pytest.mark.parametrize("imag, flagged", [(1e-3, True), (measures.GAMMA_IMAG_GUARD, False)])
+def test_gamma_imaginary_residual_flag(monkeypatch, imag, flagged):
+    # no state is known that reaches the guard, so the eigensolver is patched:
+    # the smallest-real-part eigenvalue gets the imaginary part, the others
+    # (with larger real parts) far larger ones
+    spec = np.array([0.6 + 0.5j, 0.25 + imag * 1j, 0.4 - 0.5j, 0.3 + 0.1j])
+    monkeypatch.setattr(measures, "general_eigenvalues", lambda m: spec)
+    rep = measures.gamma_concurrence_report(states.bell_state())
+    assert rep.flags == (("gamma-imaginary-residual",) if flagged else ())
+    assert rep.imag_residual == imag and rep.lambda_min == 0.25 and rep.concurrence_estimate == 1.0
+
+
 def test_gamma_on_separable_degenerates():
     # out of the protocol's domain: the estimate is a clamped sentinel
     ket = np.zeros(4, dtype=complex)
