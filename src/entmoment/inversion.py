@@ -8,10 +8,10 @@ lose their configuration signal to catastrophic cancellation when the
 polynomial is centered.  The engine here therefore
 
 1. performs the centering shift, a power-of-two rescale and the Newton
-   recursion exactly, on Python integers graded by moment order (floats are
-   exact binary rationals; callers with exactly known moments pass
-   Fractions, or the exact traces of :mod:`entmoment.linalg`, whose integers
-   come graded already),
+   recursion exactly, on the integers of one :class:`~entmoment.linalg.Moments`
+   record, graded by moment order (floats are exact binary rationals; the
+   record's ``exact`` bit, set where it is built, says whether the moments
+   are also owed a float rounding floor),
 2. roots the standardized polynomial via the companion matrix,
 3. selects a multiplicity structure by weighted least squares against the
    moments: for each cluster count, coarsest first, the sorted roots are
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import factorial
@@ -42,8 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _real
-from .linalg import PowerTraces
+from .linalg import Moments
 
 _EPS = float(np.finfo(float).eps)
 
@@ -90,42 +88,23 @@ def _taylor_shift(a: list, b) -> list:
     return q
 
 
-def _centered_setup(psums):
-    """Exact shift/scale/Newton chain.
+def _centered_setup(moments: Moments):
+    """Exact shift/scale/Newton chain on a moment record.
 
     Returns (center, scale, monic coefficients highest-first, standardized
     moments as floats, per-moment noise floor).  scale == 0.0 signals the
     all-values-equal-to-center degenerate case.
     """
-    n = len(psums)
-    graded = isinstance(psums, PowerTraces)
-    exact_input = graded or all(isinstance(x, Fraction) for x in psums)
-    if graded:  # p_m = t_m / G**m with G = 2**-e
-        den = 1 << -psums.e
-        head = [(t, den**m) for m, t in enumerate(psums.ints[:2], 1)]
-    else:
-        ratios = [(n, 1)] + [(x if isinstance(x, Fraction) else float(x)).as_integer_ratio() for x in psums]
-        head = ratios[1:3]
+    # p_m = P_m / G**m, P_m integers (P_0 = n), q_m = Q_m / (n G)**m
+    n, den = len(moments), moments.grade
+    num = [n, *moments.ints]
     # the mean c = p_1 / n and the variance q_2 = p_2 - p_1**2 / n, each one
     # correctly rounded int / int, decide the degenerate return on their own
-    (a1, b1), (a2, b2) = head[0], head[-1]
-    cf = a1 / (n * b1)
-    q2 = (n * a2 * b1 * b1 - a1 * a1 * b2) / (n * b2 * b1 * b1) if n >= 2 else 0.0
+    cf = num[1] / (n * den)
+    q2 = (n * num[2] - num[1] * num[1]) / (n * den * den) if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
         return cf, 0.0, None, None, None
 
-    # p_m = P_m / G**m, P_m integers (P_0 = n), q_m = Q_m / (n G)**m: exact
-    # traces come graded, P_m = t_m; else, with b_m = odd_m << twos_m, G is
-    # odd << g, odd the lcm of the odd_m and g m >= twos_m
-    if graded:
-        num = [n, *psums.ints]
-    else:
-        odd, g, twos = 1, 0, [0]
-        for m, (_, b) in enumerate(ratios[1:], 1):
-            twos.append((b & -b).bit_length() - 1)
-            odd, g = math.lcm(odd, b >> twos[m]), max(g, -(-twos[m] // m))
-        num = [(a * odd**m // (b >> t)) << (g * m - t) for m, ((a, b), t) in enumerate(zip(ratios, twos))]
-        den = odd << g
     q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
     s = round(0.5 * math.log2(q2 / n))
     sf = 2.0**s
@@ -140,8 +119,8 @@ def _centered_setup(psums):
     # weights (the Taylor shift of the |p_j| by |c|); exact inputs only pay
     # the final float conversion, and skip sf**m, which can underflow.
     noise = [_FLOAT_NOISE_FACTOR * _EPS * max(1.0, abs(x)) for x in qs]
-    if not exact_input:
-        shifted = _taylor_shift([abs(a / b) for a, b in ratios], abs(cf))
+    if not moments.exact:
+        shifted = _taylor_shift([float(n), *map(abs, moments.floats())], abs(cf))
         noise = [x * (_FLOAT_NOISE_FACTOR * _EPS / sf**m) + f for m, (x, f) in enumerate(zip(shifted, noise), 1)]
 
     # Newton's identities with e_k = E_k / (k! D**k), f = (-1)**(i-1) (k-1)!/(k-i)!
@@ -250,11 +229,11 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
 
     Parameters
     ----------
-    power_sums : PowerTraces, or a sequence of float or Fraction
-        The n power sums of the n sought values.  Exact traces and Fractions
-        are treated as exact; floats carry a rounding-floor allowance.
-        Empty, non-real (bools too), non-finite or float64-overflowing input
-        raises ValueError.
+    power_sums : Moments, or a sequence of real numbers
+        The n power sums of the n sought values, through :meth:`Moments.of`:
+        an exact record is inverted exactly, an inexact one carries a
+        rounding-floor allowance.  Empty, non-real (bools too), non-finite
+        or float64-overflowing input raises ValueError.
 
     Returns
     -------
@@ -262,18 +241,12 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         Values sorted descending.  Flags are empty whenever some real
         spectrum reproduces the moments at their precision floor.
     """
-    if isinstance(power_sums, PowerTraces):  # integers: real and finite
-        psums = power_sums
-    else:
-        psums = list(power_sums)
-        for i, x in enumerate(psums):
-            if type(x) is not Fraction:  # exact, so real and finite; the ABC check would cost 0.1-0.5 us
-                _real(x, f"power sum at index {i}")
-    n = len(psums)
+    moments = Moments.of(power_sums)
+    n = len(moments)
     if n == 0:
         raise ValueError("need at least one power sum")
     try:
-        center, scale, coeffs, targets, noise = _centered_setup(psums)
+        center, scale, coeffs, targets, noise = _centered_setup(moments)
     except OverflowError as exc:
         raise ValueError(f"power sums overflow float64: {exc}") from exc
     if coeffs is None:

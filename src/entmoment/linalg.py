@@ -18,8 +18,8 @@ same ones.  The powers are batched float64 products over all primes at
 once, exact because the prime width, chosen from the dimension, keeps
 every partial sum below 2**53.  The traces come back by CRT in the
 symmetric range, and one spare prime checks each of them, so a wrong trace
-raises instead of being returned.  They are returned as the CRT's integers
-with one power-of-two exponent (:class:`PowerTraces`); a ``Fraction`` is
+raises instead of being returned.  They come back as an exact :class:`Moments`
+record, the CRT's integers over one power-of-two grade; a ``Fraction`` is
 built only where a caller asks for one.
 """
 
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _local_dims, _whole
+from . import _local_dims, _real, _whole
 
 #: max absolute deviation from m == m.conj().T accepted as "Hermitian"
 HERMITICITY_TOL = 1e-9
@@ -309,32 +309,61 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-class PowerTraces(Sequence):
-    """Exact power traces Tr(X^n), n = 1..len, held as integers t_n with one
-    exponent e <= 0: Tr(X^n) = t_n * 2**(n * e).
+class Moments(Sequence):
+    """Moments p_m, m = 1..len, held as integers P_m over one integer grade
+    G: p_m = P_m / G**m.  ``exact`` says whether the p_m are known exactly,
+    as exact traces or ``Fraction``s are, or are floats owed a rounding floor.
 
-    Indexing and iteration give each trace as a ``Fraction``, built on
-    request; :meth:`floats` gives each as one correctly rounded int / int,
-    the float of that ``Fraction``, without building it.
+    Indexing and iteration give each p_m as a ``Fraction``, built on request,
+    a slice a list of them; :meth:`floats` gives each as one correctly
+    rounded int / int, the float of that ``Fraction``, without building it.
     """
 
-    __slots__ = ("ints", "e")
+    __slots__ = ("ints", "grade", "exact")
 
-    def __init__(self, ints: list[int], e: int):
-        self.ints, self.e = ints, e
+    def __init__(self, ints: list[int], grade: int, exact: bool):
+        self.ints, self.grade, self.exact = ints, grade, exact
+
+    @classmethod
+    def of(cls, moments) -> Moments:
+        """``moments`` as a record: a record unchanged; else real numbers, exact
+        only if every one is a ``Fraction``.  Any other entry follows the
+        real-number rule, its index named, and is taken as its float (an int
+        too large for one raises ``ValueError``).  With denominators
+        b_m = odd_m << twos_m, G = odd << g, odd the lcm of the odd_m and g
+        the least with g m >= twos_m.
+        """
+        if isinstance(moments, Moments):
+            return moments
+        items = list(moments)
+        exact = [type(x) is not float and isinstance(x, Fraction) for x in items]  # a float skips the ABC check
+        for i, (x, known) in enumerate(zip(items, exact)):
+            if not known:  # a Fraction is exact, so real and finite
+                _real(x, f"power sum at index {i}")
+        try:
+            ratios = [(x if known else float(x)).as_integer_ratio() for x, known in zip(items, exact)]
+        except OverflowError as exc:
+            raise ValueError(f"power sums overflow float64: {exc}") from exc
+        twos = [(b & -b).bit_length() - 1 for _, b in ratios]
+        odds = [b >> t for (_, b), t in zip(ratios, twos)]
+        odd, g = math.lcm(*odds), max([-(-t // m) for m, t in enumerate(twos, 1)], default=0)
+        ints = [(a * (odd**m // o)) << (g * m - t) for m, ((a, _), o, t) in enumerate(zip(ratios, odds, twos), 1)]
+        return cls(ints, odd << g, all(exact))
 
     def __len__(self) -> int:
         return len(self.ints)
 
-    def __getitem__(self, i: int) -> Fraction:
-        n = range(1, len(self.ints) + 1)[i]
-        return Fraction(self.ints[n - 1], 1 << -n * self.e)
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[m] for m in range(len(self.ints))[i]]
+        m = range(1, len(self.ints) + 1)[i]
+        return Fraction(self.ints[m - 1], self.grade**m)
 
     def floats(self) -> list[float]:
-        return [t / (1 << -n * self.e) for n, t in enumerate(self.ints, 1)]
+        return [t / self.grade**m for m, t in enumerate(self.ints, 1)]
 
 
-def _exact_traces(m, n_max: int, flip: bool) -> PowerTraces:
+def _exact_traces(m, n_max: int, flip: bool) -> Moments:
     """Tr(X^n), n = 1..n_max, exactly, for X the exactly symmetrized m, or
     with ``flip`` its product with its spin flip.
 
@@ -345,7 +374,7 @@ def _exact_traces(m, n_max: int, flip: bool) -> PowerTraces:
     primes, with k from |Tr(X^n)| <= sqrt(D) * ||X||_F**n, and rebuilt by
     CRT in the symmetric range; one more prime checks every one of them.
     m = M * 2**e with e <= 0, since the scaling keeps 54 bits below the
-    smallest entry, so the traces come back as integers with that exponent.
+    smallest entry, so the traces come back as integers over the grade 2**-e.
     Tr(X^n) = Tr(X^a X^b), a = ceil(n / 2), b = floor(n / 2): only powers
     up to ceil(n_max / 2) are formed.
     """
@@ -353,7 +382,7 @@ def _exact_traces(m, n_max: int, flip: bool) -> PowerTraces:
     if flip and m.shape != (4, 4):
         raise ValueError(f"the spin flip needs a 4 x 4 matrix, got shape {m.shape}")
     if _whole(n_max, "n_max", 0) == 0:
-        return PowerTraces([], 0)
+        return Moments([], 1, True)
     dim, factors = m.shape[0], 1 + flip
     res, scaled = _residues(dim), _decompose(m)
     # the spin flip permutes m's entries up to sign: the same e and norm bound
@@ -388,12 +417,12 @@ def _exact_traces(m, n_max: int, flip: bool) -> PowerTraces:
         if (t - row[kn]) % check:
             raise ArithmeticError(f"power trace {n} failed its check prime")
         ints.append(t)
-    return PowerTraces(ints, factors * scaled.e)
+    return Moments(ints, 1 << -factors * scaled.e, True)
 
 
-def exact_power_traces(m, n_max: int) -> PowerTraces:
+def exact_power_traces(m, n_max: int) -> Moments:
     """Tr(m^n) for n = 1..n_max in exact rational arithmetic, as
-    :class:`PowerTraces`.
+    an exact :class:`Moments` record.
 
     Entries of ``m`` are binary floats, hence exact rationals; the traces
     returned are the mathematically exact power traces of the (exactly
@@ -404,8 +433,8 @@ def exact_power_traces(m, n_max: int) -> PowerTraces:
     return _exact_traces(m, n_max, flip=False)
 
 
-def exact_product_power_traces(m, n_max: int) -> PowerTraces:
-    """Tr((m m~)^n) for n = 1..n_max, exactly, as :class:`PowerTraces`, for
+def exact_product_power_traces(m, n_max: int) -> Moments:
+    """Tr((m m~)^n) for n = 1..n_max, exactly, as a :class:`Moments` record, for
     a Hermitian 4 x 4 m and its spin flip m~ = Sigma m* Sigma, Sigma =
     sigma_y (x) sigma_y.
 

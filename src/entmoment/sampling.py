@@ -32,11 +32,11 @@ import numpy as np
 
 from . import MODES, _real, _whole
 from .inversion import _power_table
+from .linalg import Moments
 from .measures import ConcurrenceBreakdown, _require_two_qubit, concurrence_breakdown
 from .protocols import (
     exact_moment_fractions,
     SpectrumEstimate,
-    _floats,
     concurrence_from_moments,
     spectrum_from_channel_moments,
     spectrum_protocol,
@@ -152,9 +152,9 @@ def run_concurrence_protocol(
         shots = _whole(shots, "shots", 1, _MAX_SHOTS)
         outputs = group_channel_outputs(state)
         samples, shift_hats = _draw([out.shift_trace() for out in outputs], 1, shots, seed)
-        moments = [moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)]
+        moments = Moments.of([moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)])
     breakdown, flags = concurrence_from_moments(moments)
-    return EstimatorRun(samples, tuple(_floats(moments)), breakdown, flags)
+    return EstimatorRun(samples, tuple(moments.floats()), breakdown, flags)
 
 
 class SpectrumRun(NamedTuple):

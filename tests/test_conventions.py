@@ -13,6 +13,9 @@
   output and is not an estimator here.
 - Only the package root imports ``numbers``: it owns the integer and
   real-number rules, so a second numeric-type rule cannot come back unseen.
+- Only ``linalg`` tests a value for ``Fraction`` or for the moment record
+  (``isinstance``, ``issubclass`` or a ``type(...)`` comparison): exactness
+  is decided once, where ``Moments`` is built, and read from its ``exact``.
 """
 
 import ast
@@ -60,6 +63,32 @@ def test_only_the_package_root_imports_numbers():
             if any(m.split(".")[0] == "numbers" for m in modules):
                 importers.append(str(path.relative_to(ROOT)))
     assert importers == ["src/entmoment/__init__.py"], importers
+
+
+#: the moment record and the one type that makes a public entry exact
+EXACTNESS_TYPES = {"Fraction", "Moments"}
+
+
+def _is_type_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+
+def test_only_linalg_tests_for_exactness_by_type():
+    bad = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+                tested = node.args[1:]
+            elif isinstance(node, ast.Compare) and any(map(_is_type_call, [node.left, *node.comparators])):
+                tested = [x for x in [node.left, *node.comparators] if not _is_type_call(x)]
+            else:
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr for x in tested for n in ast.walk(x)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            bad += [f"{path.relative_to(ROOT)}:{node.lineno}: {t}" for t in sorted(named & EXACTNESS_TYPES)]
+    assert not bad, "\n".join(bad)
 
 
 def test_every_public_name_under_src_has_a_caller():

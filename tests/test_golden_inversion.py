@@ -33,6 +33,7 @@ import pytest
 
 from entmoment import inversion, protocols, sampling, states
 from entmoment.inversion import spectrum_from_power_sums
+from entmoment.linalg import Moments
 from test_inversion import werner_qudit
 
 GOLDEN = Path(__file__).with_name("golden_inversion.json")
@@ -163,7 +164,7 @@ def route_of(psums):
         rec = spectrum_from_power_sums(psums)
     finally:
         inversion._screen, inversion._accept_below, inversion._gauss_newton = real_screen, real_accept, real_fit
-    if inversion._centered_setup(psums)[2] is None:
+    if inversion._centered_setup(Moments.of(psums))[2] is None:
         route = "degenerate"
     elif accepted:
         route = f"clusters-{accepted[-1]}"

@@ -655,15 +655,16 @@ def test_residue_route_on_non_commuting_products(data):
     assert list(linalg.exact_product_power_traces(flip(m), n_max)) == got
 
 
-# ------------------------------------------- the integer record of the traces
+# ------------------------------------------------------- the moment record
 
 def test_power_traces_record_reads_as_its_fractions():
     m = np.diag([0.5, 0.25, 0.125, 0.125])
     got = linalg.exact_power_traces(m, 3)
-    assert got.e <= 0 and len(got) == 3
+    assert got.exact and got.grade & (got.grade - 1) == 0 and len(got) == 3
     assert [got[0], got[-1]] == [Fraction(1), Fraction(0.5**3 + 0.25**3 + 2 * 0.125**3)]
     assert list(got) == [got[i] for i in range(3)] == fraction_power_traces(fraction_parts(m), 3)
     assert got.floats() == [float(t) for t in got]
+    assert got[1:] == list(got)[1:] and got[::-1] == list(got)[::-1]
     with pytest.raises(IndexError):
         got[3]
 
@@ -675,11 +676,35 @@ def assert_inverts_like_its_fractions(record):
     assert a.values.tobytes() == b.values.tobytes() and a.flags == b.flags
 
 
+def assert_same_concurrence(a, b):
+    (x, x_flags), (y, y_flags) = protocols.concurrence_from_moments(a), protocols.concurrence_from_moments(b)
+    as_bytes = lambda br: np.array([*br.lambdas, br.concurrence, br.ef]).tobytes()  # noqa: E731
+    assert as_bytes(x) == as_bytes(y) and x_flags == y_flags
+
+
+def assert_record_of(moments):
+    """Moments.of grades a public list once: its values, its floats and its
+    exactness, and an exact record estimates like its Fractions, an inexact
+    one like the list it came from."""
+    record = linalg.Moments.of(moments)
+    assert list(record) == [Fraction(x) for x in moments]
+    assert record.floats() == [float(x) for x in moments]
+    assert record.exact == all(isinstance(x, Fraction) for x in moments)
+    assert linalg.Moments.of(record) is record
+    assert_same_concurrence(record, list(record) if record.exact else moments)
+
+
+# four public moments, as the ladder's estimator takes them: floats, Fractions, or both mixed
+moment_entries = (st.floats(-4, 4), st.fractions(-4, 4, max_denominator=10**6))
+moment_lists = st.one_of(*(st.lists(entry, min_size=4, max_size=4)
+                           for entry in (*moment_entries, st.one_of(*moment_entries))))
+
+
 # the example budget comes from the hypothesis profile (--hypothesis-profile=ci runs more)
 @settings(deadline=None, derandomize=True)
 @given(family=st.sampled_from(["random-mixed", "random-pure", "product-pure", "werner", "bell", "isotropic"]),
-       d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
-def test_power_traces_record_matches_the_oracles_and_inverts_like_its_fractions(family, d, seed, p):
+       d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0), moments=moment_lists)
+def test_power_traces_record_matches_the_oracles_and_inverts_like_its_fractions(family, d, seed, p, moments):
     # the spectrum pipeline's channel traces at d = 2..4, the ladder's on 2x2 states;
     # bell and werner are two-qubit
     d = 2 if family in ("bell", "werner") else d
@@ -692,6 +717,9 @@ def test_power_traces_record_matches_the_oracles_and_inverts_like_its_fractions(
         ladder = protocols.exact_moment_fractions(state)
         assert list(ladder) == fraction_flip_traces(state.matrix, 4)
         assert_inverts_like_its_fractions(ladder)
+        assert linalg.Moments.of(ladder) is ladder
+        assert_same_concurrence(ladder, list(ladder))
+    assert_record_of(moments)
 
 
 def test_too_few_primes_raise_instead_of_returning(monkeypatch):
