@@ -9,13 +9,13 @@ that lets multi-copy expectation values collapse to products of the small
 single-copy matrices (``spa.ladder_power_sums`` forms them), so nothing of
 dimension ``local_dim**n`` is built outside tests and the selftest.
 
-The exact power traces of ideal mode scale a matrix's real part and its
-imaginary part, diagonal set to 0, to integers and take their residues
+The exact power traces of ideal mode scale a matrix's real part R and its
+imaginary part I, diagonal set to 0, to integers and take their residues
 modulo word-size primes p = 1 (mod 4), where r**2 = -1 has a root: the
 exactly symmetrized R + R^T + i (I - I^T) becomes the D x D residue
-R + R^T + r (I - I^T).  The ladder's spin flip takes its residues from the
-same ones.  The powers are batched float64 products over all primes at
-once, exact because the prime width, chosen from the dimension, keeps
+X = (R + rI) + (R - rI)^T, reduced once; the ladder's spin flip takes its
+residues from X.  The powers are batched float64 products over all primes
+at once, exact because the prime width, chosen from the dimension, keeps
 every partial sum below 2**53.  The traces come back by CRT in the
 symmetric range, and one spare prime checks each of them, so a wrong trace
 raises instead of being returned.  They come back as an exact :class:`Moments`
@@ -158,12 +158,13 @@ def _reduce(x: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> np.ndarray:
 def _prime_width(dim: int) -> int:
     """Bit width w of the primes used on dim x dim matrices.
 
-    Residues stay within h = 2**(w-1) + 4 of zero.  A trace sums dim**2
-    products of at most h**2, a power step dim of them, the ladder's first
-    step four of (2h)**2: all partial sums stay below 2**53, exact in float64.
+    Residues stay within h = 2**(w-1) + 4 of zero, and _reduce needs
+    |x| + h <= 2**53.  A trace sums dim**2 products of at most h**2, a power
+    step dim of them; a residue is built as four products of at most
+    (p - 1) h, p < 2**w, which caps w at 25.
     """
-    w = 26
-    while dim * dim * (2 ** (w - 1) + 4) ** 2 + 2**w > 2**53:
+    w = 25
+    while dim * dim * (2 ** (w - 1) + 4) ** 2 + 2 ** (w - 1) + 4 > 2**53:
         w -= 1
     return w
 
@@ -198,9 +199,9 @@ class _Residues:
     """What the residue route needs on dim x dim matrices, built on demand.
 
     The primes, all 1 mod 4 and just below 2**width, largest first, come
-    with a root r of r**2 = -1 mod p, 2**s mod p for every shift s asked for
-    so far, and the CRT weights of each prefix.  All of it is a function of
-    dim, so one instance per dim serves every call.
+    with a root r of r**2 = -1 mod p, 2**s and r * 2**s mod p for every
+    shift s asked for so far, and the CRT weights of each prefix.  All of it
+    is a function of dim, so one instance per dim serves every call.
     """
 
     def __init__(self, dim: int):
@@ -208,7 +209,7 @@ class _Residues:
         self.primes: list[int] = []
         self.roots: list[int] = []
         self.product, self.bits = 1, [1]  # bits[k]: bit length of the product of the first k primes
-        self.pow2 = np.zeros((0, 0))
+        self.pow2 = np.zeros((0, 2, 0))
         self.crts: dict[int, tuple[int, list[int], int]] = {}
 
     def _grow(self) -> None:
@@ -230,26 +231,26 @@ class _Residues:
         return bisect.bisect_right(self.bits, bits)
 
     def columns(self, k: int, shifts: int):
-        """(p as int64, p, 1/p, r, 2**s mod p for s < shifts) over the first
-        k primes, the first four shaped (k, 1, 1)."""
-        rows, cols = self.pow2.shape
+        """(p as int64, p, 1/p, t) over the first k primes, the first three
+        shaped (k, 1, 1); t[:, 0, s] = 2**s, t[:, 1, s] = r * 2**s mod p."""
+        rows, _, cols = self.pow2.shape
         if rows < k or cols < shifts:
             while len(self.primes) < k:
                 self._grow()
             self._build(max(k, rows), max(shifts, cols))
-        return self.p_int[:k], self.p[:k], self.p_inv[:k], self.root[:k], self.pow2[:k]
+        return self.p_int[:k], self.p[:k], self.p_inv[:k], self.pow2[:k]
 
     def _build(self, rows: int, cols: int) -> None:
         self.p_int = np.array(self.primes[:rows], dtype=np.int64)[:, None, None]
         self.p = self.p_int.astype(float)
         self.p_inv = 1.0 / self.p
-        self.root = np.array(self.roots[:rows], dtype=float)[:, None, None]
         p, p_inv = self.p[:, 0], self.p_inv[:, 0]
         pow2 = _reduce(np.ldexp(1.0, np.arange(32)), p, p_inv)
-        while pow2.shape[1] < cols:  # 2**(c + s) = 2**c * 2**s, products below 2**51
+        while pow2.shape[1] < cols:  # 2**(c + s) = 2**c * 2**s, products below 2**49
             step = _reduce(2.0 * pow2[:, -1:], p, p_inv)
             pow2 = np.concatenate([pow2, _reduce(pow2 * step, p, p_inv)], axis=1)
-        self.pow2 = pow2[:, :cols].copy()
+        pow2, root = pow2[:, :cols], np.array(self.roots[:rows], dtype=float)[:, None]
+        self.pow2 = np.stack([pow2, _reduce(root * pow2, p, p_inv)], axis=1)  # r * 2**s below 2**49
 
     def crt(self, k: int) -> tuple[int, list[int], int]:
         """(M, w, q): the product M of the first k primes, weights w_j that
@@ -279,10 +280,6 @@ class _Scaled(NamedTuple):
     shifts: int
     e: int
     log2_norm: float  # ||M||_F < 2**log2_norm
-
-
-#: [1, -1] over the part axis: r + sign * r^T is R + R^T and I - I^T
-_SIGN = np.array([1.0, -1.0])[:, None, None]
 
 
 def _decompose(m: np.ndarray) -> _Scaled:
@@ -369,7 +366,8 @@ def _exact_traces(m, n_max: int, flip: bool) -> Moments:
 
     i -> r, r**2 = -1 mod p, maps the Gaussian integers onto the residues
     modulo a prime p = 1 (mod 4): the integer M = (R + R^T) + i (I - I^T)
-    of m = M * 2**e becomes the D x D residue (R + R^T) + r (I - I^T).  The
+    of m = M * 2**e becomes the D x D residue X = (R + rI) + (R - rI)^T,
+    gathered from the table's 2**s and r * 2**s and reduced once.  The
     traces, integers as the factors are Hermitian, are taken modulo k
     primes, with k from |Tr(X^n)| <= sqrt(D) * ||X||_F**n, and rebuilt by
     CRT in the symmetric range; one more prime checks every one of them.
@@ -391,15 +389,11 @@ def _exact_traces(m, n_max: int, flip: bool) -> Moments:
     bits = [math.ceil(n * log2_norm + half_log2_dim + 1e-9) + 1 for n in range(1, n_max + 1)]
     counts = [res.count(b) for b in bits]
     k = counts[-1] + 1
-    p_int, p, p_inv, root, pow2 = res.columns(k, scaled.shifts)
-    r = np.fmod(scaled.mant, p_int[..., None]) * pow2[:, scaled.shift]  # (k, 2, D, D)
-    sym = _reduce(r + _SIGN * r.swapaxes(-1, -2), p[..., None], p_inv[..., None])
-    a, b = sym[:, 0], root * sym[:, 1]
-    if flip:  # m* maps to A - rB, m~ = Sigma m* Sigma to Sigma (A - rB) Sigma; A +- rB stay within 2h
-        b = _reduce(b, p, p_inv)
-        step = _reduce((a + b) @ sigma_yy_conjugate(a - b), p, p_inv)
-    else:
-        step = _reduce(a + b, p, p_inv)
+    p_int, p, p_inv, pow2 = res.columns(k, scaled.shifts)
+    re, im = (np.fmod(scaled.mant[j], p_int) * pow2[:, j, scaled.shift[j]] for j in (0, 1))  # R, rI
+    step = _reduce(re + im + (re - im).swapaxes(1, 2), p, p_inv)
+    if flip:  # M* = M^T maps to X^T, m~ = Sigma m* Sigma to Sigma X^T Sigma
+        step = _reduce(step @ sigma_yy_conjugate(step.swapaxes(1, 2)), p, p_inv)
     # (X^b)^T is an explicit transpose: a residue of a Hermitian X is not symmetric
     x, traces = step, [step.diagonal(axis1=1, axis2=2).sum(axis=1)]
     for n in range(2, n_max + 1):

@@ -609,8 +609,9 @@ def hermitian_matrices(draw, dim):
 @settings(max_examples=_RESIDUE_EXAMPLES, deadline=None)
 @given(data=st.data())
 def test_residue_route_matches_int_route_on_extreme_entries(data):
-    dim = data.draw(st.integers(1, 8))
-    n_max = data.draw(st.integers(1, 2 * dim))
+    # dims 16 and 25 take widths 23 and 22, where the int route is still quick up to n = 4
+    dim = data.draw(st.sampled_from([*range(1, 9), 16, 25]))
+    n_max = data.draw(st.integers(1, 2 * dim if dim <= 8 else 4))
     a, b = data.draw(hermitian_matrices(dim)), data.draw(hermitian_matrices(4))
     assert list(linalg.exact_power_traces(a, n_max)) == int_route_traces(a, n_max)
     assert list(linalg.exact_product_power_traces(b, n_max)) == int_route_product_traces(b, flip(b), n_max)
@@ -735,31 +736,34 @@ def test_too_few_primes_raise_instead_of_returning(monkeypatch):
 
 
 def test_prime_width_keeps_sums_exact():
-    # residues within h of zero: a trace sums dim**2 products of at most h**2,
-    # and _reduce needs |x| + h <= 2**53; the next width up breaks the bound
-    # (from dim = 2: at dim = 1 the width stops at 26, where 2**s mod p and
-    # r * (I - I^T) stay below 2**52)
+    # residues within h = 2**(w-1) + 4 of zero, and _reduce needs |x| + h <= 2**53:
+    # a trace sums dim**2 products of at most h**2, and a residue is built as
+    # four products of at most (p - 1) h, p < 2**w; the next width up breaks one
+    def exact(dim, w):
+        h = 2 ** (w - 1) + 4
+        return dim * dim * h * h + h <= 2**53 and 4 * (2**w - 2) * h + h <= 2**53
+
     for dim in (1, 2, 4, 9, 16, 25, 36, 64, 255, 10**4):
         w = linalg._prime_width(dim)
-        h = 2 ** (w - 1) + 4
-        assert dim * dim * h * h + h <= 2**53
-        assert w == 26 and dim == 1 or dim * dim * (2 * h - 4) ** 2 > 2**53
-    # the ladder's first step multiplies the unreduced A + rB and the spin
-    # flip of A - rB, entries up to 2h: four products of (2h)**2 at dim = 4
-    h = 2 ** (linalg._prime_width(4) - 1) + 4
-    assert 4 * (2 * h) ** 2 + h <= 2**53
+        assert exact(dim, w) and not exact(dim, w + 1)
+    # the ladder and the d = 2, 3, 4 spectra
+    assert [linalg._prime_width(dim) for dim in (4, 9, 16)] == [25, 24, 23]
 
 
 @pytest.mark.parametrize("dim", [1, 4, 9, 36])
 def test_every_prime_is_one_mod_four_with_a_root_of_minus_one(dim):
     res = linalg._Residues(dim)
     k = res.count(2000)
-    _, p_col, _, root_col, _ = res.columns(k + 1, 1)  # as a trace call takes them
+    _, p_col, _, table = res.columns(k + 1, 80)  # as a trace call takes them
     assert res.crt(k)[2] == res.primes[k]  # the check prime is the next one
     assert res.primes == sorted(set(res.primes), reverse=True) and res.primes[0] < 2**res.width
-    for p, r in zip(res.primes, res.roots):
+    primes = p_col[:, 0, 0].astype(int).tolist()
+    assert primes == res.primes[: k + 1]
+    # the table holds 2**s and r * 2**s mod p within p/2 + 4 of zero; r is its entry at s = 0
+    for p, (twos, roots) in zip(primes, table.astype(int).tolist()):
+        r = roots[0]
         assert p % 4 == 1 and linalg._is_prime(p)
         assert 0 < r <= p // 2 and r * r % p == p - 1
-    # the columns carry the same roots, one per prime
-    assert p_col[:, 0, 0].tolist() == res.primes[: k + 1]
-    assert root_col[:, 0, 0].tolist() == res.roots[: k + 1]
+        assert [t % p for t in twos] == [pow(2, s, p) for s in range(80)]
+        assert [t % p for t in roots] == [r * pow(2, s, p) % p for s in range(80)]
+        assert max(map(abs, twos + roots)) <= p // 2 + 4
