@@ -328,11 +328,18 @@ class Moments(Sequence):
         real-number rule, its index named, and is taken as its float (an int
         too large for one raises ``ValueError``).  With denominators
         b_m = odd_m << twos_m, G = odd << g, odd the lcm of the odd_m and g
-        the least with g m >= twos_m.
+        the least with g m >= twos_m.  A list of finite plain floats, as a
+        sampled run hands over, has odd = 1 and is graded on that shortcut;
+        one with a non-finite entry is refused on the general route.
         """
         if isinstance(moments, Moments):
             return moments
         items = list(moments)
+        if items and all(type(x) is float for x in items) and all(map(math.isfinite, items)):
+            ratios = [x.as_integer_ratio() for x in items]
+            twos = [b.bit_length() - 1 for _, b in ratios]
+            g = max([-(-t // m) for m, t in enumerate(twos, 1)])
+            return cls([a << (g * m - t) for m, ((a, _), t) in enumerate(zip(ratios, twos), 1)], 1 << g, False)
         exact = [type(x) is not float and isinstance(x, Fraction) for x in items]  # a float skips the ABC check
         for i, (x, known) in enumerate(zip(items, exact)):
             if not known:  # a Fraction is exact, so real and finite

@@ -41,7 +41,8 @@ from .protocols import (
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import _require_equal_dims, apply_spa_pt, group_channel_output, group_channel_outputs, moment_observable_spec
+from .spa import (_LADDER_SPECS, _ladder_means, _require_equal_dims, apply_spa_pt, group_channel_output,
+                  moment_observable_spec)
 from .states import DensityMatrix, _rng_streams
 
 #: largest shot count: numpy's binomial draws from an int64 count
@@ -77,16 +78,20 @@ def _binary_run(mean: float, shots: int, rng: np.random.Generator) -> tuple[Shot
     observable with exact +-1 mean ``mean``: its record and the sampled mean."""
     p_plus = success_probability(mean)
     successes = int(rng.binomial(shots, p_plus))
-    record = ShotRecord(shots=shots, successes=successes, target_mean=p_plus)
+    record = ShotRecord(shots, successes, p_plus)
     return record, 2.0 * record.estimate - 1.0
 
 
 def _draw(means, first: int, shots: int, seed) -> tuple[tuple[ShotRecord, ...], list[float]]:
     """One binary run of ``shots`` (already checked) outcomes per exact +-1 mean, mean i
-    on stream ``first + i`` of ``seed``: the records and the sampled means, in the order given."""
-    rngs = _rng_streams(seed, range(first, first + len(means)))
-    runs = [_binary_run(mean, shots, rng) for mean, rng in zip(means, rngs)]
-    return tuple(record for record, _ in runs), [sampled for _, sampled in runs]
+    on stream ``first + i`` of ``seed``: the records and the sampled means, in the
+    order given, built in one pass over the means."""
+    records, sampled = [], []
+    for mean, rng in zip(means, _rng_streams(seed, range(first, first + len(means)))):
+        record, x = _binary_run(mean, shots, rng)
+        records.append(record)
+        sampled.append(x)
+    return tuple(records), sampled
 
 
 def moment_success_probability(state: DensityMatrix, k: int) -> float:
@@ -150,9 +155,8 @@ def run_concurrence_protocol(
         samples, moments = None, exact_moment_fractions(state)
     else:
         shots = _whole(shots, "shots", 1, _MAX_SHOTS)
-        outputs = group_channel_outputs(state)
-        samples, shift_hats = _draw([out.shift_trace() for out in outputs], 1, shots, seed)
-        moments = Moments.of([moment_observable_spec(out.k).moment(x) for out, x in zip(outputs, shift_hats)])
+        samples, shift_hats = _draw(_ladder_means(state), 1, shots, seed)
+        moments = Moments.of([spec.moment(x) for spec, x in zip(_LADDER_SPECS, shift_hats)])
     breakdown, flags = concurrence_from_moments(moments)
     return EstimatorRun(samples, tuple(moments.floats()), breakdown, flags)
 

@@ -12,6 +12,7 @@ spectrum, so measuring the output spectrum measures the PT spectrum.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -52,17 +53,26 @@ def _require_equal_dims(state: DensityMatrix, operation: str) -> int:
     return state.dims[0]
 
 
+@functools.lru_cache(maxsize=8)  # local dimensions kept
+def _white_noise(d: int) -> tuple[np.ndarray, float]:
+    """The SPA's white-noise term [d/(d^3+1)] I = (1 - s) I / d^2, read-only, and its weight s on rho^T_B."""
+    dim, s = d * d, spa_shrink(d)
+    noise = (1.0 - s) * np.eye(dim) / dim
+    noise.setflags(write=False)
+    return noise, s
+
+
 def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     """Approximate partial transpose as a channel on a d (x) d state; unequal dims are refused.
 
     Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B, whose spectrum is the affine
     image of the PT spectrum: valid by construction, so not re-checked.  The
+    noise term and the weight depend on d alone and are built once per d.  The
     closed-form weight is checked against the reference :func:`spa_threshold_by_choi`.
     """
-    dim = state.dim
-    s = spa_shrink(_require_equal_dims(state, "the closed-form SPA"))
+    noise, s = _white_noise(_require_equal_dims(state, "the closed-form SPA"))
     pt = partial_transpose(state.matrix, state.dims)
-    return DensityMatrix._valid((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
+    return DensityMatrix._valid(noise + s * pt, state.dims)
 
 
 def spa_threshold_by_choi(dims: tuple[int, int]) -> float:
@@ -132,14 +142,28 @@ class MomentObservableSpec(NamedTuple):
         """p_k = (d_k^3 + 1) * mean - 4 d_k from the observable's +-1 mean."""
         return self.amplification * mean - self.offset
 
+    def mean(self, p_k: float) -> float:
+        """The observable's +-1 mean (4 d_k + p_k) / (d_k^3 + 1): the inverse of :meth:`moment`."""
+        return (self.offset + p_k) / self.amplification
+
 
 #: the four group read-outs, built once (d_k = 4^k); amplification d_k^3 + 1 scales shot noise into p_k
 _SPECS = {k: MomentObservableSpec(k, copies=2 * k, amplification=4 ** (3 * k) + 1, offset=4 * 4**k,
                                   d_cubed_offset=4 ** (3 * k)) for k in (1, 2, 3, 4)}
 
 
+#: the four read-outs in ladder order, k = 1..4
+_LADDER_SPECS = tuple(_SPECS.values())
+
+
 def moment_observable_spec(k: int) -> MomentObservableSpec:
     return _SPECS[_whole(k, "group index", 1, 4)]
+
+
+def _ladder_means(state: DensityMatrix) -> list[float]:
+    """The exact +-1 means of the four group observables, k = 1..4, off one
+    :func:`ladder_power_sums` chain: what each group's shift trace reads."""
+    return [spec.mean(p_k) for spec, p_k in zip(_LADDER_SPECS, ladder_power_sums(state))]
 
 
 class GroupChannelOutput(NamedTuple):
@@ -164,8 +188,7 @@ class GroupChannelOutput(NamedTuple):
         The identity block contributes Tr(V) = 4 (constant basis strings of
         one four-level factor), the signal block contributes p_k.
         """
-        spec = moment_observable_spec(self.k)
-        return (spec.offset + self.p_k) / spec.amplification
+        return moment_observable_spec(self.k).mean(self.p_k)
 
 
 def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...]:

@@ -59,11 +59,20 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.multiply.accumulate(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)
 
 
-@functools.cache
-def _key_hash_constants(hashes: int) -> np.ndarray:
-    """The five INIT_A * MULT_A**j, j = hashes..hashes + 4, read-only: the
-    constants that mix a key word in after ``hashes`` pool hashes."""
-    out = _hash_constants(_INIT_A, _MULT_A, hashes + 4)[hashes:].copy()
+#: (stream block, hash count) key terms kept by ``_key_terms``; a run uses one
+#: block per pipeline, and every seed below 2**128 hashes its pool 16 times
+_KEY_TERMS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_KEY_TERMS_KEPT)
+def _key_terms(keys: tuple[int, ...], hashes: int) -> np.ndarray:
+    """MIX_MULT_R times each key word hashed once per pool word, the hash
+    constant advanced ``hashes`` times: the (len(keys), 4) uint32 half of the
+    key mix that no seed enters, read-only."""
+    hash_const = _hash_constants(_INIT_A, _MULT_A, hashes + 4)[hashes:]
+    key = (np.array(keys, dtype=np.uint32)[:, None] ^ hash_const[:4]) * hash_const[1:]
+    key ^= key >> _XSHIFT
+    out = _MIX_MULT_R * key
     out.setflags(write=False)
     return out
 
@@ -99,25 +108,22 @@ def _rng_streams(seed, streams) -> list[np.random.Generator]:
     spawn_key=(k,))`` holds before its key word is mixed in (numpy hashes
     its zero padding as it hashes empty pool slots), its hash constant
     advanced ``4 * max(4, w)`` times, w the seed's 32-bit word count (its
-    bit length over 32, rounded up).  The key word and
-    ``generate_state(4, uint64)`` are then redone for all streams at once,
-    on uint32 words only.  The generators cannot ``spawn()``.  The stream
-    ids and seeds ``rng_stream`` rejects raise ValueError.
+    bit length over 32, rounded up).  The key word's hashes depend on the
+    stream ids and w alone, so ``_key_terms`` keeps them per (block, w); a
+    call mixes them into the pool and redoes ``generate_state(4, uint64)``
+    for all streams at once, on uint32 words only.  The generators cannot
+    ``spawn()``.  The stream ids and seeds ``rng_stream`` rejects raise
+    ValueError, checked before any lookup: ``(0, True) == (0, 1)`` as keys.
     """
-    keys = [_whole(k, "stream ids", 0, _MAX_STREAM) for k in streams]
+    keys = tuple([_whole(k, "stream ids", 0, _MAX_STREAM) for k in streams])
     run = _seed_sequence(seed)
-    hash_const = _key_hash_constants(4 * max(4, -(-run.entropy.bit_length() // 32)))
-    # the key word, hashed once per pool word, mixed into that word
-    key = (np.array(keys, dtype=np.uint32)[:, None] ^ hash_const[:4]) * hash_const[1:]
-    key ^= key >> _XSHIFT
-    pool = _MIX_MULT_L * run.pool - _MIX_MULT_R * key
+    pool = _MIX_MULT_L * run.pool - _key_terms(keys, 4 * max(4, -(-run.entropy.bit_length() // 32)))
     pool ^= pool >> _XSHIFT
     # generate_state: 8 words cycling twice through the pool, paired
-    # little-endian into 4 uint64 words
-    words = ((pool[:, None, :] ^ _STATE_XOR) * _STATE_MULT).reshape(-1, 4, 2)
+    # little-endian into 4 uint64 words as numpy pairs them
+    words = (pool[:, None, :] ^ _STATE_XOR) * _STATE_MULT
     words ^= words >> _XSHIFT
-    words = words.astype(np.uint64)
-    state = words[..., 0] | words[..., 1] << np.uint64(32)
+    state = words.astype("<u4", copy=False).view("<u8").reshape(-1, 4).astype(np.uint64, copy=False)
     preset = _preset_seed_sequence()
     return [np.random.Generator(np.random.PCG64(preset(row))) for row in state]
 

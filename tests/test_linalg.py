@@ -1,11 +1,12 @@
 """mat-core primitives against independent small-case oracles."""
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -721,6 +722,38 @@ def test_power_traces_record_matches_the_oracles_and_inverts_like_its_fractions(
         assert linalg.Moments.of(ladder) is ladder
         assert_same_concurrence(ladder, list(ladder))
     assert_record_of(moments)
+
+
+# A list of plain floats is graded on its own path (every denominator a power
+# of two); it must give the integers and grade the Fraction route gives.  An
+# empty list is exact, as it always was.
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+@example([0.0, -0.0, 5e-324, -2.2250738585072014e-308])  # zeros and subnormals
+@example([1.7976931348623157e308, 2.0**-1074, -3.0, 0.1])  # exponents 2,000 binades apart
+def test_moment_record_grades_floats_like_their_fractions(xs):
+    got, want = linalg.Moments.of(xs), linalg.Moments.of([Fraction(x) for x in xs])
+    assert (got.ints, got.grade, got.exact) == (want.ints, want.grade, not xs)
+    assert got.floats() == xs
+
+
+@pytest.mark.parametrize("moments, index", [
+    ([1.0, math.nan, 0.5], 1), ([0.25, 0.5, -math.inf], 2), ([math.inf], 0),  # plain floats, checked first
+    ([0.5, True], 1), ([np.float64(0.5), np.float64(math.nan)], 1), ([Fraction(1, 3), 0.5, math.nan], 2),
+])
+def test_moment_record_refusal_texts_stay(moments, index):
+    with pytest.raises(ValueError) as info:
+        linalg.Moments.of(moments)
+    assert str(info.value) == f"power sum at index {index} must be a finite real number, got {moments[index]!r}"
+
+
+@pytest.mark.parametrize("moments", [
+    [np.float64(0.1), 0.5], [0.1, np.float32(0.5)], [Fraction(1, 3), 0.5, 0.25], [0.5, 1, 2**60], [2, 3],
+])
+def test_moment_record_grades_numpy_and_mixed_lists_on_the_general_path(moments):
+    got, want = linalg.Moments.of(moments), linalg.Moments.of([Fraction(float(x)) if not isinstance(x, Fraction)
+                                                              else x for x in moments])
+    assert (got.ints, got.grade, got.exact) == (want.ints, want.grade, False)
 
 
 def test_too_few_primes_raise_instead_of_returning(monkeypatch):

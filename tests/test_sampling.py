@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
-from entmoment import inversion, measures, sampling, states
+from entmoment import inversion, measures, sampling, spa, states
 from entmoment.spa import moment_observable_spec
 
 
@@ -99,6 +99,24 @@ def test_sampled_runs_draw_on_consecutive_streams_from_one_and_leave_stream_zero
         assert ids == list(range(first, first + n)) and first >= 1, name
         if name == "tomography":
             assert all(rng.bit_generator.state != stream_zero for rng in rngs)
+
+
+def test_every_draw_goes_through_the_one_binary_run(monkeypatch):
+    # p+ -> count -> sampled mean has one owner, shared by the batched draw and sample_moment_povm
+    state = states.random_mixed_state((2, 2), states.rng_stream(4, 0))
+    calls = []
+    real = sampling._binary_run
+
+    def spy(mean, shots, rng):
+        calls.append(mean)
+        return real(mean, shots, rng)
+
+    monkeypatch.setattr(sampling, "_binary_run", spy)
+    sampling.run_concurrence_protocol(state, shots=100, seed=4)
+    assert calls == spa._ladder_means(state)
+    calls.clear()
+    sampling.sample_moment_povm(state, 3, 100, states.rng_stream(4, 3))
+    assert calls == [spa._ladder_means(state)[2]]
 
 
 def test_unbiased_linear_stage_k1():

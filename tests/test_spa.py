@@ -114,7 +114,10 @@ def test_channel_descriptor_weights():
     st = states.random_mixed_state((3, 3), states.rng_stream(303, 0))
     s = spa.spa_shrink(3)
     want = (1.0 - s) * np.eye(9) / 9 + s * linalg.partial_transpose(st.matrix, (3, 3))
-    assert np.array_equal(spa.apply_spa_pt(st).matrix, want)
+    for _ in range(2):  # the second call reads the kept noise term
+        assert np.array_equal(spa.apply_spa_pt(st).matrix, want)
+    noise, weight = spa._white_noise(3)
+    assert not noise.flags.writeable and weight == s and np.array_equal(noise, (1.0 - s) * np.eye(9) / 9)
 
 
 # ----------------------------------------------------------------- affine map
@@ -199,7 +202,10 @@ def test_shift_trace_and_spec_moment_invert_each_other():
             d = 4**out.k
             assert out.shift_trace() == (4.0 * d + out.p_k) / (d**3 + 1.0)
             spec = spa.moment_observable_spec(out.k)
+            assert spec.mean(out.p_k) == out.shift_trace()
             assert abs(spec.moment(out.shift_trace()) - out.p_k) < 1e-9
+        # the sampled ladder's read-out: the same four means off one chain
+        assert spa._ladder_means(st) == [out.shift_trace() for out in spa.group_channel_outputs(st)]
 
 
 def materialized_shift_trace(state, k):

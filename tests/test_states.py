@@ -127,6 +127,47 @@ def test_rng_streams_reject_stream_ids_beyond_one_word(stream):
         states.rng_stream(7, stream)
 
 
+# The key terms a block of stream ids mixes in are kept per (block, hash
+# count); a kept entry must serve a repeated call exactly as a fresh one.
+# Seeds of 1, 2, 3 and 5 words: up to 4 the pool is hashed 16 times, at 5
+# 20 times, so the same block takes a second entry.
+word_count_seeds = st.one_of(*(st.integers(2 ** (32 * w - 32) if w > 1 else 0, 2 ** (32 * w) - 1)
+                               for w in (1, 2, 3, 5)))
+
+
+@settings(deadline=None, derandomize=True)
+@given(word_count_seeds, word_count_seeds, st.integers(1, 3), st.integers(0, 16))
+def test_rng_streams_key_terms_serve_first_and_repeated_calls_alike(seed, other, first, n):
+    block = range(first, first + n)
+    states._key_terms.cache_clear()
+    # a first call builds the block's key terms, the other seed's call reads or adds
+    # its own, and the repeated call reads them back
+    for s in (seed, other, seed):
+        want = [states.rng_stream(s, k).bit_generator.state for k in block]
+        assert [rng.bit_generator.state for rng in states._rng_streams(s, block)] == want
+
+
+def test_rng_streams_check_stream_ids_before_the_key_terms_lookup():
+    # (0, True) == (0, 1) as tuple keys: a served [0, 1] must not let True through
+    states._rng_streams(7, [0, 1])
+    for bad in ([0, True], [0, 1.5]):
+        with pytest.raises(ValueError, match="^stream ids must be 0..4294967295, got "):
+            states._rng_streams(7, bad)
+
+
+def test_rng_streams_key_terms_stay_bounded_and_read_only():
+    states._key_terms.cache_clear()
+    for first in range(3 * states._KEY_TERMS_KEPT):
+        states._rng_streams(1, [first, first + 1])
+    info = states._key_terms.cache_info()
+    assert info.currsize == info.maxsize == states._KEY_TERMS_KEPT
+    assert not states._key_terms((1, 2), 16).flags.writeable
+
+
+def test_rng_streams_of_an_empty_block_is_empty():
+    assert states._rng_streams(7, []) == [] == states._rng_streams(2**200, range(3, 3))
+
+
 REFUSAL = re.compile(r"^not a density matrix: (?P<rules>[a-z, ]+) violated \(hermiticity_defect=(?P<herm>\S+), "
                      r"trace_defect=(?P<trace>\S+), min_eigenvalue=(?P<min_eig>\S+)\)$")
 
