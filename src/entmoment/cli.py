@@ -140,24 +140,20 @@ def cmd_concurrence(args) -> int:
         "copies_consumed": run.copies_consumed,
         "groups": [],
     }
-    # a sampled run's records hold p+ already; only ideal mode reads it off the chain
-    if run.samples is None:
-        groups = [(out.k, sampling.success_probability(out.shift_trace()), {})
-                  for out in spa.group_channel_outputs(state)]
-    else:
-        groups = [(k, rec.target_mean, {"successes": rec.successes, "shots": rec.shots})
-                  for k, rec in enumerate(run.samples, start=1)]
-    for k, p_plus, counts in groups:
-        spec = spa.moment_observable_spec(k)
-        results["groups"].append({
-            "k": k,
+    # p+ comes from the run itself: a sampled run's records hold it, an ideal run's moments give it
+    for spec, p_k, rec in zip(spa._LADDER_SPECS, run.moments, run.samples or (None,) * 4):
+        group = {
+            "k": spec.k,
             "copies": spec.copies,
             "amplification": spec.amplification,
             "offset_applied": spec.offset,
             "offset_d_cubed_variant": spec.d_cubed_offset,
-            "p_plus": p_plus,
-            **counts,
-        })
+        }
+        if rec is None:
+            group["p_plus"] = sampling.success_probability(spec.mean(p_k))
+        else:
+            group.update(p_plus=rec.target_mean, successes=rec.successes, shots=rec.shots)
+        results["groups"].append(group)
     results["offset_note"] = (
         "offsets are 4*d_k, fixed by the ladder identity mean(M_k) = p_k; "
         "the d_k^3 variant is listed for reference only"

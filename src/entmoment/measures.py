@@ -33,6 +33,21 @@ def _require_two_qubit(state: DensityMatrix, operation: str) -> np.ndarray:
     return state.matrix
 
 
+def _refused_eigenvalues(eigenvalues) -> ValueError:
+    """The one refusal of an eigenvalue list that is empty or has a non-finite or non-real entry."""
+    return ValueError(f"eigenvalues must be finite and real, one or more, got {eigenvalues!r}")
+
+
+def _real_eigenvalues(eigenvalues) -> np.ndarray:
+    """``eigenvalues`` as a new 1-D float array; :func:`_refused_eigenvalues` unless a non-empty list
+    of ints and floats, Python's or numpy's (no complex, bool or object entries).  Finiteness is left
+    to the caller, which reads it where it is cheapest."""
+    lam = np.asarray(eigenvalues)
+    if lam.ndim != 1 or lam.size == 0 or lam.dtype.kind not in "fiu":
+        raise _refused_eigenvalues(eigenvalues)
+    return lam.astype(float)
+
+
 def spin_flip(state: DensityMatrix) -> np.ndarray:
     """Spin-flipped two-qubit state Sigma rho* Sigma (same spectrum as rho)."""
     return sigma_yy_conjugate(_require_two_qubit(state, "the spin flip").conj())
@@ -65,13 +80,13 @@ class ConcurrenceBreakdown(NamedTuple):
 
 def breakdown_from_lambdas(lambdas) -> ConcurrenceBreakdown:
     """Assemble C and E_f from (possibly estimated) eigenvalues of rho rho~;
-    ValueError unless there are four of them, all finite."""
-    lam = np.asarray(lambdas, dtype=float)
+    ValueError unless there are four of them, all finite and real."""
+    lam = np.asarray(lambdas)
     if lam.shape != (4,):
         raise ValueError("expected four eigenvalues")
-    lam = lam.tolist()
+    lam = _real_eigenvalues(lam).tolist()
     if not all(map(math.isfinite, lam)):
-        raise ValueError(f"eigenvalues must be finite, got {lam}")
+        raise _refused_eigenvalues(lambdas)
     # in plain floats: negatives and -0.0 clip to +0.0
     lam = sorted((x if x > 0.0 else 0.0 for x in lam), reverse=True)
     # rounding dust must not leak through the square roots: an eigenvalue of
@@ -114,10 +129,13 @@ class NegativityReport(NamedTuple):
 
 
 def report_from_pt_eigenvalues(eigenvalues) -> NegativityReport:
-    lam = np.array(eigenvalues, dtype=float)  # a copy: sorted in place
+    """The report of a partial-transpose spectrum; ValueError unless a non-empty list of finite reals."""
+    lam = _real_eigenvalues(eigenvalues)  # a copy: sorted in place
     lam.sort()
     lam = lam[::-1]
     tn = float(abs(lam).sum())
+    if not math.isfinite(tn):  # a NaN or an infinity anywhere shows in the sum
+        raise _refused_eigenvalues(eigenvalues)
     return NegativityReport(
         pt_eigenvalues=tuple(lam.tolist()),
         trace_norm_pt=tn,

@@ -41,8 +41,7 @@ from .protocols import (
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import (_LADDER_SPECS, _ladder_means, _require_equal_dims, apply_spa_pt, group_channel_output,
-                  moment_observable_spec)
+from .spa import _LADDER_SPECS, _ladder_means, _require_equal_dims, apply_spa_pt, moment_observable_spec
 from .states import DensityMatrix, _rng_streams
 
 #: largest shot count: numpy's binomial draws from an int64 count
@@ -95,8 +94,9 @@ def _draw(means, first: int, shots: int, seed) -> tuple[tuple[ShotRecord, ...], 
 
 
 def moment_success_probability(state: DensityMatrix, k: int) -> float:
-    """Exact p+ for group k via the implicit channel output."""
-    return success_probability(group_channel_output(state, k).shift_trace())
+    """Exact p+ for group k, its mean read off the ladder's one chain once k is checked."""
+    k = moment_observable_spec(k).k
+    return success_probability(_ladder_means(state)[k - 1])
 
 
 def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
@@ -116,9 +116,10 @@ def moment_standard_error(k: int, p_plus: float, shots: int) -> float:
 def sample_moment_povm(state: DensityMatrix, k: int, shots: int,
                        rng: np.random.Generator) -> tuple[ShotRecord, float]:
     """Draw one binomial run for group k: its record and the moment estimate p_k it yields."""
-    output = group_channel_output(state, k)
-    record, shift_hat = _binary_run(output.shift_trace(), _whole(shots, "shots", 1, _MAX_SHOTS), rng)
-    return record, moment_observable_spec(output.k).moment(shift_hat)
+    spec = moment_observable_spec(k)
+    shots = _whole(shots, "shots", 1, _MAX_SHOTS)
+    record, shift_hat = _binary_run(_ladder_means(state)[spec.k - 1], shots, rng)
+    return record, spec.moment(shift_hat)
 
 
 class EstimatorRun(NamedTuple):
@@ -131,7 +132,7 @@ class EstimatorRun(NamedTuple):
 
     @property
     def copies_consumed(self) -> int:
-        return sum(moment_observable_spec(k).copies * r.shots for k, r in enumerate(self.samples or (), 1))
+        return sum(spec.copies * r.shots for spec, r in zip(_LADDER_SPECS, self.samples or ()))
 
 
 def run_concurrence_protocol(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _local_dims, _whole
 from .linalg import partial_transpose
-from .measures import spin_flip
+from .measures import _require_two_qubit, spin_flip
 from .states import DensityMatrix
 
 #: min Choi eigenvalue tolerated as "still positive semidefinite"
@@ -113,7 +113,7 @@ def ladder_power_sums(state: DensityMatrix) -> tuple[float, float, float, float]
     The left-to-right product of the 2k factors rho, rho~, ..., which the
     shift-operator identity equates with Tr(V_(2k) (rho (x) rho~)^(x k)).
     """
-    rho, rho_tilde = state.matrix, spin_flip(state)
+    rho, rho_tilde = _require_two_qubit(state, "the moment ladder"), spin_flip(state)
     prod = rho @ rho_tilde
     sums = [float(prod.trace().real)]
     for _ in range(3):
@@ -147,17 +147,14 @@ class MomentObservableSpec(NamedTuple):
         return (self.offset + p_k) / self.amplification
 
 
-#: the four group read-outs, built once (d_k = 4^k); amplification d_k^3 + 1 scales shot noise into p_k
-_SPECS = {k: MomentObservableSpec(k, copies=2 * k, amplification=4 ** (3 * k) + 1, offset=4 * 4**k,
-                                  d_cubed_offset=4 ** (3 * k)) for k in (1, 2, 3, 4)}
-
-
-#: the four read-outs in ladder order, k = 1..4
-_LADDER_SPECS = tuple(_SPECS.values())
+#: the four group read-outs in ladder order, k = 1..4, built once (d_k = 4^k);
+#: amplification d_k^3 + 1 scales shot noise into p_k
+_LADDER_SPECS = tuple(MomentObservableSpec(k, copies=2 * k, amplification=4 ** (3 * k) + 1, offset=4 * 4**k,
+                                           d_cubed_offset=4 ** (3 * k)) for k in (1, 2, 3, 4))
 
 
 def moment_observable_spec(k: int) -> MomentObservableSpec:
-    return _SPECS[_whole(k, "group index", 1, 4)]
+    return _LADDER_SPECS[_whole(k, "group index", 1, 4) - 1]
 
 
 def _ladder_means(state: DensityMatrix) -> list[float]:
@@ -197,4 +194,6 @@ def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...
 
 
 def group_channel_output(state: DensityMatrix, k: int) -> GroupChannelOutput:
-    return group_channel_outputs(state)[moment_observable_spec(k).k - 1]
+    """Group k's channel output; k is checked before the chain runs."""
+    k = moment_observable_spec(k).k
+    return GroupChannelOutput(k, ladder_power_sums(state)[k - 1])

@@ -25,6 +25,7 @@ from entmoment import _local_dims, _real, _whole, inversion, linalg, measures, p
 QUTRIT_PAIR = states.isotropic_state(3, 0.5)
 TWO_QUBIT_MESSAGE = r"needs a two-qubit state, got state dims \(3, 3\)"
 LADDER_MESSAGE = "^the concurrence protocol " + TWO_QUBIT_MESSAGE  # the pipeline, not an inner step
+MOMENT_LADDER_MESSAGE = "^the moment ladder " + TWO_QUBIT_MESSAGE  # the ladder, not its spin flip
 RECTANGULAR_PAIR = states.random_mixed_state((2, 3), states.rng_stream(7))
 
 REFUSALS = {
@@ -56,6 +57,15 @@ REFUSALS = {
     "run_concurrence_protocol sampled 3x3 state": (
         lambda: sampling.run_concurrence_protocol(QUTRIT_PAIR, mode="sampled"), LADDER_MESSAGE),
     "concurrence_breakdown 3x3 state": (lambda: measures.concurrence_breakdown(QUTRIT_PAIR), TWO_QUBIT_MESSAGE),
+    "ladder_power_sums 3x3 state": (lambda: spa.ladder_power_sums(QUTRIT_PAIR), MOMENT_LADDER_MESSAGE),
+    "group_channel_outputs 3x3 state": (lambda: spa.group_channel_outputs(QUTRIT_PAIR), MOMENT_LADDER_MESSAGE),
+    "group_channel_output 3x3 state": (lambda: spa.group_channel_output(QUTRIT_PAIR, 1), MOMENT_LADDER_MESSAGE),
+    "moment_success_probability 3x3 state": (
+        lambda: sampling.moment_success_probability(QUTRIT_PAIR, 4), MOMENT_LADDER_MESSAGE),
+    "sample_moment_povm 3x3 state": (
+        lambda: sampling.sample_moment_povm(QUTRIT_PAIR, 2, 100, states.rng_stream(7)), MOMENT_LADDER_MESSAGE),
+    "group_channel_output 3x3 state k 7": (
+        lambda: spa.group_channel_output(QUTRIT_PAIR, 7), r"^group index must be 1\.\.4, got 7$"),
     "run_concurrence_protocol mode": (
         lambda: sampling.run_concurrence_protocol(states.bell_state(), mode="noisy"), "mode must be one of"),
     "run_spectrum_protocol mode": (

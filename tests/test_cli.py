@@ -210,8 +210,9 @@ def test_protocol_concurrence_ideal(tmp_path, capsys):
     assert abs(groups[0]["p_plus"] - 41 / 65) < 1e-12
 
 
-@pytest.mark.parametrize("mode_args", [["--mode", "ideal"], ["--mode", "sampled", "--shots", "500"]])
-def test_protocol_concurrence_builds_the_ladder_chain_once(monkeypatch, mode_args):
+# an ideal run's moments are exact and its p+ rows come from them: no float chain at all
+@pytest.mark.parametrize("mode_args, chains", [(["--mode", "ideal"], 0), (["--mode", "sampled", "--shots", "500"], 1)])
+def test_protocol_concurrence_builds_the_ladder_chain_once(monkeypatch, mode_args, chains):
     calls = []
     real = spa.ladder_power_sums
 
@@ -221,7 +222,20 @@ def test_protocol_concurrence_builds_the_ladder_chain_once(monkeypatch, mode_arg
 
     monkeypatch.setattr(spa, "ladder_power_sums", counted)
     assert run_cli(["protocol", "concurrence", "--family", "werner", "--p", "0.8", *mode_args]) == 0
-    assert len(calls) == 1
+    assert len(calls) == chains
+
+
+@pytest.mark.parametrize("state_args", [["--family", "bell"], ["--family", "werner", "--p", "0.3"],
+                                        ["--family", "random-mixed", "--seed", "5"],
+                                        ["--family", "random-pure", "--seed", "8"],
+                                        ["--family", "product-pure", "--seed", "2"]])
+def test_ideal_concurrence_record_reads_p_plus_off_its_own_moments(tmp_path, state_args):
+    out = tmp_path / "ideal.json"
+    assert run_cli(["protocol", "concurrence", *state_args, "--mode", "ideal", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    expected = [sampling.success_probability(spa.moment_observable_spec(k).mean(p_k))
+                for k, p_k in enumerate(results["moments"], 1)]
+    assert [g["p_plus"] for g in results["groups"]] == expected
 
 
 def test_protocol_negativity_ideal(capsys):

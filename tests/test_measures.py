@@ -10,12 +10,6 @@ from hypothesis import strategies as st
 from entmoment import linalg, measures, states
 
 
-def werner_concurrence(p):
-    # closed form from direct evaluation: the spin flip fixes werner states,
-    # so the four numbers are the squared eigenvalues {(1+3p)/4, (1-p)/4 x3}
-    return max(0.0, (3 * p - 1) / 2)
-
-
 def werner_trace_norm_pt(p):
     # PT spectrum {(1+p)/4 x3, (1-3p)/4}
     return (1 + 3 * p) / 2 if p > 1 / 3 else 1.0
@@ -234,6 +228,33 @@ def test_werner_negativity_closed_form():
     rep = measures.negativity_report(states.werner_state(0.6))
     assert abs(rep.trace_norm_pt - 1.4) < 1e-10
     assert abs(rep.ec - math.log2(1.4)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.3, 1 / 3, 0.34, 0.4, 0.6, 0.75, 0.9, 1.0])
+def test_werner_negativity_report_on_both_sides_of_the_ppt_edge(p):
+    # entangled exactly above p = 1/3, where the PT eigenvalue (1 - 3p)/4 turns negative
+    rep = measures.negativity_report(states.werner_state(p))
+    tn = werner_trace_norm_pt(p)
+    assert abs(rep.trace_norm_pt - tn) < 1e-12
+    assert abs(rep.negativity - (tn - 1) / 2) < 1e-12
+    assert abs(rep.ec - math.log2(tn)) < 1e-12
+    assert (rep.negativity > 1e-9) == (p > 1 / 3 + 1e-9)
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    [], np.array([]), [math.nan, 0.5], [0.5, math.inf], np.array([-math.inf, 1.0, 0.5]), [1 + 1j, 0],
+    np.array([0.5 + 0j, 0.5]), [True, False], ["0.5", "0.5"], [[0.5, 0.5]], 0.5,
+])
+def test_report_refuses_eigenvalue_lists_outside_the_rule(eigenvalues):
+    # NaN read as "not entangled" (max(0.0, nan) is 0.0); [] and complex entries raised raw errors
+    with pytest.raises(ValueError, match="^eigenvalues must be finite and real, one or more, got "):
+        measures.report_from_pt_eigenvalues(eigenvalues)
+
+
+@pytest.mark.parametrize("lambdas", [[1 + 1j, 0, 0, 0], np.array([0.5 + 0j, 0.5, 0, 0]), [True, False, False, False]])
+def test_breakdown_from_lambdas_refuses_non_real_entries_by_the_same_rule(lambdas):
+    with pytest.raises(ValueError, match="^eigenvalues must be finite and real, one or more, got "):
+        measures.breakdown_from_lambdas(lambdas)
 
 
 def test_pt_eigenvalues_sum_to_one():

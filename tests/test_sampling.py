@@ -370,6 +370,27 @@ def test_single_moment_entry_points_reject_bad_shots(shots):
         sampling.sample_moment_povm(states.bell_state(), 1, shots, states.rng_stream(3))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda st: spa.group_channel_output(st, 5), r"^group index must be 1\.\.4, got 5$"),
+    (lambda st: sampling.moment_success_probability(st, 0), r"^group index must be 1\.\.4, got 0$"),
+    (lambda st: sampling.sample_moment_povm(st, 1, 0, states.rng_stream(4, 1)), SHOTS_RULE + "0$"),
+])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_per_group_calls_check_before_the_chain_runs(monkeypatch, call, message, dims):
+    # a bad group index or shot count reaches no product chain, on any state
+    calls = []
+    real = spa.ladder_power_sums
+
+    def spy(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(spa, "ladder_power_sums", spy)
+    with pytest.raises(ValueError, match=message):
+        call(states.random_mixed_state(dims, states.rng_stream(4, 0)))
+    assert calls == []
+
+
 # ---------------------------------------------------------------- seeds
 
 SAMPLED_RUNS = {
