@@ -58,7 +58,7 @@ def exact_moment_fractions(state: DensityMatrix) -> Moments:
     the fourth moment, which the concurrence's square-root sensitivity
     then turns into errors above 1e-6 whenever an eigenvalue is small.
     """
-    return exact_product_power_traces(_require_two_qubit(state, "the spin flip"), 4)
+    return exact_product_power_traces(_require_two_qubit(state, "the moment ladder"), 4)
 
 
 def _clamped_inversion(psums) -> SpectrumRecovery:

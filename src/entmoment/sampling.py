@@ -224,6 +224,12 @@ class TomographyRun(NamedTuple):
         return 15 * self.shots
 
 
+def _pauli_expectations(state: DensityMatrix) -> tuple[float, ...]:
+    """The 15 exact Pauli-pair expectations Tr(rho P_i), in ``_PAULI_LABELS`` order."""
+    rho = _require_two_qubit(state, "the tomography baseline")
+    return tuple((rho @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist())
+
+
 def run_tomography_baseline(
     state: DensityMatrix,
     shots: int = 10**4,
@@ -236,10 +242,10 @@ def run_tomography_baseline(
     (one independent stream each), the state is rebuilt by linear inversion
     with the identity term fixed, then projected onto the PSD trace-one
     cone by clamping negative eigenvalues and renormalizing.  ideal mode
-    takes the exact expectations, draws nothing and ignores ``shots``.
+    takes the exact expectations, draws nothing and ignores ``shots``.  The
+    exact expectations are derived once per state.
     """
-    rho = _require_two_qubit(state, "the tomography baseline")
-    values = (rho @ _PAULI_OPS).trace(axis1=1, axis2=2).real.tolist()
+    values = state._derived(_pauli_expectations)
     shots = 0 if _is_ideal(mode) else _whole(shots, "shots", 1, _MAX_SHOTS)
     if shots:
         values = _draw(values, 1, shots, seed)[1]

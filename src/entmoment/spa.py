@@ -159,8 +159,13 @@ def moment_observable_spec(k: int) -> MomentObservableSpec:
 
 def _ladder_means(state: DensityMatrix) -> list[float]:
     """The exact +-1 means of the four group observables, k = 1..4, off one
-    :func:`ladder_power_sums` chain: what each group's shift trace reads."""
-    return [spec.mean(p_k) for spec, p_k in zip(_LADDER_SPECS, ladder_power_sums(state))]
+    :func:`ladder_power_sums` chain: what each group's shift trace reads.
+    Derived once per state; each call hands out a new list."""
+    return list(state._derived(_ladder_mean_tuple))
+
+
+def _ladder_mean_tuple(state: DensityMatrix) -> tuple[float, ...]:
+    return tuple([spec.mean(p_k) for spec, p_k in zip(_LADDER_SPECS, ladder_power_sums(state))])
 
 
 class GroupChannelOutput(NamedTuple):

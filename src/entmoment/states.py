@@ -136,6 +136,14 @@ class DensityMatrix:
     names each broken rule (hermiticity, trace, positivity) and the three
     residuals.  Equality and hashing are by identity: the generated field
     comparison would ask an ndarray for one truth value and raise.
+
+    Two exact quantities are derived once per state, through :meth:`_derived`,
+    and kept as long as the state lives: the four ladder means (``spa``) and
+    the 15 Pauli expectations (``sampling``), each kept as an immutable tuple;
+    the sampled runs read them again at every shot count and repetition.
+    Nothing can make a kept value stale: the matrix is a private read-only
+    copy, the fields are frozen, and a state equals only itself, so a new
+    state, even of the same matrix, derives anew.
     """
 
     matrix: np.ndarray
@@ -170,6 +178,14 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def _derived(self, fn):
+        """``fn(self)``, computed on the first call and kept; ``fn`` reads the state
+        alone and returns a value no caller can change.  A refusal is not kept."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if fn not in memo:
+            memo[fn] = fn(self)
+        return memo[fn]
 
 
 def _ket_projector(psi: np.ndarray) -> np.ndarray:

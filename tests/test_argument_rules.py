@@ -58,6 +58,8 @@ REFUSALS = {
         lambda: sampling.run_concurrence_protocol(QUTRIT_PAIR, mode="sampled"), LADDER_MESSAGE),
     "concurrence_breakdown 3x3 state": (lambda: measures.concurrence_breakdown(QUTRIT_PAIR), TWO_QUBIT_MESSAGE),
     "ladder_power_sums 3x3 state": (lambda: spa.ladder_power_sums(QUTRIT_PAIR), MOMENT_LADDER_MESSAGE),
+    "exact_moment_fractions 3x3 state": (
+        lambda: protocols.exact_moment_fractions(QUTRIT_PAIR), MOMENT_LADDER_MESSAGE),
     "group_channel_outputs 3x3 state": (lambda: spa.group_channel_outputs(QUTRIT_PAIR), MOMENT_LADDER_MESSAGE),
     "group_channel_output 3x3 state": (lambda: spa.group_channel_output(QUTRIT_PAIR, 1), MOMENT_LADDER_MESSAGE),
     "moment_success_probability 3x3 state": (

@@ -427,3 +427,87 @@ def test_one_power_table_matches_per_order_sums(data):
     lam = np.array(data.draw(strategies.lists(values, min_size=dim, max_size=dim)))
     expected = np.array([np.sum(lam**n) for n in range(2, dim + 1)])
     assert inversion._power_table(lam, dim).sum(axis=1)[2:].tobytes() == expected.tobytes()
+
+
+# ------------------------------------------------- derived once per state
+# Each spy test builds its own state: a shared one may be derived already.
+
+def test_ladder_means_are_derived_once_and_handed_out_as_new_lists(monkeypatch):
+    chains = []
+    real = spa.ladder_power_sums
+
+    def spy(state):
+        chains.append(state)
+        return real(state)
+
+    monkeypatch.setattr(spa, "ladder_power_sums", spy)
+    state = states.random_mixed_state((2, 2), states.rng_stream(33, 0))
+    means = spa._ladder_means(state)
+    want = list(means)
+    means[0] = 99.0
+    assert spa._ladder_means(state) == want
+    for shots in (100, 10**4):  # the sampled runs and the per-group calls read the same means
+        sampling.run_concurrence_protocol(state, shots=shots, seed=5)
+    assert sampling.moment_success_probability(state, 2) == sampling.success_probability(want[1])
+    assert len(chains) == 1
+    spa._ladder_means(states.DensityMatrix(state.matrix, state.dims))
+    assert len(chains) == 2
+
+
+@pytest.fixture
+def pauli_products(monkeypatch):
+    """The matrix products taken with the Pauli table, one entry each."""
+    products = []
+
+    class CountedTable(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            inputs = [x.view(np.ndarray) if isinstance(x, CountedTable) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    monkeypatch.setattr(sampling, "_PAULI_OPS", sampling._PAULI_OPS.view(CountedTable))
+    return products
+
+
+def test_pauli_expectations_are_derived_once_and_a_run_cannot_change_them(pauli_products):
+    products = pauli_products
+    state = states.random_mixed_state((2, 2), states.rng_stream(34, 0))
+    first = sampling.run_tomography_baseline(state, mode="ideal")
+    want = dict(first.expectations)
+    first.expectations["XX"] = 99.0
+    again = sampling.run_tomography_baseline(state, mode="ideal")
+    assert again.expectations == want and repr(again.breakdown) == repr(first.breakdown)
+    sampled = sampling.run_tomography_baseline(state, shots=100, seed=3)
+    assert [r.target_mean for r in sampling._draw(list(want.values()), 1, 100, 3)[0]] == [
+        sampling.success_probability(v) for v in want.values()]
+    assert sampled.expectations == dict(zip(want, sampling._draw(list(want.values()), 1, 100, 3)[1]))
+    assert len(products) == 1
+    sampling.run_tomography_baseline(states.DensityMatrix(state.matrix, state.dims), mode="ideal")
+    assert len(products) == 2
+
+
+def test_a_tomography_estimate_is_derived_once_like_any_state(pauli_products):
+    # rho_hat is wrapped by DensityMatrix._valid, without the check
+    run = sampling.run_tomography_baseline(states.random_mixed_state((2, 2), states.rng_stream(35, 0)),
+                                           shots=1000, seed=4)
+    first = sampling.run_tomography_baseline(run.rho_hat, mode="ideal")
+    again = sampling.run_tomography_baseline(run.rho_hat, mode="ideal")
+    assert again.expectations == first.expectations and repr(again.breakdown) == repr(first.breakdown)
+    assert len(pauli_products) == 2  # the sampled run's state and rho_hat, once each
+
+
+def test_a_refused_tomography_is_refused_on_every_call_and_not_kept():
+    state = states.isotropic_state(3, 0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^the tomography baseline needs a two-qubit state"):
+            sampling.run_tomography_baseline(state, mode="ideal")
+    assert state.__dict__.get("_memo", {}) == {}
+
+
+def test_refused_ladder_means_are_refused_on_every_call_and_not_kept():
+    state = states.isotropic_state(3, 0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^the moment ladder needs a two-qubit state"):
+            spa._ladder_means(state)
+    assert state.__dict__.get("_memo", {}) == {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entmoment import states
+from entmoment import sampling, spa, states
 
 
 def test_bell_is_pure_maximally_entangled():
@@ -393,3 +393,57 @@ def test_two_qubit_families_reject_other_dims():
         with pytest.raises(ValueError, match="use isotropic"):
             states.make_state(family, dims=(3, 3), p=0.5)
     assert states.make_state("werner", dims=(2, 2), p=0.5).dims == (2, 2)
+
+
+# ----------------------------------------------- quantities derived once per state
+
+def test_derived_computes_once_per_state_and_keeps_no_refusal():
+    calls = []
+
+    def derive(state):
+        calls.append(state)
+        if len(calls) <= 2:
+            raise ValueError("refused")
+        return (float(state.matrix[0, 0].real),)
+
+    state = states.werner_state(0.4)
+    for _ in range(2):  # a refusal raises on every call and is not kept
+        with pytest.raises(ValueError, match="^refused$"):
+            state._derived(derive)
+    assert derive not in state.__dict__.get("_memo", {})
+    first = state._derived(derive)
+    assert state._derived(derive) is first and len(calls) == 3
+    # a new state of the same matrix derives anew
+    twin = states.DensityMatrix(state.matrix, state.dims)
+    assert twin._derived(derive) == first and len(calls) == 4
+    # so does a state wrapped without the check, once
+    wrapped = states.DensityMatrix._valid(state.matrix.copy(), state.dims)
+    assert wrapped._derived(derive) == wrapped._derived(derive) == first and len(calls) == 5
+
+
+def memoized_quantities(state):
+    """Every quantity derived once per state, as the floats its route hands out."""
+    run = sampling.run_tomography_baseline(state, mode="ideal")
+    return {"ladder_means": spa._ladder_means(state), "pauli_expectations": list(run.expectations.values())}
+
+
+@st.composite
+def two_qubit_states(draw):
+    family = draw(st.sampled_from(states.FAMILIES))
+    p = draw(st.floats(0, 1)) if family in ("werner", "isotropic") else None
+    return states.make_state(family, p=p, rng=states.rng_stream(draw(st.integers(0, 2**32)), 0))
+
+
+# The example budget comes from the hypothesis profile (--hypothesis-profile=ci runs more).
+
+@settings(deadline=None, derandomize=True)
+@given(two_qubit_states())
+def test_derived_once_equals_a_fresh_state_bit_for_bit(state):
+    first, second = memoized_quantities(state), memoized_quantities(state)
+    fresh = memoized_quantities(states.DensityMatrix(state.matrix, state.dims))
+    for name, want in fresh.items():
+        want = np.array(want)
+        for got in (first[name], second[name]):
+            got = np.array(got)
+            assert got.dtype == want.dtype == np.float64, name
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
