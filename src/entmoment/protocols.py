@@ -76,7 +76,7 @@ def newton_invert(moments) -> SpectrumRecovery:
     Complex root residuals are projected out with a flag; negative values
     are clamped to zero, flagged when beyond NEGATIVE_ROOT_GUARD.  Noisy
     input never raises; it is flagged, except that a non-positive second
-    central moment comes back as the unflagged mean (ROADMAP item 4).
+    central moment comes back as the unflagged mean (ROADMAP item 23).
     An exact record (see :meth:`Moments.of`) is inverted exactly.
     """
     if len(moments) != 4:

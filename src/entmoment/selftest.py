@@ -158,7 +158,7 @@ def _protocols_checks(seed: int) -> list[dict]:
     for _ in range(50):
         st = states.random_mixed_state((2, 2), rng)
         exact = protocols.exact_moment_fractions(st)  # exact: a fault in the float chain shows
-        outputs = spa.group_channel_outputs(st)
+        outputs = [spa.group_channel_output(st, k) for k in (1, 2, 3, 4)]
         channel = [spa.moment_observable_spec(out.k).moment(out.shift_trace()) for out in outputs]
         worst = max(worst, max(abs(a - b) for a, b in zip(exact.floats(), channel)))
     out.append(_check("moment identity (channel vs direct)", worst <= 1e-9, worst))

@@ -158,14 +158,9 @@ def moment_observable_spec(k: int) -> MomentObservableSpec:
 
 
 def _ladder_means(state: DensityMatrix) -> list[float]:
-    """The exact +-1 means of the four group observables, k = 1..4, off one
-    :func:`ladder_power_sums` chain: what each group's shift trace reads.
-    Derived once per state; each call hands out a new list."""
-    return list(state._derived(_ladder_mean_tuple))
-
-
-def _ladder_mean_tuple(state: DensityMatrix) -> tuple[float, ...]:
-    return tuple([spec.mean(p_k) for spec, p_k in zip(_LADDER_SPECS, ladder_power_sums(state))])
+    """The exact +-1 means of the four group observables, k = 1..4, through the table
+    off the state's one :func:`ladder_power_sums` chain; a new list on each call."""
+    return [spec.mean(p_k) for spec, p_k in zip(_LADDER_SPECS, state._derived(ladder_power_sums))]
 
 
 class GroupChannelOutput(NamedTuple):
@@ -193,12 +188,7 @@ class GroupChannelOutput(NamedTuple):
         return moment_observable_spec(self.k).mean(self.p_k)
 
 
-def group_channel_outputs(state: DensityMatrix) -> tuple[GroupChannelOutput, ...]:
-    """The four group channel outputs of a two-qubit state, k = 1..4."""
-    return tuple(GroupChannelOutput(k, p) for k, p in enumerate(ladder_power_sums(state), 1))
-
-
 def group_channel_output(state: DensityMatrix, k: int) -> GroupChannelOutput:
-    """Group k's channel output; k is checked before the chain runs."""
+    """Group k's channel output; k is checked before the state's one chain is read."""
     k = moment_observable_spec(k).k
-    return GroupChannelOutput(k, ladder_power_sums(state)[k - 1])
+    return GroupChannelOutput(k, state._derived(ladder_power_sums)[k - 1])

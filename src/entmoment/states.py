@@ -138,12 +138,12 @@ class DensityMatrix:
     comparison would ask an ndarray for one truth value and raise.
 
     Two exact quantities are derived once per state, through :meth:`_derived`,
-    and kept as long as the state lives: the four ladder means (``spa``) and
-    the 15 Pauli expectations (``sampling``), each kept as an immutable tuple;
-    the sampled runs read them again at every shot count and repetition.
-    Nothing can make a kept value stale: the matrix is a private read-only
-    copy, the fields are frozen, and a state equals only itself, so a new
-    state, even of the same matrix, derives anew.
+    and kept as long as the state lives: the ladder moments p_1..p_4 (``spa``),
+    which the ladder means and group outputs read, and the 15 Pauli expectations
+    (``sampling``), immutable tuples that the sampled runs read again at every
+    shot count and repetition.  Nothing can make a kept value stale: the matrix
+    is a private read-only copy, the fields are frozen, and a state equals only
+    itself, so a new state, even of the same matrix, derives anew.
     """
 
     matrix: np.ndarray

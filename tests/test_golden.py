@@ -100,7 +100,7 @@ def float_moments(state):
     # the float ladder route: the direct cyclic traces, and each read back off its group channel output
     return {"exact_moments": spa.ladder_power_sums(state),
             "channel_moments": tuple(spa.moment_observable_spec(out.k).moment(out.shift_trace())
-                                     for out in spa.group_channel_outputs(state)),
+                                     for out in (spa.group_channel_output(state, k) for k in (1, 2, 3, 4))),
             "p_plus": [sampling.moment_success_probability(state, k) for k in (1, 2, 3, 4)]}
 
 

@@ -27,7 +27,7 @@ def eigen_moments(state):
 
 def channel_moments(state):
     """The float ladder route: each p_k read back off its group channel output."""
-    outputs = spa.group_channel_outputs(state)
+    outputs = [spa.group_channel_output(state, k) for k in (1, 2, 3, 4)]
     return [spa.moment_observable_spec(out.k).moment(out.shift_trace()) for out in outputs]
 
 

@@ -442,13 +442,16 @@ def test_ladder_means_are_derived_once_and_handed_out_as_new_lists(monkeypatch):
 
     monkeypatch.setattr(spa, "ladder_power_sums", spy)
     state = states.random_mixed_state((2, 2), states.rng_stream(33, 0))
+    outputs = [spa.group_channel_output(state, k) for k in (1, 2, 3, 4)]
     means = spa._ladder_means(state)
     want = list(means)
+    assert want == [out.shift_trace() for out in outputs]
     means[0] = 99.0
     assert spa._ladder_means(state) == want
     for shots in (100, 10**4):  # the sampled runs and the per-group calls read the same means
         sampling.run_concurrence_protocol(state, shots=shots, seed=5)
     assert sampling.moment_success_probability(state, 2) == sampling.success_probability(want[1])
+    sampling.sample_moment_povm(state, 3, 100, states.rng_stream(33, 3))
     assert len(chains) == 1
     spa._ladder_means(states.DensityMatrix(state.matrix, state.dims))
     assert len(chains) == 2
@@ -510,4 +513,12 @@ def test_refused_ladder_means_are_refused_on_every_call_and_not_kept():
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^the moment ladder needs a two-qubit state"):
             spa._ladder_means(state)
+    assert state.__dict__.get("_memo", {}) == {}
+
+
+def test_a_refused_group_output_is_refused_on_every_call_and_not_kept():
+    state = states.isotropic_state(3, 0.5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^the moment ladder needs a two-qubit state"):
+            spa.group_channel_output(state, 1)
     assert state.__dict__.get("_memo", {}) == {}

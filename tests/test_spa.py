@@ -198,14 +198,15 @@ def test_shift_trace_and_spec_moment_invert_each_other():
     rng = states.rng_stream(305, 0)
     for _ in range(20):
         st = states.random_mixed_state((2, 2), rng)
-        for out in spa.group_channel_outputs(st):
+        outputs = [spa.group_channel_output(st, k) for k in (1, 2, 3, 4)]
+        for out in outputs:
             d = 4**out.k
             assert out.shift_trace() == (4.0 * d + out.p_k) / (d**3 + 1.0)
             spec = spa.moment_observable_spec(out.k)
             assert spec.mean(out.p_k) == out.shift_trace()
             assert abs(spec.moment(out.shift_trace()) - out.p_k) < 1e-9
         # the sampled ladder's read-out: the same four means off one chain
-        assert spa._ladder_means(st) == [out.shift_trace() for out in spa.group_channel_outputs(st)]
+        assert spa._ladder_means(st) == [out.shift_trace() for out in outputs]
 
 
 def materialized_shift_trace(state, k):

@@ -424,7 +424,9 @@ def test_derived_computes_once_per_state_and_keeps_no_refusal():
 def memoized_quantities(state):
     """Every quantity derived once per state, as the floats its route hands out."""
     run = sampling.run_tomography_baseline(state, mode="ideal")
-    return {"ladder_means": spa._ladder_means(state), "pauli_expectations": list(run.expectations.values())}
+    outputs = [spa.group_channel_output(state, k) for k in (1, 2, 3, 4)]
+    return {"ladder_means": spa._ladder_means(state), "pauli_expectations": list(run.expectations.values()),
+            "group_p_k": [out.p_k for out in outputs], "group_shift_traces": [out.shift_trace() for out in outputs]}
 
 
 @st.composite
