@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .inversion import SpectrumRecovery, spectrum_from_power_sums
 from .ledger import QUOTED_TOMOGRAPHY_R, ResourceLedger, resource_ledger  # noqa: F401  (re-exported)
 from .linalg import Moments, exact_power_traces, exact_product_power_traces
@@ -34,7 +32,7 @@ from .measures import (
     report_from_pt_eigenvalues,
     verdict_from_min_pt_eigenvalue,
 )
-from .spa import apply_spa_pt, inverse_affine
+from .spa import _channel_spectrum, _spa_output, inverse_affine
 from .states import DensityMatrix
 
 #: negative inverted eigenvalues beyond this magnitude are flagged, not silent
@@ -117,8 +115,7 @@ def spectrum_power_sums(state: DensityMatrix) -> Moments:
     values with binomial means anyway.  The benchmark traces this name, so
     a rename waits for a benchmark change (ROADMAP item 6).
     """
-    sigma = apply_spa_pt(state)
-    return exact_power_traces(sigma.matrix, sigma.dim)
+    return exact_power_traces(_spa_output(state).matrix, state.dim)
 
 
 def spectrum_from_channel_moments(psums) -> SpectrumEstimate:
@@ -143,8 +140,7 @@ def spectrum_from_channel_moments(psums) -> SpectrumEstimate:
 
 
 def spectrum_protocol(state: DensityMatrix) -> SpectrumEstimate:
-    """Negativity measures of a d (x) d state from channel moments alone;
-    :func:`apply_spa_pt` rejects unequal local dimensions."""
+    """Negativity measures of a d (x) d state from channel moments alone; the SPA refuses unequal dims."""
     return spectrum_from_channel_moments(spectrum_power_sums(state))
 
 
@@ -171,8 +167,7 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     verdict the quantitative stage is skipped entirely.
     """
     _require_two_qubit(state, "the two-stage scenario")
-    sigma = apply_spa_pt(state)
-    min_channel = float(np.linalg.eigvalsh(sigma.matrix)[0])
+    min_channel = state._derived(_channel_spectrum)[0]
     verdict = verdict_from_min_pt_eigenvalue(inverse_affine(min_channel, 2))
     return TwoStageResult(
         verdict=verdict.verdict,

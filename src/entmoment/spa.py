@@ -12,7 +12,6 @@ spectrum, so measuring the output spectrum measures the PT spectrum.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -53,26 +52,19 @@ def _require_equal_dims(state: DensityMatrix, operation: str) -> int:
     return state.dims[0]
 
 
-@functools.lru_cache(maxsize=8)  # local dimensions kept
-def _white_noise(d: int) -> tuple[np.ndarray, float]:
-    """The SPA's white-noise term [d/(d^3+1)] I = (1 - s) I / d^2, read-only, and its weight s on rho^T_B."""
-    dim, s = d * d, spa_shrink(d)
-    noise = (1.0 - s) * np.eye(dim) / dim
-    noise.setflags(write=False)
-    return noise, s
-
-
 def apply_spa_pt(state: DensityMatrix) -> DensityMatrix:
     """Approximate partial transpose as a channel on a d (x) d state; unequal dims are refused.
 
-    Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B, whose spectrum is the affine
-    image of the PT spectrum: valid by construction, so not re-checked.  The
-    noise term and the weight depend on d alone and are built once per d.  The
-    closed-form weight is checked against the reference :func:`spa_threshold_by_choi`.
+    Output = [d/(d^3+1)] I + [1/(d^3+1)] rho^T_B = (1 - s) I / d^2 + s rho^T_B,
+    whose spectrum is the affine image of the PT spectrum: valid by construction,
+    so not re-checked.  The closed-form weight s is checked against the reference
+    :func:`spa_threshold_by_choi`.  Built anew on every call; the pipelines read a
+    state's one output, kept by :func:`_spa_output`.
     """
-    noise, s = _white_noise(_require_equal_dims(state, "the closed-form SPA"))
+    d = _require_equal_dims(state, "the closed-form SPA")
+    dim, s = d * d, spa_shrink(d)
     pt = partial_transpose(state.matrix, state.dims)
-    return DensityMatrix._valid(noise + s * pt, state.dims)
+    return DensityMatrix._valid((1.0 - s) * np.eye(dim) / dim + s * pt, state.dims)
 
 
 def spa_threshold_by_choi(dims: tuple[int, int]) -> float:
@@ -161,6 +153,16 @@ def _ladder_means(state: DensityMatrix) -> list[float]:
     """The exact +-1 means of the four group observables, k = 1..4, through the table
     off the state's one :func:`ladder_power_sums` chain; a new list on each call."""
     return [spec.mean(p_k) for spec, p_k in zip(_LADDER_SPECS, state._derived(ladder_power_sums))]
+
+
+def _spa_output(state: DensityMatrix) -> DensityMatrix:
+    """The state's one SPA output: :func:`apply_spa_pt`, built on first use and kept."""
+    return state._derived(apply_spa_pt)
+
+
+def _channel_spectrum(state: DensityMatrix) -> tuple[float, ...]:
+    """Ascending float eigenvalues of the state's one SPA output, read as ``state._derived(_channel_spectrum)``."""
+    return tuple(np.linalg.eigvalsh(_spa_output(state).matrix).tolist())
 
 
 class GroupChannelOutput(NamedTuple):

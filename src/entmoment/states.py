@@ -137,13 +137,15 @@ class DensityMatrix:
     residuals.  Equality and hashing are by identity: the generated field
     comparison would ask an ndarray for one truth value and raise.
 
-    Two exact quantities are derived once per state, through :meth:`_derived`,
-    and kept as long as the state lives: the ladder moments p_1..p_4 (``spa``),
-    which the ladder means and group outputs read, and the 15 Pauli expectations
-    (``sampling``), immutable tuples that the sampled runs read again at every
-    shot count and repetition.  Nothing can make a kept value stale: the matrix
-    is a private read-only copy, the fields are frozen, and a state equals only
-    itself, so a new state, even of the same matrix, derives anew.
+    Four quantities are derived once per state, through :meth:`_derived`, and
+    kept, immutable, as long as the state lives: in ``spa`` the ladder moments
+    p_1..p_4, which the ladder means and group outputs read, the SPA output,
+    which the ideal spectrum run reads, and its ascending float spectrum, which
+    the sampled spectrum run and the two-stage sign test read; in ``sampling``
+    the 15 Pauli expectations.  Sampled runs read them again at every shot count
+    and repetition.  Nothing can make a kept value stale: the matrix is a private
+    read-only copy, the fields are frozen, and a state equals only itself, so a
+    new state, even of the same matrix, derives anew.
     """
 
     matrix: np.ndarray

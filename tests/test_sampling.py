@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
-from entmoment import inversion, measures, sampling, spa, states
+from entmoment import inversion, measures, protocols, sampling, spa, states
 from entmoment.spa import moment_observable_spec
 
 
@@ -457,6 +457,35 @@ def test_ladder_means_are_derived_once_and_handed_out_as_new_lists(monkeypatch):
     assert len(chains) == 2
 
 
+def test_the_spa_output_and_its_spectrum_are_derived_once_per_state(monkeypatch):
+    # the ideal run's exact traces, the sampled run at every shot level and the two-stage
+    # sign test read one SPA output and one eigvalsh of it
+    builds, spectra = [], []
+    real_build, real_eigvalsh = spa.apply_spa_pt, np.linalg.eigvalsh
+
+    def build(state):
+        builds.append(real_build(state))
+        return builds[-1]
+
+    def eigvalsh(a, *args, **kwargs):
+        spectra.extend(out for out in builds if a is out.matrix)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spa, "apply_spa_pt", build)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    state = states.random_mixed_state((2, 2), states.rng_stream(36, 0))
+    sampling.run_spectrum_protocol(state, mode="ideal")
+    for shots in (10**2, 10**4, 10**6):
+        sampling.run_spectrum_protocol(state, shots=shots, seed=6)
+    stage_one = protocols.two_stage_protocol(state).min_channel_eigenvalue
+    assert len(builds) == 1 and len(spectra) == 1
+    assert stage_one == float(real_eigvalsh(real_build(state).matrix)[0])
+    protocols.two_stage_protocol(states.DensityMatrix(state.matrix, state.dims))
+    assert len(builds) == 2 and len(spectra) == 2
+    spa.apply_spa_pt(state)  # called directly, it builds anew
+    assert len(builds) == 3 and len(spectra) == 2
+
+
 @pytest.fixture
 def pauli_products(monkeypatch):
     """The matrix products taken with the Pauli table, one entry each."""
@@ -521,4 +550,17 @@ def test_a_refused_group_output_is_refused_on_every_call_and_not_kept():
     for _ in range(2):
         with pytest.raises(ValueError, match=r"^the moment ladder needs a two-qubit state"):
             spa.group_channel_output(state, 1)
+    assert state.__dict__.get("_memo", {}) == {}
+
+
+@pytest.mark.parametrize("call, operation", [
+    (lambda st: sampling.run_spectrum_protocol(st, mode="ideal"), "the negativity protocol"),
+    (lambda st: sampling.run_spectrum_protocol(st, shots=100, seed=3), "the negativity protocol"),
+    (protocols.spectrum_protocol, "the closed-form SPA"),
+])
+def test_a_refused_spectrum_run_is_refused_on_every_call_and_not_kept(call, operation):
+    state = states.random_mixed_state((2, 3), states.rng_stream(37, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^{operation} needs equal local dimensions, got state dims \(2, 3\)$"):
+            call(state)
     assert state.__dict__.get("_memo", {}) == {}

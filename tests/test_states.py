@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entmoment import sampling, spa, states
+from entmoment import protocols, sampling, spa, states
 
 
 def test_bell_is_pure_maximally_entangled():
@@ -422,24 +422,35 @@ def test_derived_computes_once_per_state_and_keeps_no_refusal():
 
 
 def memoized_quantities(state):
-    """Every quantity derived once per state, as the floats its route hands out."""
+    """Every quantity derived once per state, as the floats its route hands out: the
+    sampled spectrum run's on any d (x) d state, the ladder's, tomography's and the
+    two-stage scenario's on a two-qubit one."""
+    spectrum = sampling.run_spectrum_protocol(state, shots=1000, seed=5)
+    quantities = {"spectrum_target_means": [r.target_mean for r in spectrum.samples],
+                  "spectrum_channel_eigenvalues": list(spectrum.estimate.channel_eigenvalues)}
+    if state.dims != (2, 2):
+        return quantities
     run = sampling.run_tomography_baseline(state, mode="ideal")
     outputs = [spa.group_channel_output(state, k) for k in (1, 2, 3, 4)]
-    return {"ladder_means": spa._ladder_means(state), "pauli_expectations": list(run.expectations.values()),
-            "group_p_k": [out.p_k for out in outputs], "group_shift_traces": [out.shift_trace() for out in outputs]}
+    return {**quantities, "ladder_means": spa._ladder_means(state),
+            "pauli_expectations": list(run.expectations.values()), "group_p_k": [out.p_k for out in outputs],
+            "group_shift_traces": [out.shift_trace() for out in outputs],
+            "min_channel_eigenvalue": [protocols.two_stage_protocol(state).min_channel_eigenvalue]}
 
 
 @st.composite
-def two_qubit_states(draw):
-    family = draw(st.sampled_from(states.FAMILIES))
+def two_and_three_level_states(draw):
+    """2 x 2 states of every family, 3 x 3 states of every family but the two-qubit bell and werner."""
+    d = draw(st.sampled_from((2, 3)))
+    family = draw(st.sampled_from([f for f in states.FAMILIES if d == 2 or f not in ("bell", "werner")]))
     p = draw(st.floats(0, 1)) if family in ("werner", "isotropic") else None
-    return states.make_state(family, p=p, rng=states.rng_stream(draw(st.integers(0, 2**32)), 0))
+    return states.make_state(family, (d, d), p=p, rng=states.rng_stream(draw(st.integers(0, 2**32)), 0))
 
 
 # The example budget comes from the hypothesis profile (--hypothesis-profile=ci runs more).
 
 @settings(deadline=None, derandomize=True)
-@given(two_qubit_states())
+@given(two_and_three_level_states())
 def test_derived_once_equals_a_fresh_state_bit_for_bit(state):
     first, second = memoized_quantities(state), memoized_quantities(state)
     fresh = memoized_quantities(states.DensityMatrix(state.matrix, state.dims))
