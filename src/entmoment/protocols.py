@@ -32,7 +32,7 @@ from .measures import (
     report_from_pt_eigenvalues,
     verdict_from_min_pt_eigenvalue,
 )
-from .spa import _channel_spectrum, _spa_output, inverse_affine
+from .spa import _channel_moments, _spa_output, inverse_affine
 from .states import DensityMatrix
 
 #: negative inverted eigenvalues beyond this magnitude are flagged, not silent
@@ -167,7 +167,7 @@ def two_stage_protocol(state: DensityMatrix) -> TwoStageResult:
     verdict the quantitative stage is skipped entirely.
     """
     _require_two_qubit(state, "the two-stage scenario")
-    min_channel = state._derived(_channel_spectrum)[0]
+    min_channel = state._derived(_channel_moments)[0]
     verdict = verdict_from_min_pt_eigenvalue(inverse_affine(min_channel, 2))
     return TwoStageResult(
         verdict=verdict.verdict,

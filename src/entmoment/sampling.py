@@ -18,7 +18,7 @@ Every sampled entry point rejects shot counts that are not integers in
 [1, 2**63) before any draw; every binary run is drawn from the
 observable's exact +-1 mean, and only :func:`success_probability` forms p+.
 A state keeps what its runs read: the ladder's four means (one product
-chain), the spectrum run's SPA output spectrum and tomography's 15 Pauli
+chain), the spectrum run's channel power sums and tomography's 15 Pauli
 expectations (one batched product and trace).  The three runs draw all their
 means through one helper, one stream each; ladder and spectrum runs keep
 their draws as plain ShotRecords, in moment order.
@@ -32,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import MODES, _real, _whole
-from .inversion import _power_table
 from .linalg import Moments
 from .measures import ConcurrenceBreakdown, _require_two_qubit, concurrence_breakdown
 from .protocols import (
@@ -42,7 +41,7 @@ from .protocols import (
     spectrum_from_channel_moments,
     spectrum_protocol,
 )
-from .spa import _LADDER_SPECS, _channel_spectrum, _ladder_means, _require_equal_dims, moment_observable_spec
+from .spa import _LADDER_SPECS, _channel_moments, _ladder_means, _require_equal_dims, moment_observable_spec
 from .states import DensityMatrix, _rng_streams
 
 #: largest shot count: numpy's binomial draws from an int64 count
@@ -183,16 +182,14 @@ def run_spectrum_protocol(
     """Estimate the PT spectrum and E_c of a d (x) d state.
 
     Orders n = 2..D are estimated from binary runs with exact parameters
-    p+(n) = (1 + Tr(sigma^n))/2 computed from the state's one channel output
-    spectrum; the trace itself is known, not measured.
+    p+(n) = (1 + Tr(sigma^n))/2 read off the state's kept channel power sums;
+    the trace itself is known, not measured.
     """
     _require_equal_dims(state, "the negativity protocol")
     if _is_ideal(mode):
         return SpectrumRun(samples=None, estimate=spectrum_protocol(state))
     shots = _whole(shots, "shots", 1, _MAX_SHOTS)
-    # every channel power sum Tr(sigma^n) from one table, row n = lam**n
-    traces = _power_table(np.array(state._derived(_channel_spectrum)), state.dim).sum(axis=1).tolist()
-    samples, psums = _draw(traces[2:], 2, shots, seed)
+    samples, psums = _draw(state._derived(_channel_moments)[1][2:], 2, shots, seed)
     return SpectrumRun(samples, spectrum_from_channel_moments([1.0, *psums]))
 
 

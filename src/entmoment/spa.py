@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _local_dims, _whole
+from .inversion import _power_table
 from .linalg import partial_transpose
 from .measures import _require_two_qubit, spin_flip
 from .states import DensityMatrix
@@ -160,9 +161,10 @@ def _spa_output(state: DensityMatrix) -> DensityMatrix:
     return state._derived(apply_spa_pt)
 
 
-def _channel_spectrum(state: DensityMatrix) -> tuple[float, ...]:
-    """Ascending float eigenvalues of the state's one SPA output, read as ``state._derived(_channel_spectrum)``."""
-    return tuple(np.linalg.eigvalsh(_spa_output(state).matrix).tolist())
+def _channel_moments(state: DensityMatrix) -> tuple[float, tuple[float, ...]]:
+    """Smallest eigenvalue and power sums Tr(sigma^n), n = 0..D, of the kept SPA output sigma, off one eigvalsh."""
+    lam = np.linalg.eigvalsh(_spa_output(state).matrix)
+    return float(lam[0]), tuple(_power_table(lam, state.dim).sum(axis=1).tolist())
 
 
 class GroupChannelOutput(NamedTuple):

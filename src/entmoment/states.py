@@ -139,13 +139,13 @@ class DensityMatrix:
 
     Four quantities are derived once per state, through :meth:`_derived`, and
     kept, immutable, as long as the state lives: in ``spa`` the ladder moments
-    p_1..p_4, which the ladder means and group outputs read, the SPA output,
-    which the ideal spectrum run reads, and its ascending float spectrum, which
-    the sampled spectrum run and the two-stage sign test read; in ``sampling``
-    the 15 Pauli expectations.  Sampled runs read them again at every shot count
-    and repetition.  Nothing can make a kept value stale: the matrix is a private
-    read-only copy, the fields are frozen, and a state equals only itself, so a
-    new state, even of the same matrix, derives anew.
+    p_1..p_4, which the ladder means and group outputs read, the SPA output, which
+    the ideal spectrum run reads, and its smallest eigenvalue and power sums
+    Tr(sigma^n) (one eigvalsh), which the two-stage test and the sampled spectrum
+    run read; in ``sampling`` the 15 Pauli expectations.  Sampled runs read them
+    again at every shot count and repetition.  Nothing can make a kept value
+    stale: the matrix is a private read-only copy, the fields are frozen, and a
+    state equals only itself, so a new state of the same matrix derives anew.
     """
 
     matrix: np.ndarray

@@ -459,9 +459,9 @@ def test_ladder_means_are_derived_once_and_handed_out_as_new_lists(monkeypatch):
 
 def test_the_spa_output_and_its_spectrum_are_derived_once_per_state(monkeypatch):
     # the ideal run's exact traces, the sampled run at every shot level and the two-stage
-    # sign test read one SPA output and one eigvalsh of it
-    builds, spectra = [], []
-    real_build, real_eigvalsh = spa.apply_spa_pt, np.linalg.eigvalsh
+    # sign test read one SPA output, one eigvalsh of it and one power table of that spectrum
+    builds, spectra, tables = [], [], []
+    real_build, real_eigvalsh, real_table = spa.apply_spa_pt, np.linalg.eigvalsh, spa._power_table
 
     def build(state):
         builds.append(real_build(state))
@@ -471,19 +471,28 @@ def test_the_spa_output_and_its_spectrum_are_derived_once_per_state(monkeypatch)
         spectra.extend(out for out in builds if a is out.matrix)
         return real_eigvalsh(a, *args, **kwargs)
 
+    def table(z, n):
+        tables.append(n)
+        return real_table(z, n)
+
     monkeypatch.setattr(spa, "apply_spa_pt", build)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(spa, "_power_table", table)
     state = states.random_mixed_state((2, 2), states.rng_stream(36, 0))
     sampling.run_spectrum_protocol(state, mode="ideal")
-    for shots in (10**2, 10**4, 10**6):
-        sampling.run_spectrum_protocol(state, shots=shots, seed=6)
+    runs = [sampling.run_spectrum_protocol(state, shots=shots, seed=6) for shots in (10**2, 10**4, 10**6)]
     stage_one = protocols.two_stage_protocol(state).min_channel_eigenvalue
-    assert len(builds) == 1 and len(spectra) == 1
-    assert stage_one == float(real_eigvalsh(real_build(state).matrix)[0])
+    assert len(builds) == 1 and len(spectra) == 1 and tables == [4]
+    lam = real_eigvalsh(real_build(state).matrix)
+    assert stage_one == float(lam[0])
+    psums = state._derived(spa._channel_moments)[1]
+    assert psums == tuple(real_table(lam, 4).sum(axis=1).tolist()) and psums[0] == 4.0
+    for run in runs:
+        assert [r.target_mean for r in run.samples] == [sampling.success_probability(t) for t in psums[2:]]
     protocols.two_stage_protocol(states.DensityMatrix(state.matrix, state.dims))
-    assert len(builds) == 2 and len(spectra) == 2
+    assert len(builds) == 2 and len(spectra) == 2 and len(tables) == 2
     spa.apply_spa_pt(state)  # called directly, it builds anew
-    assert len(builds) == 3 and len(spectra) == 2
+    assert len(builds) == 3 and len(spectra) == 2 and len(tables) == 2
 
 
 @pytest.fixture

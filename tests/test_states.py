@@ -423,11 +423,14 @@ def test_derived_computes_once_per_state_and_keeps_no_refusal():
 
 def memoized_quantities(state):
     """Every quantity derived once per state, as the floats its route hands out: the
-    sampled spectrum run's on any d (x) d state, the ladder's, tomography's and the
-    two-stage scenario's on a two-qubit one."""
+    sampled spectrum run's and the kept channel moments (smallest eigenvalue, power
+    sums) on any d (x) d state, the ladder's, tomography's and the two-stage
+    scenario's on a two-qubit one."""
     spectrum = sampling.run_spectrum_protocol(state, shots=1000, seed=5)
+    min_channel, channel_power_sums = state._derived(spa._channel_moments)
     quantities = {"spectrum_target_means": [r.target_mean for r in spectrum.samples],
-                  "spectrum_channel_eigenvalues": list(spectrum.estimate.channel_eigenvalues)}
+                  "spectrum_channel_eigenvalues": list(spectrum.estimate.channel_eigenvalues),
+                  "kept_min_channel_eigenvalue": [min_channel], "kept_channel_power_sums": list(channel_power_sums)}
     if state.dims != (2, 2):
         return quantities
     run = sampling.run_tomography_baseline(state, mode="ideal")
