@@ -26,7 +26,8 @@ polynomial is centered.  The engine here therefore
 
 Moments that no real spectrum explains (finite-shot estimates) fall through
 to the raw projected roots with flags, never an exception; a non-positive
-second central moment comes back as the mean, unflagged, for now.
+second central moment q2 comes back as the mean, flagged infeasible when
+q2 < 0 (exactly, or below minus its rounding floor for float moments).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ _GAUSS_NEWTON_ITERS = 12
 _IMAG_GUARD = 1e-6
 
 COMPLEX_ROOTS_FLAG = "complex-roots"
+INFEASIBLE_MOMENTS_FLAG = "infeasible-moments"
 
 
 class SpectrumRecovery(NamedTuple):
@@ -93,7 +95,8 @@ def _centered_setup(moments: Moments):
 
     Returns (center, scale, monic coefficients highest-first, standardized
     moments as floats, per-moment noise floor).  scale == 0.0 signals the
-    all-values-equal-to-center degenerate case.
+    all-values-equal-to-center degenerate case, whose last entry is then its
+    flags: INFEASIBLE_MOMENTS_FLAG when q2 < 0, which no real spectrum has.
     """
     # p_m = P_m / G**m, P_m integers (P_0 = n), q_m = Q_m / (n G)**m
     n, den = len(moments), moments.grade
@@ -101,9 +104,13 @@ def _centered_setup(moments: Moments):
     # the mean c = p_1 / n and the variance q_2 = p_2 - p_1**2 / n, each one
     # correctly rounded int / int, decide the degenerate return on their own
     cf = num[1] / (n * den)
-    q2 = (n * num[2] - num[1] * num[1]) / (n * den * den) if n >= 2 else 0.0
+    nq2 = n * num[2] - num[1] * num[1] if n >= 2 else 0
+    q2 = nq2 / (n * den * den)
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
-        return cf, 0.0, None, None, None
+        # q2 < 0 is exact on exact input; float input owes it the m = 2 floor, 64 eps (|p_2| + 2 |c| |p_1| + n c**2)
+        infeasible = nq2 < 0 and (moments.exact or q2 < -_FLOAT_NOISE_FACTOR * _EPS * _taylor_shift(
+            [float(n), abs(num[1] / den), abs(num[2] / (den * den))], abs(cf))[1])
+        return cf, 0.0, None, None, (INFEASIBLE_MOMENTS_FLAG,) if infeasible else ()
 
     q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
     s = round(0.5 * math.log2(q2 / n))
@@ -249,8 +256,8 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         center, scale, coeffs, targets, noise = _centered_setup(moments)
     except OverflowError as exc:
         raise ValueError(f"power sums overflow float64: {exc}") from exc
-    if coeffs is None:
-        return SpectrumRecovery(np.full(n, center), ())
+    if coeffs is None:  # the degenerate return: its last entry holds its flags
+        return SpectrumRecovery(np.full(n, center), noise)
 
     raw = _companion_roots(coeffs)
     y = np.sort(raw.real)

@@ -1,17 +1,19 @@
 """Command-line surface: reports, file formats, exit codes, determinism."""
 
 import csv
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from entmoment import measures, sampling, spa, states
+from entmoment import inversion, measures, sampling, spa, states
 from entmoment.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -290,6 +292,36 @@ def test_protocol_strict_escalates_on_flags(capsys):
                     "--mode", "sampled", "--shots", "50", "--seed", "1", "--strict"])
     assert code == 2
     assert "flags" in capsys.readouterr().err
+
+
+def test_sampled_negativity_with_a_negative_variance_is_flagged_infeasible(tmp_path, capsys):
+    # at 100 shots the sampled channel moments of seed 0 have q2 = p_2 - p_1**2 / n < 0,
+    # a negative variance no real spectrum has: the record says so and --strict exits 2
+    argv = ["protocol", "negativity", "--family", "isotropic", "--p", "0.6", "--dims", "3", "3",
+            "--mode", "sampled", "--shots", "100", "--seed", "0"]
+    run = sampling.run_spectrum_protocol(states.isotropic_state(3, 0.6), shots=100, seed=0)
+    psums = [Fraction(1)] + [Fraction(2.0 * r.estimate - 1.0) for r in run.samples]
+    assert psums[1] - psums[0] ** 2 / len(psums) < 0
+    out = tmp_path / "record.json"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["flags"] == [inversion.INFEASIBLE_MOMENTS_FLAG]
+    capsys.readouterr()
+    assert run_cli(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err == f"numerical flags raised: {inversion.INFEASIBLE_MOMENTS_FLAG}\n"
+
+
+@pytest.mark.parametrize("family", states.FAMILIES)
+def test_ideal_records_are_never_flagged_infeasible(tmp_path, family):
+    # exact moments of a real spectrum: q2 is a variance, never negative
+    out = tmp_path / "record.json"
+    dims = (2,) if family in ("bell", "werner") else (2, 3, 4)
+    weights = [["--p", "0.3"], ["--p", "0.8"]] if family in ("werner", "isotropic") else [[]]
+    seeds = ["1", "2"] if family in ("product-pure", "random-pure", "random-mixed") else ["0"]
+    for d, weight, seed in itertools.product(dims, weights, seeds):
+        state_args = ["--family", family, "--dims", str(d), str(d), *weight, "--seed", seed, "--mode", "ideal"]
+        for pipeline in ["negativity"] + ["concurrence"] * (d == 2):
+            assert run_cli(["protocol", pipeline, *state_args, "--out", str(out)]) == 0
+            assert inversion.INFEASIBLE_MOMENTS_FLAG not in json.loads(out.read_text())["results"]["flags"]
 
 
 def test_protocol_sampled_needs_positive_shots(capsys):

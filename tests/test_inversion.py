@@ -161,12 +161,28 @@ def reference_split(y, targets, weights, sizes):
     return z0, mult, np.max(np.abs(power_sums(z0, mult, len(y)) - targets) / weights)
 
 
+def reference_infeasible_flags(psums):
+    """The degenerate return's flags, on the Fractions: q2 = p_2 - p_1**2 / n below 0
+    on exact input, below minus 64 eps (|p_2| + 2 |c| |p_1| + n c**2), c = p_1 / n,
+    on float input, that sum taken in the Taylor triangle's rounding order."""
+    n = len(psums)
+    p1, p2 = ([x if isinstance(x, Fraction) else Fraction(float(x)) for x in psums] + [0, 0])[:2]
+    if n < 2 or p2 - p1 * p1 / n >= 0:
+        return ()
+    if not all(isinstance(x, Fraction) for x in psums):
+        c, a1, a2 = abs(float(p1 / n)), abs(float(p1)), abs(float(p2))
+        floor = inversion._FLOAT_NOISE_FACTOR * inversion._EPS * ((a2 + c * a1) + c * (a1 + c * n))
+        if float(p2 - p1 * p1 / n) >= -floor:
+            return ()
+    return (inversion.INFEASIBLE_MOMENTS_FLAG,)
+
+
 def reference_spectrum_from_power_sums(psums):
     psums = list(psums)
     n = len(psums)
     center, scale, coeffs, targets, noise = inversion._centered_setup(Moments.of(psums))
     if coeffs is None:
-        return SpectrumRecovery(np.full(n, center), ()), []
+        return SpectrumRecovery(np.full(n, center), reference_infeasible_flags(psums)), []
     raw = np.roots(coeffs)
     y = np.sort(raw.real)
     weights = reference_weights(y, noise)
@@ -270,7 +286,7 @@ def reference_centered_setup(psums):
 
     q2 = float(q[1]) if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < inversion._DEGENERATE_SPREAD * max(1.0, abs(cf)):
-        return cf, 0.0, None, None, None
+        return cf, 0.0, None, None, reference_infeasible_flags(psums)
     scale = Fraction(2) ** round(0.5 * math.log2(q2 / n))
     sf = float(scale)
 
@@ -297,12 +313,13 @@ def reference_centered_setup(psums):
 
 
 def setup_bits(setup, psums):
-    """The five set-up outputs as bytes (None stays None), or the overflow."""
+    """The five set-up outputs as bytes (None and the degenerate return's flags stay
+    as they are), or the overflow."""
     try:
         out = setup(psums)
     except OverflowError:
         return "overflow"
-    return [None if v is None else np.asarray(v, dtype=float).tobytes() for v in out]
+    return [v if v is None or isinstance(v, tuple) else np.asarray(v, dtype=float).tobytes() for v in out]
 
 
 def assert_setup_matches_reference(psums):
@@ -393,9 +410,10 @@ def reference_taylor_shift(a, b):
 
 def shift_inputs(psums):
     """The (a, b) pairs that _centered_setup hands to _taylor_shift for psums:
-    the graded integer moments, then, for float input, the float magnitudes
-    of its rounding floor.  None where it returns degenerate (or overflows)
-    before the shift."""
+    the graded integer moments, None where it returns degenerate (or overflows)
+    before the shift, then the list of float calls: the magnitudes of the float
+    input's rounding floor, or, on a degenerate return with q2 < 0, of its
+    p_1 and p_2 alone for the m = 2 floor."""
     seen, real = [], inversion._taylor_shift
     inversion._taylor_shift = lambda a, b: seen.append((a, b)) or real(a, b)
     try:
@@ -404,25 +422,27 @@ def shift_inputs(psums):
         out = None
     finally:
         inversion._taylor_shift = real
-    if not seen:
-        # the mean and variance alone decide the degenerate return
+    exact = all(isinstance(x, Fraction) for x in psums)
+    shift = seen.pop(0) if seen and isinstance(seen[0][0][0], int) else None
+    if shift is None:
+        # the mean and variance decide the degenerate return; exact input needs no floor
         assert out is None or out[2] is None
-        return None
-    # exact input skips the floor; an overflow can stop float input before it
-    assert len(seen) <= 2 and (out is None or len(seen) == 2 - all(isinstance(x, Fraction) for x in psums))
-    return seen
+        assert all(len(a) == 3 for a, _ in seen) and len(seen) <= 1 - exact
+    else:
+        # exact input skips the floor; an overflow can stop float input before it
+        assert len(seen) <= 1 and (out is None or len(seen) == 1 - exact)
+    return shift, seen
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.lists(moment_floats, min_size=1, max_size=16),
                  st.lists(moment_fractions, min_size=1, max_size=16)))
 def test_taylor_shift_matches_binomial_sums(psums):
-    inputs = shift_inputs(psums)
-    if inputs is None:
-        return
-    (a, b), *floor = inputs
-    assert len(a) == len(psums) + 1
-    assert inversion._taylor_shift(a, b) == reference_taylor_shift(a, b)
+    shift, floor = shift_inputs(psums)
+    if shift is not None:
+        a, b = shift
+        assert len(a) == len(psums) + 1
+        assert inversion._taylor_shift(a, b) == reference_taylor_shift(a, b)
     # the float call: m passes of one product and one sum per entry, every term
     # non-negative, so no cancellation (m eps); a product below the normal range
     # may also lose 2**-1075, carried by weights summing to at most (1 + b)**m
@@ -560,13 +580,17 @@ def test_companion_roots_match_np_roots(data):
 
 
 # Any finite moment list: an overflow error, or n finite values sorted
-# descending whose only possible flag says the roots came out complex.
+# descending whose only possible flags say the roots came out complex or,
+# exactly where q2 is below minus its floor, that the moments are infeasible.
 
 @pytest.mark.filterwarnings("error")
 @settings(deadline=None)
 @given(st.one_of(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
                  st.lists(st.fractions(), min_size=1, max_size=16)))
 @example([1.7194804702922655, 3.2758965023665247, 1e+191, -1e-06, -2.7194566202145722])
+@example(power_sums_of([0.7] * 5, 5))  # rounding leaves q2 = -2.7e-16, inside its floor: clean
+@example([Fraction(1), Fraction(1, 2) - Fraction(1, 10**30)])  # exact q2 = -1e-30: flagged
+@example([1.0, 0.5 - 2.0**-40])  # float q2 = -2**-40, below minus its floor: flagged
 def test_any_finite_moments_give_sorted_finite_values_or_overflow(psums):
     try:
         rec = spectrum_from_power_sums(psums)
@@ -576,4 +600,7 @@ def test_any_finite_moments_give_sorted_finite_values_or_overflow(psums):
     assert rec.values.dtype == np.float64 and rec.values.shape == (len(psums),)
     assert np.all(np.isfinite(rec.values))
     assert np.all(np.diff(rec.values) <= 0)
-    assert set(rec.flags) <= {inversion.COMPLEX_ROOTS_FLAG}
+    assert set(rec.flags) <= {inversion.COMPLEX_ROOTS_FLAG, inversion.INFEASIBLE_MOMENTS_FLAG}
+    infeasible = inversion.INFEASIBLE_MOMENTS_FLAG in rec.flags
+    assert infeasible == bool(reference_infeasible_flags(psums))
+    assert not infeasible or rec.flags == (inversion.INFEASIBLE_MOMENTS_FLAG,)
