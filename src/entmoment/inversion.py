@@ -82,11 +82,18 @@ class SpectrumRecovery(NamedTuple):
 def _taylor_shift(a: list, b) -> list:
     """sum_j comb(m, j) a_j b**(m - j), m = 1..len(a) - 1: pass m of the triangle
     row[i] = row[i + 1] + b * row[i] leaves the m-th in row[0].  Integers shift
-    the moments exactly; non-negative floats, which cannot cancel, their floor."""
-    q = []
-    for _ in range(len(a) - 1):
-        a = [hi + b * lo for lo, hi in zip(a, a[1:])]
-        q.append(a[0])
+    the moments exactly; non-negative floats, which cannot cancel, their floor.
+    Pass m + 1 adds b times entry m, so past an overflowed float entry every
+    entry is inf; for b < 1 a later one can fit, so those entries are redone
+    on a / 2**len(a), where no sum passes max(a) (1 + b)**m / 2**len(a)."""
+    def entries(row):
+        for _ in range(len(a) - 1):
+            row = [hi + b * lo for lo, hi in zip(row, row[1:])]
+            yield row[0]
+    q = list(entries(a))
+    if b < 1 and q and q[-1] == math.inf:
+        i, s = q.index(math.inf), 2.0 ** len(a)
+        q[i:] = [x * s for x in list(entries([x / s for x in a]))[i:]]
     return q
 
 

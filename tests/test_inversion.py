@@ -437,7 +437,10 @@ def shift_inputs(psums):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.lists(moment_floats, min_size=1, max_size=16),
                  st.lists(moment_fractions, min_size=1, max_size=16)))
-@example([2.5, 1.1984620899082105e+308, 0.0, 0.0, 0.0])  # entry 3 overflows, entry 5 would not
+# an overflowed floor entry before one that fits
+@example([2.5, 1.1984620899082105e+308, 0.0, 0.0, 0.0])
+@example([0.5, 1.3557929314819813e+301, 1.7976930840200807e+308, 0.0])
+@example([3.5, 8.805027599325628e+307, 0.0, 0.0, 0.0, 0.0])
 def test_taylor_shift_matches_binomial_sums(psums):
     shift, floor = shift_inputs(psums)
     if shift is not None:
@@ -447,17 +450,15 @@ def test_taylor_shift_matches_binomial_sums(psums):
     # the float call: m passes of one product and one sum per entry, every term
     # non-negative, so no cancellation (m eps); a product below the normal range
     # may also lose 2**-1075, carried by weights summing to at most (1 + b)**m
-    # per pass.  The slack doubles both bounds.  An entry past the float range is
-    # inf, and pass m + 1 adds b times entry m, so every later entry is inf too.
+    # per pass.  The slack doubles both bounds.
     for a, b in floor:
         exact = reference_taylor_shift([Fraction(x) for x in a], Fraction(b))
-        got = inversion._taylor_shift(a, b)
-        for m, want in enumerate(exact, 1):
+        for m, (got, want) in enumerate(zip(inversion._taylor_shift(a, b), exact), 1):
             slack = 2 * m * Fraction(inversion._EPS) * want + m * Fraction(2) ** -1074 * (1 + Fraction(b)) ** m
-            if math.isinf(got[m - 1]):
-                assert want + slack > Fraction(sys.float_info.max) or (m > 1 and math.isinf(got[m - 2]))
+            if math.isinf(got):
+                assert want + slack > Fraction(sys.float_info.max)
             else:
-                assert abs(Fraction(got[m - 1]) - want) <= slack
+                assert abs(Fraction(got) - want) <= slack
 
 
 def reference_gauss_newton(z0, mult, targets, weights):
