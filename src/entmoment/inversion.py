@@ -102,8 +102,7 @@ def _centered_setup(moments: Moments):
 
     Returns (center, scale, monic coefficients highest-first, standardized
     moments as floats, per-moment noise floor).  scale == 0.0 signals the
-    all-values-equal-to-center degenerate case, whose last entry is then its
-    flags: INFEASIBLE_MOMENTS_FLAG when q2 < 0, which no real spectrum has.
+    all-values-equal-to-center degenerate case.
     """
     # p_m = P_m / G**m, P_m integers (P_0 = n), q_m = Q_m / (n G)**m
     n, den = len(moments), moments.grade
@@ -111,13 +110,9 @@ def _centered_setup(moments: Moments):
     # the mean c = p_1 / n and the variance q_2 = p_2 - p_1**2 / n, each one
     # correctly rounded int / int, decide the degenerate return on their own
     cf = num[1] / (n * den)
-    nq2 = n * num[2] - num[1] * num[1] if n >= 2 else 0
-    q2 = nq2 / (n * den * den)
+    q2 = (n * num[2] - num[1] * num[1]) / (n * den * den) if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < _DEGENERATE_SPREAD * max(1.0, abs(cf)):
-        # q2 < 0 is exact on exact input; float input owes it the m = 2 floor, 64 eps (|p_2| + 2 |c| |p_1| + n c**2)
-        infeasible = nq2 < 0 and (moments.exact or q2 < -_FLOAT_NOISE_FACTOR * _EPS * _taylor_shift(
-            [float(n), abs(num[1] / den), abs(num[2] / (den * den))], abs(cf))[1])
-        return cf, 0.0, None, None, (INFEASIBLE_MOMENTS_FLAG,) if infeasible else ()
+        return cf, 0.0, None, None, None
 
     q = _taylor_shift([x * n**j for j, x in enumerate(num)], -num[1])
     s = round(0.5 * math.log2(q2 / n))
@@ -146,6 +141,19 @@ def _centered_setup(moments: Moments):
         e.append(acc)
     coeffs = [(-x if k % 2 else x) / (factorial(k) * y) for k, (x, y) in enumerate(zip(e, denom_pow))]
     return cf, sf, coeffs, np.array(qs), np.array(noise)
+
+
+def _infeasible(moments: Moments, c: float) -> bool:
+    """q2 < 0, which no real spectrum has, on the degenerate return (mean c): from
+    the integers n P_2 - P_1**2 on exact input; on float input, below minus the
+    m = 2 floor entry, 64 eps (|p_2| + 2 |c| |p_1| + n c**2)."""
+    n, den = len(moments), moments.grade
+    if n < 2:
+        return False
+    p1, p2 = moments.ints[:2]
+    nq2 = n * p2 - p1 * p1
+    return nq2 < 0 and (moments.exact or nq2 / (n * den * den) < -_FLOAT_NOISE_FACTOR * _EPS * _taylor_shift(
+        [float(n), abs(p1 / den), abs(p2 / (den * den))], abs(c))[1])
 
 
 def _power_table(z: np.ndarray, n: int) -> np.ndarray:
@@ -263,8 +271,8 @@ def spectrum_from_power_sums(power_sums) -> SpectrumRecovery:
         center, scale, coeffs, targets, noise = _centered_setup(moments)
     except OverflowError as exc:
         raise ValueError(f"power sums overflow float64: {exc}") from exc
-    if coeffs is None:  # the degenerate return: its last entry holds its flags
-        return SpectrumRecovery(np.full(n, center), noise)
+    if coeffs is None:
+        return SpectrumRecovery(np.full(n, center), (INFEASIBLE_MOMENTS_FLAG,) if _infeasible(moments, center) else ())
 
     raw = _companion_roots(coeffs)
     y = np.sort(raw.real)

@@ -286,7 +286,7 @@ def reference_centered_setup(psums):
 
     q2 = float(q[1]) if n >= 2 else 0.0
     if q2 <= 0.0 or math.sqrt(q2 / n) < inversion._DEGENERATE_SPREAD * max(1.0, abs(cf)):
-        return cf, 0.0, None, None, reference_infeasible_flags(psums)
+        return cf, 0.0, None, None, None
     scale = Fraction(2) ** round(0.5 * math.log2(q2 / n))
     sf = float(scale)
 
@@ -313,13 +313,12 @@ def reference_centered_setup(psums):
 
 
 def setup_bits(setup, psums):
-    """The five set-up outputs as bytes (None and the degenerate return's flags stay
-    as they are), or the overflow."""
+    """The five set-up outputs as bytes (None stays None), or the overflow."""
     try:
         out = setup(psums)
     except OverflowError:
         return "overflow"
-    return [v if v is None or isinstance(v, tuple) else np.asarray(v, dtype=float).tobytes() for v in out]
+    return [None if v is None else np.asarray(v, dtype=float).tobytes() for v in out]
 
 
 def assert_setup_matches_reference(psums):
@@ -410,10 +409,9 @@ def reference_taylor_shift(a, b):
 
 def shift_inputs(psums):
     """The (a, b) pairs that _centered_setup hands to _taylor_shift for psums:
-    the graded integer moments, None where it returns degenerate (or overflows)
-    before the shift, then the list of float calls: the magnitudes of the float
-    input's rounding floor, or, on a degenerate return with q2 < 0, of its
-    p_1 and p_2 alone for the m = 2 floor."""
+    the graded integer moments, then, for float input, the float magnitudes
+    of its rounding floor.  None where it returns degenerate (or overflows)
+    before the shift."""
     seen, real = [], inversion._taylor_shift
     inversion._taylor_shift = lambda a, b: seen.append((a, b)) or real(a, b)
     try:
@@ -422,16 +420,13 @@ def shift_inputs(psums):
         out = None
     finally:
         inversion._taylor_shift = real
-    exact = all(isinstance(x, Fraction) for x in psums)
-    shift = seen.pop(0) if seen and isinstance(seen[0][0][0], int) else None
-    if shift is None:
-        # the mean and variance decide the degenerate return; exact input needs no floor
+    if not seen:
+        # the mean and variance alone decide the degenerate return
         assert out is None or out[2] is None
-        assert all(len(a) == 3 for a, _ in seen) and len(seen) <= 1 - exact
-    else:
-        # exact input skips the floor; an overflow can stop float input before it
-        assert len(seen) <= 1 and (out is None or len(seen) == 1 - exact)
-    return shift, seen
+        return None
+    # exact input skips the floor; an overflow can stop float input before it
+    assert len(seen) <= 2 and (out is None or len(seen) == 2 - all(isinstance(x, Fraction) for x in psums))
+    return seen
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,11 +437,12 @@ def shift_inputs(psums):
 @example([0.5, 1.3557929314819813e+301, 1.7976930840200807e+308, 0.0])
 @example([3.5, 8.805027599325628e+307, 0.0, 0.0, 0.0, 0.0])
 def test_taylor_shift_matches_binomial_sums(psums):
-    shift, floor = shift_inputs(psums)
-    if shift is not None:
-        a, b = shift
-        assert len(a) == len(psums) + 1
-        assert inversion._taylor_shift(a, b) == reference_taylor_shift(a, b)
+    inputs = shift_inputs(psums)
+    if inputs is None:
+        return
+    (a, b), *floor = inputs
+    assert len(a) == len(psums) + 1
+    assert inversion._taylor_shift(a, b) == reference_taylor_shift(a, b)
     # the float call: m passes of one product and one sum per entry, every term
     # non-negative, so no cancellation (m eps); a product below the normal range
     # may also lose 2**-1075, carried by weights summing to at most (1 + b)**m
