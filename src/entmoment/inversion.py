@@ -91,7 +91,7 @@ def _taylor_shift(a: list, b) -> list:
             row = [hi + b * lo for lo, hi in zip(row, row[1:])]
             yield row[0]
     q = list(entries(a))
-    if b < 1 and q and q[-1] == math.inf:
+    if b < 1 and q[-1] == math.inf:
         i, s = q.index(math.inf), 2.0 ** len(a)
         q[i:] = [x * s for x in list(entries([x / s for x in a]))[i:]]
     return q
@@ -147,13 +147,10 @@ def _infeasible(moments: Moments, c: float) -> bool:
     """q2 < 0, which no real spectrum has, on the degenerate return (mean c): from
     the integers n P_2 - P_1**2 on exact input; on float input, below minus the
     m = 2 floor entry, 64 eps (|p_2| + 2 |c| |p_1| + n c**2)."""
-    n, den = len(moments), moments.grade
-    if n < 2:
-        return False
-    p1, p2 = moments.ints[:2]
-    nq2 = n * p2 - p1 * p1
+    n, den, num = len(moments), moments.grade, moments.ints
+    nq2 = n * num[1] - num[0] * num[0] if n >= 2 else 0
     return nq2 < 0 and (moments.exact or nq2 / (n * den * den) < -_FLOAT_NOISE_FACTOR * _EPS * _taylor_shift(
-        [float(n), abs(p1 / den), abs(p2 / (den * den))], abs(c))[1])
+        [float(n), abs(num[0] / den), abs(num[1] / (den * den))], abs(c))[1])
 
 
 def _power_table(z: np.ndarray, n: int) -> np.ndarray:
